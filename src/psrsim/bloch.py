@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .core import DriveParams, EnsembleParams, NumericalError
 
@@ -29,6 +28,16 @@ from .core import DriveParams, EnsembleParams, NumericalError
 #: Im kappa(0) < 0 for Delta > 0; figures and fits use the convention
 #: that Gl is positive at positive detuning, hence the extra sign here.
 PSR_SIGN = +1.0
+
+
+def solve_ivp(fun, t_span, y0, **kwargs):
+    """:func:`scipy.integrate.solve_ivp`, imported on the first call.
+
+    scipy.integrate pulls in scipy.optimize, about 0.4 s of import that
+    commands without an ODE never need.
+    """
+    from scipy.integrate import solve_ivp as solve
+    return solve(fun, t_span, y0, **kwargs)
 
 
 def sigma_op(i: int, j: int) -> np.ndarray:
@@ -179,32 +188,36 @@ class FieldState:
         return g * g * (abs(self.amp_plus) ** 2 + abs(self.amp_minus) ** 2)
 
 
+def field_derivative(ens: EnsembleParams, drive_plus: complex,
+                     drive_minus: complex, detuning: float) -> np.ndarray:
+    """d<a+->/dz = i (g N l / c) (<sigma_14>, <sigma_23>), z in cell lengths.
+
+    The atoms are taken in the steady state of the local field.
+    """
+    g = ens.coupling_normalized
+    pref = 1j * ens.cooperativity / g if g > 0 else 0.0
+    st = steady_state(ens, drive_plus, drive_minus, detuning)
+    return np.array([pref * st.coh_14, pref * st.coh_23])
+
+
 def propagate_mean_field(ens: EnsembleParams, field: FieldState,
                          detuning: float, rtol: float = 1e-8
                          ) -> tuple[FieldState, float]:
     """Adiabatic mean-field propagation through the cell.
 
-    At each position the atoms are taken in the steady state of the
-    local field, and d<a+>/dz = i (g N l / c) <sigma_14> (mirror for
-    <a->), with z in cell-length units.  Returns the output field and
-    the transmission T in [0, 1].
+    Integrates :func:`field_derivative` over the cell.  Returns the
+    output field and the transmission T in [0, 1].
     """
     if not (np.isfinite(field.amp_plus) and np.isfinite(field.amp_minus)):
         raise NumericalError("non-finite input field",
                              {"a_plus": field.amp_plus,
                               "a_minus": field.amp_minus})
-    g = ens.coupling_normalized
-    pref = 1j * ens.cooperativity / g if g > 0 else 0.0
-
-    def rhs(_z, y):
-        st = steady_state(ens, y[0], y[1], detuning)
-        return [pref * st.coh_14, pref * st.coh_23]
-
     y0 = np.array([field.amp_plus, field.amp_minus], dtype=complex)
     p_in = abs(y0[0]) ** 2 + abs(y0[1]) ** 2
     if p_in == 0.0 or ens.cooperativity == 0.0:
         return field, 1.0
-    sol = solve_ivp(rhs, (0.0, 1.0), y0, method="RK45",
+    sol = solve_ivp(lambda _z, y: field_derivative(ens, y[0], y[1], detuning),
+                    (0.0, 1.0), y0, method="RK45",
                     rtol=rtol, atol=rtol * math.sqrt(p_in) * 1e-3)
     if not sol.success:
         raise NumericalError(f"mean-field integration failed: {sol.message}",

@@ -87,6 +87,14 @@ def _num(sec: dict, section: str, key: str, default=None) -> float:
         raise ConfigError(f"{section}.{key}", f"not a number: {val!r}")
 
 
+def _int(sec: dict, section: str, key: str, default=None) -> int:
+    val = _num(sec, section, key, default)
+    if not val.is_integer():
+        raise ConfigError(f"{section}.{key}",
+                          f"not an integer: {sec.get(key, default)!r}")
+    return int(val)
+
+
 def _axis(sec: dict, section: str, key: str) -> list[float]:
     """An axis is either an explicit list or {start, stop, points}."""
     val = sec.get(key)
@@ -95,7 +103,7 @@ def _axis(sec: dict, section: str, key: str) -> list[float]:
     if isinstance(val, dict):
         start = _num(val, f"{section}.{key}", "start")
         stop = _num(val, f"{section}.{key}", "stop")
-        pts = int(_num(val, f"{section}.{key}", "points"))
+        pts = _int(val, f"{section}.{key}", "points")
         if pts < 1:
             raise ConfigError(f"{section}.{key}.points", "must be >= 1")
         return list(np.linspace(start, stop, pts))
@@ -212,10 +220,9 @@ def _sweep_column(args) -> tuple[list[float], list[float]]:
 
 
 def _noise_point(args) -> list[tuple]:
-    ens_cfg, drive_cfg, det, omegas, thetas, floor, deplete = args
+    ens_cfg, intensity, det, omegas, thetas, floor, deplete = args
     ens = EnsembleParams.from_cooperativity(**ens_cfg)
-    drive = DriveParams(intensity=drive_cfg["intensity"], detuning=det,
-                        ellipticity=drive_cfg["ellipticity"])
+    drive = DriveParams(intensity=intensity, detuning=det)
     spec = fluct.propagate_noise(ens, drive, omegas, thetas,
                                  deplete=deplete, omega_floor=floor)
     rows = []
@@ -331,8 +338,11 @@ def noise(config_path: str, out_path: Path, fmt: str, jobs: int,
     sec = _section(cfg, "noise")
     drive_sec = _section(cfg, "drive")
     ens_cfg = _ens_cfg_dict(cfg)
-    drive_cfg = {"intensity": _num(drive_sec, "drive", "intensity"),
-                 "ellipticity": _num(drive_sec, "drive", "ellipticity", 0.0)}
+    intensity = _num(drive_sec, "drive", "intensity")
+    if _num(drive_sec, "drive", "ellipticity", 0.0) != 0.0:
+        # the fluctuation analysis linearizes about linear polarization
+        raise ConfigError("drive.ellipticity",
+                          "noise spectra need a linearly polarized drive (0)")
     detunings = (_axis(sec, "noise", "detunings") if "detunings" in sec
                  else [_num(drive_sec, "drive", "detuning", 0.0)])
     try:
@@ -340,13 +350,13 @@ def noise(config_path: str, out_path: Path, fmt: str, jobs: int,
             frequencies=tuple(_axis(sec, "noise", "omegas"))).frequencies)
     except ValidationError as exc:
         raise ConfigError("noise.omegas", str(exc))
-    n_theta = int(_num(sec, "noise", "theta_points", 61))
+    n_theta = _int(sec, "noise", "theta_points", 61)
     if n_theta < 2:
         raise ConfigError("noise.theta_points", "must be >= 2")
     thetas = list(np.linspace(0.0, math.pi, n_theta, endpoint=False))
     floor = _num(sec, "noise", "omega_floor", 0.01)
 
-    args = [(ens_cfg, drive_cfg, det, omegas, thetas, floor, deplete)
+    args = [(ens_cfg, intensity, det, omegas, thetas, floor, deplete)
             for det in detunings]
     results = _map_ordered(_noise_point, args, jobs)
 
@@ -462,7 +472,7 @@ def matsko_cmd(config_path: str, out_path: Path, fmt: str) -> None:
     sec = _section(cfg, "matsko")
     g_l = _num(sec, "matsko", "rotation_strength")
     alpha_l = _num(sec, "matsko", "absorption", 0.0)
-    n_chi = int(_num(sec, "matsko", "chi_points", 721))
+    n_chi = _int(sec, "matsko", "chi_points", 721)
     if alpha_l < 0:
         raise ConfigError("matsko.absorption", "must be >= 0")
     if n_chi < 2:

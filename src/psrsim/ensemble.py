@@ -24,7 +24,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
-from scipy.optimize import least_squares
 from scipy.special import wofz
 
 from .core import EnsembleParams, NumericalError, _require
@@ -261,6 +260,9 @@ def fit(manifold_template: LineManifold, ens: EnsembleParams,
     to the first line.  Deterministic for a fixed initial guess.
     Requires at least 50 points and monotone detunings.
     """
+    # scipy.optimize costs about 0.4 s to import and only fits need it
+    from scipy.optimize import least_squares
+
     det_ghz = np.asarray(det_ghz, dtype=float)
     t_data = np.asarray(t_data, dtype=float)
     gl_data = np.asarray(gl_data, dtype=float)

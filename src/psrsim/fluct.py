@@ -24,15 +24,17 @@ the output) holds identically and is exposed as a diagnostic.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
-from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
 from . import bloch
+from .bloch import solve_ivp
 from .core import DriveParams, EnsembleParams, NumericalError, ValidationError
 
 # noise basis order used throughout: (f_y, f_y^dag, f_z, f_z')
@@ -41,47 +43,83 @@ FY, FYD, FZ, FZP = 0, 1, 2, 3
 _SIGMA_BASIS = [(1, 4), (2, 3), (4, 1), (3, 2), (1, 1), (2, 2), (3, 3), (4, 4)]
 
 # rows: f_y, f_y^dag, f_z, f_z' as combinations of the sigma-basis noises
-_R2 = 1.0 / math.sqrt(2.0)
-_COMBINE = np.zeros((4, 8))
-_COMBINE[FY, 0] = _R2
-_COMBINE[FY, 1] = _R2
-_COMBINE[FYD, 2] = _R2
-_COMBINE[FYD, 3] = _R2
-_COMBINE[FZ, 5] = _R2
-_COMBINE[FZ, 4] = -_R2
-_COMBINE[FZP, 7] = _R2
-_COMBINE[FZP, 6] = -_R2
+_COMBINE = np.array([[1, 1, 0, 0, 0, 0, 0, 0],
+                     [0, 0, 1, 1, 0, 0, 0, 0],
+                     [0, 0, 0, 0, -1, 1, 0, 0],
+                     [0, 0, 0, 0, 0, 0, -1, 1]]) / math.sqrt(2.0)
+
+# input vacuum: <da da^dag> = 1, all other second moments zero
+_VACUUM = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
 
 
-def _denominator(intensity: float, detuning: float, omega: float) -> complex:
-    w, de = omega, detuning
-    return (2.0 * intensity * (1.0 - 1j * w) ** 2
-            - 1j * w * (2.0 - 1j * w) * ((1.0 - 1j * w) ** 2 + de * de))
+class _Kernel(NamedTuple):
+    """Sideband coefficients at signed frequencies w (first axis)."""
+
+    m_w: np.ndarray            # (n, 2, 2) drift M(w) of (da_y, da_y^dag)
+    m_mw: np.ndarray           # (n, 2, 2) drift M(-w)
+    p_w: np.ndarray            # (n, 2, 4) rows of (F_y, F_y^dag) at w
+    p_mw: np.ndarray           # (n, 2, 4) the same at -w
+    lam: np.ndarray            # (n,) Lambda(w)
+    lam_prime: np.ndarray      # (n,) Lambda'(w)
+    a_coef: np.ndarray         # (n,) A(w)
+    b_coef: np.ndarray         # (n,) B(w)
+    d_denom: np.ndarray        # (n,) D(w)
 
 
-def _lambda(intensity: float, detuning: float, omega: float) -> complex:
-    if omega == 0.0:
-        return 1.0 + 0.0j
-    d = _denominator(intensity, detuning, omega)
-    if d == 0.0:
+def _kernel(ens: EnsembleParams, drive: DriveParams, omegas,
+            truncate_dephasing: bool = False, sources: bool = True) -> _Kernel:
+    """Drift matrices and Langevin source rows at signed sidebands w.
+
+    The rational functions of (I_x, Delta, u) are evaluated once on
+    u = (w, -w) over the common denominator
+    D(u) = 2 I_x (1-iu)^2 - iu (2-iu) ((1-iu)^2 + Delta^2).  At u = 0
+    the continuity values Lambda = 1, Lambda' = 0 are used, and D = 0
+    raises there only when the source rows are needed (``sources``).
+
+    The source row of F_y over (f_y, f_y^dag, f_z, f_z') follows from
+    eliminating the atomic fluctuations; the population-noise weights
+    are finite at u = 0 because A carries a factor of u.  (The f_z
+    weight is -i sqrt(I_x/2) A/(-iu): commutator preservation of the
+    propagated field pins both its sign and its magnitude.)
+    """
+    w = np.asarray(omegas, dtype=float)
+    n = w.size
+    u = np.concatenate([w, -w])
+    ix, de = drive.intensity, drive.detuning
+    iu = 1j * u
+    p1 = 1.0 - iu
+    p2 = 2.0 - iu
+    d = 2.0 * ix * p1 ** 2 - iu * p2 * (p1 ** 2 + de * de)
+    pole = d == 0.0
+    if not sources:
+        pole &= u != 0.0
+    if pole.any():
         raise NumericalError("response pole: D(omega) = 0",
-                             {"intensity": intensity, "detuning": detuning,
-                              "omega": omega})
-    return intensity * (1.0 - 1j * omega) * (2.0 - 1j * omega) / d
+                             {"intensity": ix, "detuning": de,
+                              "omega": float(u[pole][0])})
+    zero = u == 0.0
+    c1 = 1.0 - 1j * de - iu
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lam = np.where(zero, 1.0, ix * p1 * p2 / d)
+        num = ix * p1 - (1.0 - 1j * de) * c1 * p2
+        lamp = np.where(zero, 0.0, iu * num / d)
+        a = c1 * (-1j * u) * p2 / d
+        b = ix * p1 / d
+        om = math.sqrt(ix / 2.0)
+        row = np.stack([a + b, b, -1j * om * (c1 * p2 / d),
+                        -1j * om * a / p2], axis=-1)
 
-
-def _lambda_prime(intensity: float, detuning: float, omega: float) -> complex:
-    if omega == 0.0:
-        return 0.0 + 0.0j
-    w, de = omega, detuning
-    d = _denominator(intensity, de, w)
-    if d == 0.0:
-        raise NumericalError("response pole: D(omega) = 0",
-                             {"intensity": intensity, "detuning": detuning,
-                              "omega": omega})
-    num = (intensity * (1.0 - 1j * w)
-           - (1.0 - 1j * de) * (1.0 - 1j * de - 1j * w) * (2.0 - 1j * w))
-    return 1j * w * num / d
+    k0 = bloch.kappa_zero(ens, drive)
+    m11 = iu * ens.transit_time
+    if not truncate_dephasing:
+        m11 = m11 - np.conj(k0) * lamp
+    m12 = -k0 * lam
+    flip = np.r_[n:2 * n, 0:n]          # index of -u
+    m = np.stack([m11, m12, np.conj(m12[flip]), np.conj(m11[flip])],
+                 axis=-1).reshape(2 * n, 2, 2)
+    p = np.stack([row, np.conj(row[flip][:, [FYD, FY, FZ, FZP]])], axis=1)
+    return _Kernel(m[:n], m[n:], p[:n], p[n:],
+                   lam[:n], lamp[:n], a[:n], b[:n], d[:n])
 
 
 @dataclass(frozen=True)
@@ -107,12 +145,11 @@ def response(ens: EnsembleParams, drive: DriveParams,
     if omega < 0:
         raise ValidationError("omega", "must be >= 0")
     k0 = bloch.kappa_zero(ens, drive)
-    lam = _lambda(drive.intensity, drive.detuning, omega)
-    lamp = _lambda_prime(drive.intensity, drive.detuning, omega)
-    kap = k0 * lam
-    gam = -1j * omega * ens.transit_time + kap + np.conj(k0) * lamp
+    k = _kernel(ens, drive, [omega], sources=False)
+    kap = k0 * k.lam[0]
+    gam = -1j * omega * ens.transit_time + kap + np.conj(k0) * k.lam_prime[0]
     return ComplexResponse(omega=omega, kappa=kap, gamma_prop=gam,
-                           lam=lam, lam_prime=lamp, kappa0=k0)
+                           lam=k.lam[0], lam_prime=k.lam_prime[0], kappa0=k0)
 
 
 @dataclass(frozen=True)
@@ -131,49 +168,9 @@ def langevin_coeffs(ens: EnsembleParams, drive: DriveParams,
     A multiplies the coherence noise together with B; B alone couples
     the adjoint coherence noise.  A(0) = 0 and B(0) = 1/(2 gamma).
     """
-    w, de, ix = omega, drive.detuning, drive.intensity
-    d = _denominator(ix, de, w)
-    if d == 0.0:
-        raise NumericalError("Langevin coefficient pole: D(omega) = 0",
-                             {"intensity": ix, "detuning": de, "omega": w})
-    a = (1.0 - 1j * de - 1j * w) * (-1j * w) * (2.0 - 1j * w) / d
-    b = ix * (1.0 - 1j * w) / d
-    return LangevinCoeffs(a_coef=a, b_coef=b, d_denom=d)
-
-
-def _source_row(drive: DriveParams, omega: float) -> np.ndarray:
-    """Coefficients of (f_y, f_y^dag, f_z, f_z') in F_y, any real omega.
-
-    These follow from eliminating the atomic fluctuations in favour of
-    the field; the population-noise coefficients are finite at w = 0
-    because A carries an overall factor of w.  (The f_z weight is
-    -i sqrt(I_x/2) A/(-i w): commutator preservation of the propagated
-    field pins both its sign and its magnitude.)
-    """
-    w, de, ix = omega, drive.detuning, drive.intensity
-    d = _denominator(ix, de, w)
-    if d == 0.0:
-        raise NumericalError("Langevin source pole: D(omega) = 0",
-                             {"intensity": ix, "detuning": de, "omega": w})
-    a = (1.0 - 1j * de - 1j * w) * (-1j * w) * (2.0 - 1j * w) / d
-    b = ix * (1.0 - 1j * w) / d
-    a_red = (1.0 - 1j * de - 1j * w) * (2.0 - 1j * w) / d  # A / (-i w)
-    om = math.sqrt(ix / 2.0)
-    row = np.empty(4, dtype=complex)
-    row[FY] = a + b
-    row[FYD] = b
-    row[FZ] = -1j * om * a_red
-    row[FZP] = -1j * om * a / (2.0 - 1j * w)
-    return row
-
-
-def _source_rows_pair(drive: DriveParams, omega: float) -> np.ndarray:
-    """2x4 coefficient matrix for (F_y, F_y^dag) over the noise basis."""
-    r1 = _source_row(drive, omega)
-    r1m = _source_row(drive, -omega)
-    r2 = np.array([np.conj(r1m[FYD]), np.conj(r1m[FY]),
-                   np.conj(r1m[FZ]), np.conj(r1m[FZP])])
-    return np.vstack([r1, r2])
+    k = _kernel(ens, drive, [omega])
+    return LangevinCoeffs(a_coef=k.a_coef[0], b_coef=k.b_coef[0],
+                          d_denom=k.d_denom[0])
 
 
 @dataclass(frozen=True)
@@ -211,6 +208,22 @@ class DiffusionMatrix:
         return out
 
 
+@functools.cache
+def _einstein_tensor() -> np.ndarray:
+    """(8, 8, 4, 4) operators D+(P_a P_b) - D+(P_a) P_b - P_a D+(P_b).
+
+    P runs over the sigma basis and D+ is the dissipative part of the
+    Heisenberg generator.  Built on first use, not at import.
+    """
+    ops = [bloch.sigma_op(i, j) for (i, j) in _SIGMA_BASIS]
+    diss = [bloch.adjoint_dissipator(p) for p in ops]
+    t = np.array([[bloch.adjoint_dissipator(pa @ pb) - da @ pb - pa @ db
+                   for pb, db in zip(ops, diss)]
+                  for pa, da in zip(ops, diss)])
+    t.flags.writeable = False          # shared by every caller
+    return t
+
+
 def diffusion(ens: EnsembleParams, drive: DriveParams) -> DiffusionMatrix:
     """Diffusion matrix from generalized Einstein relations.
 
@@ -220,22 +233,18 @@ def diffusion(ens: EnsembleParams, drive: DriveParams) -> DiffusionMatrix:
     cancels identically).  Evaluated at the symmetric working point of
     the fluctuation analysis.
     """
-    st = bloch.symmetric_steady_state(ens, drive)
-    rho = st.density_matrix()
-    ops = [bloch.sigma_op(i, j) for (i, j) in _SIGMA_BASIS]
-    n = len(ops)
-    d8 = np.empty((n, n), dtype=complex)
-    diss = [bloch.adjoint_dissipator(p) for p in ops]
-    for a in range(n):
-        for b in range(n):
-            term = (bloch.adjoint_dissipator(ops[a] @ ops[b])
-                    - diss[a] @ ops[b] - ops[a] @ diss[b])
-            d8[a, b] = np.trace(rho @ term)
+    rho = bloch.symmetric_steady_state(ens, drive).density_matrix()
+    d8 = np.trace(rho @ _einstein_tensor(), axis1=-2, axis2=-1)
     ordered = _COMBINE @ d8 @ _COMBINE.T
-    dag = [FYD, FY, FZ, FZP]
-    gram = np.array([[ordered[i, dag[j]] for j in range(4)]
-                     for i in range(4)])
-    return DiffusionMatrix(gram=gram, ordered=ordered)
+    return DiffusionMatrix(gram=ordered[:, [FYD, FY, FZ, FZP]],
+                           ordered=ordered)
+
+
+def _inflow(ens: EnsembleParams, k: _Kernel,
+            diff: DiffusionMatrix) -> np.ndarray:
+    """Stacked 2x2 source densities N(w) of the kernel's sidebands."""
+    return ens.cooperativity * (k.p_w @ diff.ordered
+                                @ k.p_mw.transpose(0, 2, 1))
 
 
 def noise_inflow(ens: EnsembleParams, drive: DriveParams, omega: float,
@@ -245,58 +254,77 @@ def noise_inflow(ens: EnsembleParams, drive: DriveParams, omega: float,
         return np.zeros((2, 2), dtype=complex)
     if diff is None:
         diff = diffusion(ens, drive)
-    rows_w = _source_rows_pair(drive, omega)
-    rows_mw = _source_rows_pair(drive, -omega)
-    return ens.cooperativity * (rows_w @ diff.ordered @ rows_mw.T)
+    return _inflow(ens, _kernel(ens, drive, [omega]), diff)[0]
 
 
 def _drift(ens: EnsembleParams, drive: DriveParams, omega: float,
            truncate_dephasing: bool = False) -> np.ndarray:
     """2x2 drift matrix M(w) for (da_y, da_y^dag)."""
-    k0 = bloch.kappa_zero(ens, drive)
-    tbar = ens.transit_time
-
-    def m11(w):
-        if truncate_dephasing:
-            return 1j * w * tbar
-        return 1j * w * tbar - np.conj(k0) * _lambda_prime(
-            drive.intensity, drive.detuning, w)
-
-    def m12(w):
-        return -k0 * _lambda(drive.intensity, drive.detuning, w)
-
-    return np.array([[m11(omega), m12(omega)],
-                     [np.conj(m12(-omega)), np.conj(m11(-omega))]])
+    return _kernel(ens, drive, [omega], truncate_dephasing,
+                   sources=False).m_w[0]
 
 
 def _transport(m_w: np.ndarray, m_mw: np.ndarray, src: np.ndarray,
                sigma0: np.ndarray) -> np.ndarray:
-    """Solve dS/dz = M S + S Mm^T + src over z in [0, 1], constant coeffs."""
-    k = np.kron(m_w, np.eye(2)) + np.kron(np.eye(2), m_mw)
-    aug = np.zeros((5, 5), dtype=complex)
-    aug[:4, :4] = k
-    aug[:4, 4] = src.reshape(-1)
+    """Solve dS/dz = M S + S Mm^T + src over z in [0, 1], constant coeffs.
+
+    All arguments but ``sigma0`` are stacks over sidebands; one batched
+    matrix exponential of the augmented 5x5 generators does the whole
+    stack.
+    """
+    n = m_w.shape[0]
+    eye = np.eye(2)
+    aug = np.zeros((n, 5, 5), dtype=complex)
+    # kron(M, 1) + kron(1, Mm) for each sideband
+    aug[:, :4, :4] = (m_w[:, :, None, :, None] * eye[:, None, :]
+                      + eye[:, None, :, None] * m_mw[:, None, :, None, :]
+                      ).reshape(n, 4, 4)
+    aug[:, :4, 4] = src.reshape(n, 4)
     e = expm(aug)
-    out = e[:4, :4] @ sigma0.reshape(-1) + e[:4, 4]
-    return out.reshape(2, 2)
+    out = e[:, :4, :4] @ sigma0.reshape(-1) + e[:, :4, 4]
+    return out.reshape(n, 2, 2)
 
 
-def _sigma_out(ens: EnsembleParams, drive: DriveParams, omega: float,
-               diff: DiffusionMatrix | None, include_noise: bool,
-               truncate_dephasing: bool) -> np.ndarray:
-    m_w = _drift(ens, drive, omega, truncate_dephasing)
-    m_mw = _drift(ens, drive, -omega, truncate_dephasing)
-    if include_noise and ens.cooperativity > 0.0:
-        src = noise_inflow(ens, drive, omega, diff)
-    else:
-        src = np.zeros((2, 2), dtype=complex)
-    sigma0 = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
-    return _transport(m_w, m_mw, src, sigma0)
+def _sigma_out_depleted(ens: EnsembleParams, drive: DriveParams,
+                        w: np.ndarray, noisy: bool,
+                        truncate_dephasing: bool) -> np.ndarray:
+    """Output covariances at signed sidebands w, drive depleting along z.
+
+    One ODE carries the mean field <a+->(z) and the covariances of all
+    sidebands, so each right-hand side evaluates the local steady state,
+    the diffusion table and the kernel once.
+    """
+    g = ens.coupling_normalized
+    n = w.size
+
+    def rhs(_z, y):
+        d_loc = DriveParams(
+            intensity=g * g * (abs(y[0]) ** 2 + abs(y[1]) ** 2),
+            detuning=drive.detuning, ellipticity=drive.ellipticity)
+        k = _kernel(ens, d_loc, w, truncate_dephasing, noisy)
+        sig = y[2:].reshape(n, 2, 2)
+        dsig = k.m_w @ sig + sig @ k.m_mw.transpose(0, 2, 1)
+        if noisy:
+            dsig = dsig + _inflow(ens, k, diffusion(ens, d_loc))
+        return np.concatenate((
+            bloch.field_derivative(ens, y[0], y[1], drive.detuning),
+            dsig.reshape(-1)))
+
+    field0 = bloch.FieldState.from_intensity(ens, drive.intensity,
+                                             drive.ellipticity)
+    y0 = np.concatenate(([field0.amp_plus, field0.amp_minus],
+                         np.tile(_VACUUM.reshape(-1), n))).astype(complex)
+    sol = solve_ivp(rhs, (0.0, 1.0), y0, method="RK45", rtol=1e-8, atol=1e-10)
+    if not sol.success:
+        raise NumericalError(
+            f"depleted noise transport failed: {sol.message}",
+            {"detuning": drive.detuning})
+    return sol.y[2:, -1].reshape(n, 2, 2)
 
 
 @dataclass(frozen=True)
 class QuadratureSpectrum:
-    """Quadrature variances S_theta(w), QNL-normalized.
+    """Quadrature variances S_theta(w), QNL-normalized, at one detuning.
 
     ``values[i, j]`` is S at ``omegas[i]``, ``thetas[j]``; the closed
     form extrema over theta are kept alongside.  ``low_omega`` flags
@@ -310,8 +338,16 @@ class QuadratureSpectrum:
     s_min: np.ndarray
     s_max: np.ndarray
     low_omega: np.ndarray
+    detuning: float
 
     def __post_init__(self):
+        finite = (np.isfinite(self.values).all(axis=1)
+                  & np.isfinite(self.s_min) & np.isfinite(self.s_max))
+        if not finite.all():
+            raise NumericalError(
+                "non-finite quadrature variance",
+                {"detuning": self.detuning,
+                 "omega": float(self.omegas[~finite][0])})
         if (self.values < -1e-9).any():
             raise NumericalError(
                 f"negative quadrature variance ({self.values.min():.3e})")
@@ -339,77 +375,42 @@ def propagate_noise(ens: EnsembleParams, drive: DriveParams,
     reduces Gamma to its kappa part, leaving the bare cross-Kerr
     squeezing interaction.  ``deplete`` feeds the mean-field depletion
     of the drive along the cell into the coefficients (default keeps
-    them constant, i.e. an undepleted drive).
+    them constant, i.e. an undepleted drive); the whole grid then
+    shares one ODE solve.
     """
     omegas = np.atleast_1d(np.asarray(omega_grid, dtype=float))
     thetas = np.atleast_1d(np.asarray(theta_grid, dtype=float))
     if (omegas < 0).any():
         raise ValidationError("omega_grid", "sideband frequencies must be >= 0")
-    diff = None
-    if include_noise and ens.cooperativity > 0.0 and not deplete:
-        diff = diffusion(ens, drive)
-
-    values = np.empty((omegas.size, thetas.size))
-    s_min = np.empty(omegas.size)
-    s_max = np.empty(omegas.size)
-    for i, w in enumerate(omegas):
-        if deplete:
-            sig_p = _sigma_out_depleted(ens, drive, w, include_noise,
-                                        truncate_dephasing)
-            sig_m = _sigma_out_depleted(ens, drive, -w, include_noise,
-                                        truncate_dephasing)
-        else:
-            sig_p = _sigma_out(ens, drive, w, diff, include_noise,
-                               truncate_dephasing)
-            sig_m = _sigma_out(ens, drive, -w, diff, include_noise,
-                               truncate_dephasing)
-        iso = 0.5 * (sig_p[0, 1] + sig_p[1, 0] + sig_m[0, 1] + sig_m[1, 0])
-        anom = 0.5 * (sig_p[1, 1] + sig_m[1, 1])
-        if abs(iso.imag) > 1e-8 * max(1.0, abs(iso.real)):
-            raise NumericalError(
-                f"non-real quadrature variance (imag {iso.imag:.2e})",
-                {"omega": w})
-        s_theta = iso.real + 2.0 * np.real(np.exp(2j * thetas) * anom)
-        values[i] = np.maximum(s_theta, 0.0)
-        s_min[i] = max(iso.real - 2.0 * abs(anom), 0.0)
-        s_max[i] = iso.real + 2.0 * abs(anom)
-    return QuadratureSpectrum(omegas=omegas, thetas=thetas, values=values,
-                              s_min=s_min, s_max=s_max,
-                              low_omega=omegas < omega_floor)
-
-
-def _sigma_out_depleted(ens: EnsembleParams, drive: DriveParams, omega: float,
-                        include_noise: bool, truncate_dephasing: bool
-                        ) -> np.ndarray:
-    """Covariance transport with the drive intensity depleting along z."""
-    field0 = bloch.FieldState.from_intensity(ens, drive.intensity,
-                                             drive.ellipticity)
-    g = ens.coupling_normalized
-    pref = 1j * ens.cooperativity / g if g > 0 else 0.0
-
-    def rhs(_z, y):
-        a_p, a_m = y[0], y[1]
-        st = bloch.steady_state(ens, a_p, a_m, drive.detuning)
-        ix_loc = g * g * (abs(a_p) ** 2 + abs(a_m) ** 2)
-        d_loc = DriveParams(intensity=ix_loc, detuning=drive.detuning,
-                            ellipticity=drive.ellipticity)
-        m_w = _drift(ens, d_loc, omega, truncate_dephasing)
-        m_mw = _drift(ens, d_loc, -omega, truncate_dephasing)
-        sig = y[2:].reshape(2, 2)
-        dsig = m_w @ sig + sig @ m_mw.T
-        if include_noise and ens.cooperativity > 0.0:
-            dsig = dsig + noise_inflow(ens, d_loc, omega)
-        return np.concatenate(([pref * st.coh_14, pref * st.coh_23],
-                               dsig.reshape(-1)))
-
-    y0 = np.concatenate(([field0.amp_plus, field0.amp_minus],
-                         [0.0, 1.0, 0.0, 0.0])).astype(complex)
-    sol = solve_ivp(rhs, (0.0, 1.0), y0, method="RK45", rtol=1e-8, atol=1e-10)
-    if not sol.success:
+    n = omegas.size
+    w = np.concatenate([omegas, -omegas])
+    noisy = include_noise and ens.cooperativity > 0.0
+    if deplete and ens.cooperativity > 0.0:   # no atoms: nothing depletes
+        sig = _sigma_out_depleted(ens, drive, w, noisy, truncate_dephasing)
+    else:
+        k = _kernel(ens, drive, w, truncate_dephasing, noisy)
+        src = (_inflow(ens, k, diffusion(ens, drive)) if noisy
+               else np.zeros_like(k.m_w))
+        sig = _transport(k.m_w, k.m_mw, src, _VACUUM)
+    sig_p, sig_m = sig[:n], sig[n:]
+    iso = 0.5 * (sig_p[:, 0, 1] + sig_p[:, 1, 0]
+                 + sig_m[:, 0, 1] + sig_m[:, 1, 0])
+    anom = 0.5 * (sig_p[:, 1, 1] + sig_m[:, 1, 1])
+    non_real = np.abs(iso.imag) > 1e-8 * np.maximum(1.0, np.abs(iso.real))
+    if non_real.any():
+        i = np.flatnonzero(non_real)[0]
         raise NumericalError(
-            f"depleted noise transport failed: {sol.message}",
-            {"omega": omega, "detuning": drive.detuning})
-    return sol.y[2:, -1].reshape(2, 2)
+            f"non-real quadrature variance (imag {iso.imag[i]:.2e})",
+            {"detuning": drive.detuning, "omega": float(omegas[i])})
+    s_theta = iso.real[:, None] + 2.0 * np.real(np.exp(2j * thetas)
+                                                * anom[:, None])
+    spread = 2.0 * np.abs(anom)
+    return QuadratureSpectrum(omegas=omegas, thetas=thetas,
+                              values=np.maximum(s_theta, 0.0),
+                              s_min=np.maximum(iso.real - spread, 0.0),
+                              s_max=iso.real + spread,
+                              low_omega=omegas < omega_floor,
+                              detuning=drive.detuning)
 
 
 def commutator_residual(ens: EnsembleParams, drive: DriveParams,
@@ -421,17 +422,15 @@ def commutator_residual(ens: EnsembleParams, drive: DriveParams,
     the noise inflow, so the result is zero up to roundoff (amplified
     at strongly amplifying parameter points).
     """
-    m_w = _drift(ens, drive, omega)
-    m_mw = _drift(ens, drive, -omega)
-    if ens.cooperativity > 0.0:
-        diff = diffusion(ens, drive)
-        n_w = noise_inflow(ens, drive, omega, diff)
-        n_mw = noise_inflow(ens, drive, -omega, diff)
-        src = n_w - n_mw.T
+    noisy = ens.cooperativity > 0.0
+    k = _kernel(ens, drive, [omega, -omega], sources=noisy)
+    if noisy:
+        n_pm = _inflow(ens, k, diffusion(ens, drive))
+        src = n_pm[0] - n_pm[1].T
     else:
         src = np.zeros((2, 2), dtype=complex)
     c0 = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex)
-    out = _transport(m_w, m_mw, src, c0)
+    out = _transport(k.m_w[:1], k.m_mw[:1], src[None], c0)[0]
     return float(np.abs(out - c0).max())
 
 

@@ -1,7 +1,9 @@
-"""Shared test oracles: brute-force time integration and exact arithmetic."""
+"""Shared test oracles: brute-force time integration, exact arithmetic and
+the scalar (one sideband at a time) fluctuation chain."""
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -128,3 +130,84 @@ def exact_a_coef(ix, de, w) -> QC:
 def exact_b_coef(ix, de, w) -> QC:
     one = QC(1)
     return QC(ix) * (one - _I * QC(w)) / exact_denominator(ix, de, w)
+
+
+# ---------------------------------------------------------------------------
+# scalar reference chain of the fluctuation kernel (one sideband at a time)
+# ---------------------------------------------------------------------------
+
+def scalar_denominator(ix, de, w):
+    return (2.0 * ix * (1.0 - 1j * w) ** 2
+            - 1j * w * (2.0 - 1j * w) * ((1.0 - 1j * w) ** 2 + de * de))
+
+
+def scalar_lambda(ix, de, w):
+    if w == 0.0:
+        return 1.0 + 0.0j
+    return ix * (1.0 - 1j * w) * (2.0 - 1j * w) / scalar_denominator(ix, de, w)
+
+
+def scalar_lambda_prime(ix, de, w):
+    if w == 0.0:
+        return 0.0j
+    num = (ix * (1.0 - 1j * w)
+           - (1.0 - 1j * de) * (1.0 - 1j * de - 1j * w) * (2.0 - 1j * w))
+    return 1j * w * num / scalar_denominator(ix, de, w)
+
+
+def scalar_source_row(ix, de, w):
+    """Coefficients of (f_y, f_y^dag, f_z, f_z') in F_y at sideband w."""
+    d = scalar_denominator(ix, de, w)
+    a = (1.0 - 1j * de - 1j * w) * (-1j * w) * (2.0 - 1j * w) / d
+    b = ix * (1.0 - 1j * w) / d
+    a_red = (1.0 - 1j * de - 1j * w) * (2.0 - 1j * w) / d
+    om = math.sqrt(ix / 2.0)
+    return np.array([a + b, b, -1j * om * a_red,
+                     -1j * om * a / (2.0 - 1j * w)])
+
+
+def scalar_source_rows_pair(ix, de, w):
+    """2x4 coefficients of (F_y, F_y^dag) over the noise basis."""
+    r1m = scalar_source_row(ix, de, -w)
+    return np.vstack([scalar_source_row(ix, de, w),
+                      np.conj(r1m[[1, 0, 2, 3]])])
+
+
+def scalar_drift(ens, drive, w, truncate_dephasing=False):
+    """2x2 drift matrix M(w) of (da_y, da_y^dag)."""
+    k0 = bloch.kappa_zero(ens, drive)
+    ix, de = drive.intensity, drive.detuning
+
+    def m11(u):
+        out = 1j * u * ens.transit_time
+        if not truncate_dephasing:
+            out = out - np.conj(k0) * scalar_lambda_prime(ix, de, u)
+        return out
+
+    def m12(u):
+        return -k0 * scalar_lambda(ix, de, u)
+
+    return np.array([[m11(w), m12(w)],
+                     [np.conj(m12(-w)), np.conj(m11(-w))]])
+
+
+def scalar_inflow(ens, drive, w, ordered):
+    """2x2 source density N(w) from the ordered diffusion table."""
+    ix, de = drive.intensity, drive.detuning
+    return ens.cooperativity * (scalar_source_rows_pair(ix, de, w) @ ordered
+                                @ scalar_source_rows_pair(ix, de, -w).T)
+
+
+def brute_force_diffusion(ens, drive):
+    """Ordered diffusion table, one Einstein relation at a time."""
+    from psrsim import fluct
+    rho = bloch.symmetric_steady_state(ens, drive).density_matrix()
+    ops = [bloch.sigma_op(i, j) for (i, j) in fluct._SIGMA_BASIS]
+    diss = [bloch.adjoint_dissipator(p) for p in ops]
+    d8 = np.empty((8, 8), dtype=complex)
+    for a in range(8):
+        for b in range(8):
+            term = (bloch.adjoint_dissipator(ops[a] @ ops[b])
+                    - diss[a] @ ops[b] - ops[a] @ diss[b])
+            d8[a, b] = np.trace(rho @ term)
+    return fluct._COMBINE @ d8 @ fluct._COMBINE.T

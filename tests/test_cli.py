@@ -113,6 +113,31 @@ def test_config_error_exit_code_names_field(tmp_path):
     assert "cooperativity" in res.stderr
 
 
+def test_non_finite_spectrum_is_a_numerical_error(tmp_path):
+    """The transport overflows at C = 1e9: exit 3 naming the point."""
+    cfg = write_cfg(tmp_path, {"ensemble": {"cooperativity": 1e9},
+                               "drive": {"intensity": 1e6, "detuning": 3.0},
+                               "noise": {"omegas": [0.5, 1.0],
+                                         "theta_points": 16}})
+    out = tmp_path / "x.csv"
+    res = run_cli("noise", "--config", str(cfg), "--out", str(out))
+    assert res.returncode == 3
+    assert "'detuning': 3.0" in res.stderr and "'omega': 0.5" in res.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("override, field", [
+    ({"noise": {"omegas": [1.0], "theta_points": 2.9}}, "noise.theta_points"),
+    ({"drive": {"intensity": 4.0, "ellipticity": 0.3}}, "drive.ellipticity"),
+])
+def test_noise_rejects_reinterpreted_values(tmp_path, override, field):
+    cfg = write_cfg(tmp_path, {**NOISE_CFG, **override})
+    res = run_cli("noise", "--config", str(cfg), "--out",
+                  str(tmp_path / "x.csv"))
+    assert res.returncode == 2
+    assert field in res.stderr
+
+
 def test_missing_config_is_a_config_error(tmp_path):
     res = run_cli("noise", "--config", str(tmp_path / "nope.yaml"),
                   "--out", str(tmp_path / "x.csv"))

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -96,3 +99,15 @@ def test_doppler_width_matches_cell_conditions():
     w = doppler_width(345.0, 780.241e-9, GAMMA_D2)
     assert 100.0 < w < 120.0
     assert w * GAMMA_D2 / (2 * math.pi * 1e9) == pytest.approx(0.329, abs=0.01)
+
+
+@pytest.mark.parametrize("preset, expected", [(None, "1"), ("2", "2")])
+def test_import_pins_openblas_threads_unless_set(preset, expected):
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import os, psrsim; print(os.environ['OPENBLAS_NUM_THREADS'])"],
+        capture_output=True, text=True, env=env, check=True)
+    assert out.stdout.strip() == expected
