@@ -183,10 +183,6 @@ class FieldState:
         return cls(amp_plus=math.sqrt(i_plus) / g,
                    amp_minus=-math.sqrt(i_minus) / g)
 
-    def total_intensity(self, ens: EnsembleParams) -> float:
-        g = ens.coupling_normalized
-        return g * g * (abs(self.amp_plus) ** 2 + abs(self.amp_minus) ** 2)
-
 
 def field_derivative(ens: EnsembleParams, drive_plus: complex,
                      drive_minus: complex, detuning: float) -> np.ndarray:

@@ -19,14 +19,19 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from importlib import resources
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import click
 import numpy as np
 import yaml
 
-from . import __version__, ensemble, fluct, matsko
+from . import __version__, fluct, matsko
 from .core import (DataError, DriveParams, EnsembleParams, NumericalError,
-                   SidebandGrid, ValidationError)
+                   SidebandGrid, ValidationError, ghz_to_gamma)
+
+if TYPE_CHECKING:
+    # imported where used: scipy.special loads only for sweep and fit
+    from . import ensemble
 
 _EXIT_CONFIG = 2
 _EXIT_NUMERIC = 3
@@ -77,14 +82,21 @@ def _section(cfg: dict, name: str, required: bool = True) -> dict:
     return sec
 
 
+def _float(val, field_name: str) -> float:
+    try:
+        x = float(val)
+    except (TypeError, ValueError):
+        raise ConfigError(field_name, f"not a number: {val!r}")
+    if not math.isfinite(x):
+        raise ConfigError(field_name, f"not a finite number: {val!r}")
+    return x
+
+
 def _num(sec: dict, section: str, key: str, default=None) -> float:
     val = sec.get(key, default)
     if val is None:
         raise ConfigError(f"{section}.{key}", "missing")
-    try:
-        return float(val)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{section}.{key}", f"not a number: {val!r}")
+    return _float(val, f"{section}.{key}")
 
 
 def _int(sec: dict, section: str, key: str, default=None) -> int:
@@ -108,7 +120,7 @@ def _axis(sec: dict, section: str, key: str) -> list[float]:
             raise ConfigError(f"{section}.{key}.points", "must be >= 1")
         return list(np.linspace(start, stop, pts))
     if isinstance(val, list) and val:
-        return [float(v) for v in val]
+        return [_float(v, f"{section}.{key}[{k}]") for k, v in enumerate(val)]
     raise ConfigError(f"{section}.{key}",
                       "must be a list or a start/stop/points mapping")
 
@@ -142,18 +154,21 @@ def build_drive(cfg: dict, detuning: float | None = None) -> DriveParams:
 
 def build_manifold(sec: dict, section: str,
                    ens: EnsembleParams) -> ensemble.LineManifold:
+    from . import ensemble
+
     raw_lines = sec.get("lines")
     if not isinstance(raw_lines, list) or not raw_lines:
         raise ConfigError(f"{section}.lines", "must be a non-empty list")
-    to_gamma = 1e9 * 2.0 * math.pi / ens.gamma_raw
     lines = []
     for k, entry in enumerate(raw_lines):
         if not isinstance(entry, dict):
             raise ConfigError(f"{section}.lines[{k}]", "must be a mapping")
-        lines.append((_num(entry, f"{section}.lines[{k}]", "center_ghz")
-                      * to_gamma,
-                      _num(entry, f"{section}.lines[{k}]", "strength")))
-    width = _num(sec, section, "doppler_width_ghz", 0.0) * to_gamma
+        name = f"{section}.lines[{k}]"
+        lines.append((ghz_to_gamma(_num(entry, name, "center_ghz"),
+                                   ens.gamma_raw),
+                      _num(entry, name, "strength")))
+    width = ghz_to_gamma(_num(sec, section, "doppler_width_ghz", 0.0),
+                         ens.gamma_raw)
     try:
         return ensemble.LineManifold(lines=tuple(lines), doppler_width=width)
     except ValidationError as exc:
@@ -208,11 +223,13 @@ def write_json(path: Path, command: str, cfg_hash: str, data: dict,
 # ---------------------------------------------------------------------------
 
 def _sweep_column(args) -> tuple[list[float], list[float]]:
+    from . import ensemble
+
     ens_cfg, man_cfg, det_ghz, mw, scale = args
     ens = EnsembleParams.from_cooperativity(**ens_cfg)
     man = ensemble.LineManifold(lines=tuple(man_cfg["lines"]),
                                 doppler_width=man_cfg["width"])
-    det = np.asarray(det_ghz) * 1e9 * 2.0 * math.pi / ens.gamma_raw
+    det = ghz_to_gamma(np.asarray(det_ghz), ens.gamma_raw)
     kap = ensemble.composite_kappa(man, ens, det, scale * mw)
     t_col = np.exp(-2.0 * kap.real)
     gl_col = -kap.imag * t_col
@@ -283,6 +300,8 @@ def _ens_cfg_dict(cfg: dict) -> dict:
 @_JOBS_OPT
 def sweep(config_path: str, out_path: Path, fmt: str, jobs: int) -> None:
     """Transmission and rotation maps over a detuning/intensity grid."""
+    from . import ensemble
+
     cfg, cfg_hash = load_config(config_path)
     jobs = _check_jobs(jobs)
     sec = _section(cfg, "sweep")
@@ -345,9 +364,9 @@ def noise(config_path: str, out_path: Path, fmt: str, jobs: int,
                           "noise spectra need a linearly polarized drive (0)")
     detunings = (_axis(sec, "noise", "detunings") if "detunings" in sec
                  else [_num(drive_sec, "drive", "detuning", 0.0)])
+    omega_axis = tuple(_axis(sec, "noise", "omegas"))
     try:
-        omegas = list(SidebandGrid(
-            frequencies=tuple(_axis(sec, "noise", "omegas"))).frequencies)
+        omegas = list(SidebandGrid(frequencies=omega_axis).frequencies)
     except ValidationError as exc:
         raise ConfigError("noise.omegas", str(exc))
     n_theta = _int(sec, "noise", "theta_points", 61)
@@ -531,6 +550,8 @@ def _read_trace_csv(path: Path, expect_cols: int) -> list[list[float]]:
 @_FORMAT_OPT
 def fit(config_path: str, out_path: Path, fmt: str) -> None:
     """Fit the composite model to measured transmission/rotation traces."""
+    from . import ensemble
+
     cfg, cfg_hash = load_config(config_path)
     sec = _section(cfg, "fit")
     ens = build_ensemble(cfg)

@@ -186,6 +186,11 @@ class LabParams:
     coupling: float | None = None      # rad/s
 
 
+def ghz_to_gamma(x, gamma_raw: float):
+    """Frequency in GHz (float or array) in units of gamma_raw (rad/s)."""
+    return x * 1e9 * 2.0 * math.pi / gamma_raw
+
+
 def beam_area(waist: float) -> float:
     """Effective beam cross-section pi w0^2 used for the atom number."""
     return math.pi * waist**2

@@ -26,7 +26,7 @@ import numpy as np
 from numpy.polynomial.hermite import hermgauss
 from scipy.special import wofz
 
-from .core import EnsembleParams, NumericalError, _require
+from .core import EnsembleParams, NumericalError, _require, ghz_to_gamma
 
 _GH_NODES = 64
 
@@ -184,8 +184,7 @@ def composite_spectrum(manifold: LineManifold, ens: EnsembleParams,
     light).
     """
     _require(intensity_scale > 0, "intensity_scale", "must be > 0")
-    det_gamma = (np.asarray(grid.detunings_ghz) * 1e9 * 2.0 * math.pi
-                 / ens.gamma_raw)
+    det_gamma = ghz_to_gamma(np.asarray(grid.detunings_ghz), ens.gamma_raw)
     t_map = np.empty((det_gamma.size, len(grid.intensities_mw)))
     gl_map = np.empty_like(t_map)
     for j, mw in enumerate(grid.intensities_mw):
@@ -242,7 +241,7 @@ def _fit_model(manifold: LineManifold, ens: EnsembleParams,
         density_scale * ens.cooperativity, gamma_raw=ens.gamma_raw,
         cell_length=ens.cell_length, density=ens.density,
         temperature=ens.temperature)
-    det_gamma = (det_ghz - offset) * 1e9 * 2.0 * math.pi / ens.gamma_raw
+    det_gamma = ghz_to_gamma(det_ghz - offset, ens.gamma_raw)
     kap = composite_kappa(man, ens_scaled, det_gamma,
                           intensity_scale * intensity_mw)
     t = np.exp(-2.0 * kap.real)

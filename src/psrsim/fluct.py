@@ -31,7 +31,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import expm
 
 from . import bloch
 from .bloch import solve_ivp
@@ -262,6 +261,75 @@ def _drift(ens: EnsembleParams, drive: DriveParams, omega: float,
     """2x2 drift matrix M(w) for (da_y, da_y^dag)."""
     return _kernel(ens, drive, [omega], truncate_dephasing,
                    sources=False).m_w[0]
+
+
+# Pade-13 coefficients b_0..b_13, and the bound theta_13 on the scaled
+# matrix below which one Pade-13 step is accurate to double precision
+# (Al-Mohy & Higham 2009)
+_PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+           1187353796428800.0, 129060195264000.0, 10559470521600.0,
+           670442572800.0, 33522128640.0, 1323241920.0, 40840800.0,
+           960960.0, 16380.0, 182.0, 1.0)
+_THETA13 = 5.371920351148152
+
+
+def expm(a: np.ndarray) -> np.ndarray:
+    """Matrix exponentials of a stack (n, k, k), by scaling and squaring.
+
+    Each matrix A is scaled by 2^-s, with its own s, goes through one
+    Pade-13 step taken over the whole stack, and is squared s times.
+    s is set by eta = max(||A^4||^(1/4), ||A^6||^(1/6)) (1-norms), which
+    bounds the Pade error as ||A|| does but stays small when one column,
+    like the transport's source, dominates ||A||: fewer squarings, less
+    rounding (Al-Mohy & Higham 2009, alpha_2).  Upper-triangular
+    matrices (diagonal ones included) get their diagonal and
+    superdiagonal recomputed exactly at every level (their Code
+    Fragment 2.1), so a diagonal matrix comes out as the exponential of
+    its diagonal, exactly.  Each result depends only on its own matrix,
+    not on the rest of the stack.
+    """
+    b = _PADE13
+    k = a.shape[-1]
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a4 @ a2
+    eta = np.maximum(np.abs(a4).sum(axis=-2).max(axis=-1) ** (1.0 / 4.0),
+                     np.abs(a6).sum(axis=-2).max(axis=-1) ** (1.0 / 6.0))
+    # s = ceil(log2(eta / theta13)), at least 0; frexp keeps eta = 0 quiet
+    s = np.maximum(np.frexp(eta / _THETA13)[1], 0)
+    c = np.ldexp(1.0, -s)[:, None, None]
+    x, x2, x4, x6 = a * c, a2 * c ** 2, a4 * c ** 4, a6 * c ** 6
+    eye = np.eye(k)
+    u = x @ (x6 @ (b[13] * x6 + b[11] * x4 + b[9] * x2)
+             + b[7] * x6 + b[5] * x4 + b[3] * x2 + b[1] * eye)
+    v = (x6 @ (b[12] * x6 + b[10] * x4 + b[8] * x2)
+         + b[6] * x6 + b[4] * x4 + b[2] * x2 + b[0] * eye)
+    e = np.linalg.solve(v - u, v + u)
+
+    tri = ~np.tril(a, -1).any(axis=(-2, -1))
+    diag = np.diagonal(a, axis1=-2, axis2=-1)
+    sup = np.diagonal(a, 1, axis1=-2, axis2=-1)
+    r = np.arange(k)
+
+    def exact_bands(t, level):
+        """Diagonal and superdiagonal of exp(a[t] 2^-level), in place."""
+        scale = np.ldexp(1.0, -level)[:, None]
+        d = diag[t] * scale
+        ed = np.exp(d)
+        dd = np.diff(d, axis=-1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            sinch = np.where(dd == 0.0, ed[:, :-1], np.diff(ed, axis=-1) / dd)
+        e[t[:, None], r, r] = ed
+        e[t[:, None], r[:-1], r[1:]] = sinch * sup[t] * scale
+
+    exact_bands(np.flatnonzero(tri), s[tri])
+    while (s > 0).any():
+        j = np.flatnonzero(s > 0)
+        e[j] = e[j] @ e[j]
+        s[j] -= 1
+        t = j[tri[j]]
+        exact_bands(t, s[t])
+    return e
 
 
 def _transport(m_w: np.ndarray, m_mw: np.ndarray, src: np.ndarray,

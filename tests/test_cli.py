@@ -129,6 +129,10 @@ def test_non_finite_spectrum_is_a_numerical_error(tmp_path):
 @pytest.mark.parametrize("override, field", [
     ({"noise": {"omegas": [1.0], "theta_points": 2.9}}, "noise.theta_points"),
     ({"drive": {"intensity": 4.0, "ellipticity": 0.3}}, "drive.ellipticity"),
+    ({"drive": {"intensity": float("inf")}}, "drive.intensity"),
+    ({"noise": {"omegas": [1.0], "omega_floor": float("nan")}},
+     "noise.omega_floor"),
+    ({"noise": {"omegas": ["abc"]}}, "noise.omegas"),
 ])
 def test_noise_rejects_reinterpreted_values(tmp_path, override, field):
     cfg = write_cfg(tmp_path, {**NOISE_CFG, **override})
@@ -136,6 +140,35 @@ def test_noise_rejects_reinterpreted_values(tmp_path, override, field):
                   str(tmp_path / "x.csv"))
     assert res.returncode == 2
     assert field in res.stderr
+
+
+def test_only_sweep_fit_and_deplete_load_scipy(tmp_path):
+    """A fresh interpreter: import and an undepleted noise run stay
+    scipy-free; sweep loads scipy.special (so the probe can see it)."""
+    runs = {"noise": ["noise", "--config", "hot-vapour-d2",
+                      "--out", str(tmp_path / "d2.csv")],
+            "sweep": ["sweep", "--config", "d1-sweep",
+                      "--out", str(tmp_path / "maps")]}
+    probe = (
+        "import json, sys\n"
+        "import psrsim.cli, psrsim.fluct\n"
+        "def loaded():\n"
+        "    return sorted(m for m in sys.modules\n"
+        "                  if m.split('.')[0] == 'scipy')\n"
+        "seen = {'import': loaded()}\n"
+        f"for name, args in {runs!r}.items():\n"
+        "    sys.argv = ['psr-sim', *args]\n"
+        "    psrsim.cli.main()\n"
+        "    seen[name] = loaded()\n"
+        "print(json.dumps(seen))\n")
+    res = subprocess.run([sys.executable, "-c", probe],
+                         capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    seen = json.loads(res.stdout.splitlines()[-1])
+    assert seen["import"] == []
+    assert seen["noise"] == []
+    assert "scipy.special" in seen["sweep"]
+    assert (tmp_path / "d2.csv").exists()
 
 
 def test_missing_config_is_a_config_error(tmp_path):

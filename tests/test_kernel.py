@@ -1,10 +1,13 @@
-"""The array fluctuation kernel against the scalar chain, and --deplete."""
+"""The array fluctuation kernel against the scalar chain, the batched
+transport exponential against scipy, and --deplete."""
 
 import subprocess
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.linalg
 import yaml
 from conftest import (brute_force_diffusion, scalar_drift, scalar_inflow,
                       scalar_source_rows_pair)
@@ -64,6 +67,78 @@ def test_diffusion_equals_brute_force_loop(ix, de):
     drive = DriveParams(intensity=ix, detuning=de)
     assert np.array_equal(fluct.diffusion(ens, drive).ordered,
                           brute_force_diffusion(ens, drive))
+
+
+def transport_generators(ens, drive, omegas):
+    """The (2n, 5, 5) stack that propagate_noise hands to fluct.expm."""
+    with mock.patch.object(fluct, "expm", wraps=fluct.expm) as spy:
+        fluct.propagate_noise(ens, drive, omegas, [0.0])
+    return spy.call_args.args[0]
+
+
+# the preset ranges: hot vapour (D1/D2 cells) and cold far-detuned atoms
+hot_point = st.tuples(st.floats(1.0, 50.0), st.floats(100.0, 5000.0),
+                      st.floats(-5.0, 5.0),
+                      st.lists(st.floats(0.0, 3.0), min_size=1, max_size=8))
+cold_point = st.tuples(st.floats(100.0, 2000.0), st.floats(1e4, 1e5),
+                       st.floats(100.0, 500.0).flatmap(
+                           lambda d: st.sampled_from([d, -d])),
+                       st.lists(st.floats(0.0, 300.0), min_size=1,
+                                max_size=8))
+
+
+@KERNEL
+@given(st.one_of(hot_point, cold_point))
+def test_expm_matches_scipy_on_transport_generators(point):
+    c, ix, de, omegas = point
+    ens = EnsembleParams.from_cooperativity(c, gamma_raw=1.9058e7,
+                                            temperature=345.0)
+    stack = transport_generators(ens, DriveParams(intensity=ix, detuning=de),
+                                 sorted(set(omegas)))
+    got = fluct.expm(stack)
+    for e, ref in zip(got, scipy.linalg.expm(stack)):
+        assert_close(e, ref, rtol=1e-13)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.integers(1, 6).flatmap(lambda k: st.lists(
+    st.lists(st.complex_numbers(max_magnitude=300.0), min_size=k,
+             max_size=k), min_size=1, max_size=4)))
+def test_expm_of_a_diagonal_is_exp_of_the_diagonal(diagonals):
+    d = np.array(diagonals, dtype=complex)
+    stack = np.zeros(d.shape + d.shape[-1:], dtype=complex)
+    want = np.zeros_like(stack)
+    np.einsum("...ii->...i", stack)[:] = d
+    np.einsum("...ii->...i", want)[:] = np.exp(d)
+    assert np.array_equal(fluct.expm(stack), want)
+
+
+def test_triangular_transport_without_drive_stays_at_the_qnl():
+    """I_x = 0: upper-triangular generators, squared with exact bands."""
+    ens = EnsembleParams.from_cooperativity(1600.0)
+    spec = fluct.propagate_noise(ens, DriveParams(intensity=0.0, detuning=2.0),
+                                 [0.1, 0.5, 1.0, 5.0], THETAS)
+    assert np.abs(spec.min_db()).max() <= 1e-14
+    assert np.abs(spec.max_db()).max() <= 1e-14
+
+
+def test_expm_of_each_matrix_does_not_depend_on_its_stack():
+    cold = EnsembleParams.from_cooperativity(1600.0)
+    stack = np.concatenate([
+        transport_generators(HOT, DriveParams(intensity=1000.0, detuning=-1.5),
+                             np.geomspace(0.1, 3.0, 20)),
+        transport_generators(cold, DriveParams(intensity=8e4, detuning=400.0),
+                             np.geomspace(1.0, 300.0, 20)),
+        transport_generators(cold, DriveParams(intensity=0.0, detuning=2.0),
+                             [0.1, 0.5, 1.0, 5.0]),
+        transport_generators(EnsembleParams.from_cooperativity(0.0),
+                             DriveParams(intensity=4.0, detuning=1.0),
+                             [0.0, 0.5, 30.0])])
+    batched = fluct.expm(stack)
+    for a, e in zip(stack, batched):
+        assert np.array_equal(fluct.expm(a[None])[0], e)
+    perm = np.random.default_rng(1).permutation(len(stack))
+    assert np.array_equal(fluct.expm(stack[perm]), batched[perm])
 
 
 def test_deplete_without_atoms_is_at_the_qnl():
