@@ -222,23 +222,8 @@ def write_json(path: Path, command: str, cfg_hash: str, data: dict,
 # workers (module level: picklable for the process pool)
 # ---------------------------------------------------------------------------
 
-def _sweep_column(args) -> tuple[list[float], list[float]]:
-    from . import ensemble
-
-    ens_cfg, man_cfg, det_ghz, mw, scale = args
-    ens = EnsembleParams.from_cooperativity(**ens_cfg)
-    man = ensemble.LineManifold(lines=tuple(man_cfg["lines"]),
-                                doppler_width=man_cfg["width"])
-    det = ghz_to_gamma(np.asarray(det_ghz), ens.gamma_raw)
-    kap = ensemble.composite_kappa(man, ens, det, scale * mw)
-    t_col = np.exp(-2.0 * kap.real)
-    gl_col = -kap.imag * t_col
-    return list(t_col), list(gl_col)
-
-
-def _noise_point(args) -> list[tuple]:
-    ens_cfg, intensity, det, omegas, thetas, floor, deplete = args
-    ens = EnsembleParams.from_cooperativity(**ens_cfg)
+def _noise_point(ens: EnsembleParams, intensity: float, det: float, omegas,
+                 thetas, floor: float, deplete: bool) -> list[tuple]:
     drive = DriveParams(intensity=intensity, detuning=det)
     spec = fluct.propagate_noise(ens, drive, omegas, thetas,
                                  deplete=deplete, omega_floor=floor)
@@ -279,18 +264,12 @@ def _check_jobs(jobs: int) -> int:
 
 
 def _map_ordered(worker, arg_list, jobs: int):
+    """worker(*args) for each args tuple, in order, on up to ``jobs``
+    processes (the frozen parameter records pickle as they are)."""
     if jobs == 1 or len(arg_list) <= 1:
-        return [worker(a) for a in arg_list]
+        return [worker(*a) for a in arg_list]
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(worker, arg_list))
-
-
-def _ens_cfg_dict(cfg: dict) -> dict:
-    ens = build_ensemble(cfg)
-    return {"cooperativity": ens.cooperativity, "gamma_raw": ens.gamma_raw,
-            "cell_length": ens.cell_length, "density": ens.density,
-            "temperature": ens.temperature,
-            "beam_area": ens.atom_number / (ens.density * ens.cell_length)}
+        return list(pool.map(worker, *zip(*arg_list)))
 
 
 @cli.command()
@@ -314,13 +293,14 @@ def sweep(config_path: str, out_path: Path, fmt: str, jobs: int) -> None:
     if scale <= 0:
         raise ConfigError("sweep.intensity_scale", "must be > 0")
 
-    ens_cfg = _ens_cfg_dict(cfg)
-    man_cfg = {"lines": list(man.lines), "width": man.doppler_width}
-    args = [(ens_cfg, man_cfg, list(grid.detunings_ghz), mw, scale)
-            for mw in grid.intensities_mw]
-    cols = _map_ordered(_sweep_column, args, jobs)
-    t_map = np.column_stack([c[0] for c in cols])
-    gl_map = np.column_stack([c[1] for c in cols])
+    # one composite_spectrum per worker, on its slice of the intensities
+    slices = np.array_split(grid.intensities_mw,
+                            min(jobs, len(grid.intensities_mw)))
+    args = [(man, ens, ensemble.SweepGrid(grid.detunings_ghz, tuple(mws)),
+             scale) for mws in slices]
+    maps = _map_ordered(ensemble.composite_spectrum, args, jobs)
+    t_map = np.hstack([m.transmission for m in maps])
+    gl_map = np.hstack([m.psr_gl for m in maps])
 
     header = ["detuning_ghz"] + [f"{mw:.12g}mW" for mw in grid.intensities_mw]
     meta = [f"intensity_scale={scale:.12g}"]
@@ -356,7 +336,7 @@ def noise(config_path: str, out_path: Path, fmt: str, jobs: int,
     jobs = _check_jobs(jobs)
     sec = _section(cfg, "noise")
     drive_sec = _section(cfg, "drive")
-    ens_cfg = _ens_cfg_dict(cfg)
+    ens = build_ensemble(cfg)
     intensity = _num(drive_sec, "drive", "intensity")
     if _num(drive_sec, "drive", "ellipticity", 0.0) != 0.0:
         # the fluctuation analysis linearizes about linear polarization
@@ -375,7 +355,7 @@ def noise(config_path: str, out_path: Path, fmt: str, jobs: int,
     thetas = list(np.linspace(0.0, math.pi, n_theta, endpoint=False))
     floor = _num(sec, "noise", "omega_floor", 0.01)
 
-    args = [(ens_cfg, intensity, det, omegas, thetas, floor, deplete)
+    args = [(ens, intensity, det, omegas, thetas, floor, deplete)
             for det in detunings]
     results = _map_ordered(_noise_point, args, jobs)
 

@@ -14,21 +14,22 @@ side of the manifold.
 
 Fitting adjusts a density scale, a frequency offset, the power-to-
 intensity scale and the relative line strengths to measured
-transmission and rotation traces by bounded least squares.
+transmission and rotation traces by bounded least squares, with the
+model's exact Jacobian built from the same per-line Faddeeva values.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.hermite import hermgauss
 from scipy.special import wofz
 
 from .core import EnsembleParams, NumericalError, _require, ghz_to_gamma
 
-_GH_NODES = 64
+_ROOT_PI = math.sqrt(math.pi)
 
 
 @dataclass(frozen=True)
@@ -71,95 +72,56 @@ class SweepGrid:
                      "must be strictly increasing")
 
 
-def doppler_average(f, manifold: LineManifold, nodes: int = _GH_NODES,
-                    rel_tol: float = 1e-6):
-    """Average f over the thermal detuning distribution.
+def _line_poles(manifold: LineManifold, detunings, intensity):
+    """The per-line kernel: (strength, a, zeta, p) for each line.
 
-    ``f`` maps an array of detuning shifts (gamma units) to values.
-    Gauss-Hermite quadrature with the exact Gaussian weight is tried
-    first and checked against a doubled node count; integrands with
-    structure much narrower than the Doppler width defeat it, so a
-    dense trapezoid rule (also convergence-checked by doubling) is the
-    fallback.  Zero width returns f(0).
+    The saturated single-line response (1 - i d) / (d^2 + 1 + s I) has
+    simple poles at d = +-i a, a = sqrt(1 + s I) (the power-broadened
+    width).  For real d the Gaussian average of the lower pole is the
+    conjugate of the upper one, so one wofz call per line serves both:
+    p = < 1/(zeta - v) > at zeta = d + i a (1/zeta at zero width).
+    ``detunings`` (the frame of the line centres) and ``intensity``
+    broadcast; both in gamma units.
     """
-    w = manifold.doppler_width
-    if w == 0.0:
-        return np.asarray(f(np.array([0.0])))[..., 0] * 1.0
-
-    def gh(n):
-        x, wt = hermgauss(n)
-        vals = np.asarray(f(w * x))
-        return np.tensordot(vals, wt, axes=([-1], [0])) / math.sqrt(math.pi)
-
-    coarse, fine = gh(nodes), gh(2 * nodes)
-    scale = np.max(np.abs(fine)) + 1e-300
-    if np.max(np.abs(fine - coarse)) / scale <= rel_tol:
-        return fine
-
-    def trap(n):
-        v = np.linspace(-8.0 * w, 8.0 * w, n)
-        wt = np.exp(-((v / w) ** 2))
-        wt /= wt.sum()
-        return np.tensordot(np.asarray(f(v)), wt, axes=([-1], [0]))
-
-    n_pts = 4001
-    prev = trap(n_pts)
-    for _ in range(4):
-        n_pts = 2 * n_pts - 1
-        cur = trap(n_pts)
-        scale = np.max(np.abs(cur)) + 1e-300
-        if np.max(np.abs(cur - prev)) / scale <= rel_tol:
-            return cur
-        prev = cur
-    raise NumericalError(
-        f"Doppler quadrature not converged at {n_pts} trapezoid points "
-        f"(Gauss-Hermite {nodes}/{2 * nodes} also disagreed)",
-        {"doppler_width": w})
+    width = manifold.doppler_width
+    for centre, strength in manifold.lines:
+        a = np.sqrt(1.0 + strength * intensity)
+        zeta = detunings - centre + 1j * a
+        if width == 0.0:
+            p = 1.0 / zeta
+        else:
+            p = -1j * _ROOT_PI * wofz(zeta / width) / width
+        yield strength, a, zeta, p
 
 
-def _gaussian_pole_average(z0, width):
-    """< 1/(z0 - v) > over the Gaussian detuning spread, via wofz.
+def _response(a, p):
+    """r+ conj(p) + r- p, with the residues r+- at d = +-i a: a line's
+    averaged response from its upper-pole average p (linear in p)."""
+    return (-1j * ((1.0 + a) / (2.0 * a)) * np.conj(p)
+            + -1j * ((a - 1.0) / (2.0 * a)) * p)
 
-    ``z0`` must have a non-vanishing imaginary part (off the real
-    axis); width = 0 reduces to 1/z0.
-    """
-    z0 = np.asarray(z0, dtype=complex)
-    if width == 0.0:
-        return 1.0 / z0
-    z = z0 / width
-    upper = z.imag > 0
-    out = np.empty(z.shape, dtype=complex)
-    root_pi = math.sqrt(math.pi)
-    out[upper] = -1j * root_pi * wofz(z[upper]) / width
-    low = ~upper
-    out[low] = np.conj(-1j * root_pi * wofz(np.conj(z[low]))) / width
-    return out
+
+def _kappa(poles, cooperativity: float):
+    """Strength-weighted sum of the lines' averaged responses."""
+    return sum(strength * cooperativity / 2.0 * _response(a, p)
+               for strength, a, _, p in poles)
 
 
 def composite_kappa(manifold: LineManifold, ens: EnsembleParams,
-                    detunings: np.ndarray, intensity: float) -> np.ndarray:
+                    detunings: np.ndarray, intensity) -> np.ndarray:
     """Strength-weighted, Doppler-averaged kappa(0) over a detuning axis.
 
     Each line contributes with cooperativity C * strength and drive
     share I_x * strength; per-line saturation is independent (no
     cross-line optical pumping).  The saturated single-line response
-    (1 - i d) / (d^2 + 1 + s I) has two simple poles at +-i a with
-    a = sqrt(1 + s I) (the power-broadened width), so its Gaussian
-    average is evaluated exactly with the Faddeeva function; no
-    quadrature error enters.  Detunings and intensity in gamma units.
+    has two simple poles at +-i a (see ``_line_poles``), so its
+    Gaussian average is evaluated exactly with the Faddeeva function;
+    no quadrature error enters.  Detunings and intensity in gamma
+    units; an intensity array broadcasts against the detunings.
     """
     detunings = np.asarray(detunings, dtype=float)
-    wd = manifold.doppler_width
-    out = np.zeros(detunings.shape, dtype=complex)
-    for centre, strength in manifold.lines:
-        a = math.sqrt(1.0 + strength * intensity)
-        r_plus = (1.0 + a) / (2j * a)    # residue at +i a
-        r_minus = (a - 1.0) / (2j * a)   # residue at -i a
-        d0 = detunings - centre
-        avg = (r_plus * _gaussian_pole_average(d0 - 1j * a, wd)
-               + r_minus * _gaussian_pole_average(d0 + 1j * a, wd))
-        out += strength * ens.cooperativity / 2.0 * avg
-    return out
+    return _kappa(_line_poles(manifold, detunings, intensity),
+                  ens.cooperativity)
 
 
 @dataclass(frozen=True)
@@ -185,16 +147,12 @@ def composite_spectrum(manifold: LineManifold, ens: EnsembleParams,
     """
     _require(intensity_scale > 0, "intensity_scale", "must be > 0")
     det_gamma = ghz_to_gamma(np.asarray(grid.detunings_ghz), ens.gamma_raw)
-    t_map = np.empty((det_gamma.size, len(grid.intensities_mw)))
-    gl_map = np.empty_like(t_map)
-    for j, mw in enumerate(grid.intensities_mw):
-        kap = composite_kappa(manifold, ens, det_gamma, intensity_scale * mw)
-        t_col = np.exp(-2.0 * kap.real)
-        gl_col = -kap.imag
-        if transmission_weighted:
-            gl_col = gl_col * t_col
-        t_map[:, j] = t_col
-        gl_map[:, j] = gl_col
+    kap = composite_kappa(manifold, ens, det_gamma[:, None],
+                          intensity_scale * np.asarray(grid.intensities_mw))
+    t_map = np.exp(-2.0 * kap.real)
+    gl_map = -kap.imag
+    if transmission_weighted:
+        gl_map = gl_map * t_map
     return CompositeMaps(detunings_ghz=np.asarray(grid.detunings_ghz),
                          intensities_mw=np.asarray(grid.intensities_mw),
                          transmission=t_map, psr_gl=gl_map)
@@ -228,25 +186,62 @@ class FitResult:
         return "\n".join(lines)
 
 
+def _fit_eval(manifold: LineManifold, ens: EnsembleParams,
+              det_ghz: np.ndarray, intensity_mw: float, params: np.ndarray):
+    """(t, gl, kappa, line poles) of the fit model at ``params``."""
+    density_scale, offset, intensity_scale = params[:3]
+    strengths = np.concatenate(([1.0], params[3:]))
+    lines = tuple((c, s) for (c, _), s in zip(manifold.lines, strengths))
+    man = LineManifold(lines=lines, doppler_width=manifold.doppler_width)
+    det_gamma = ghz_to_gamma(det_ghz - offset, ens.gamma_raw)
+    poles = list(_line_poles(man, det_gamma, intensity_scale * intensity_mw))
+    kap = _kappa(poles, density_scale * ens.cooperativity)
+    t = np.exp(-2.0 * kap.real)
+    return t, -kap.imag * t, kap, poles
+
+
 def _fit_model(manifold: LineManifold, ens: EnsembleParams,
                det_ghz: np.ndarray, intensity_mw: float,
                params: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    density_scale, offset = params[0], params[1]
-    intensity_scale = params[2]
-    ratios = params[3:]
-    strengths = np.concatenate(([1.0], ratios))
-    lines = tuple((c, s) for (c, _), s in zip(manifold.lines, strengths))
-    man = LineManifold(lines=lines, doppler_width=manifold.doppler_width)
-    ens_scaled = EnsembleParams.from_cooperativity(
-        density_scale * ens.cooperativity, gamma_raw=ens.gamma_raw,
-        cell_length=ens.cell_length, density=ens.density,
-        temperature=ens.temperature)
-    det_gamma = ghz_to_gamma(det_ghz - offset, ens.gamma_raw)
-    kap = composite_kappa(man, ens_scaled, det_gamma,
-                          intensity_scale * intensity_mw)
-    t = np.exp(-2.0 * kap.real)
-    gl = -kap.imag * t
-    return t, gl
+    """Transmission and rotation traces of the fit model at ``params``."""
+    return _fit_eval(manifold, ens, det_ghz, intensity_mw, params)[:2]
+
+
+def _fit_jacobian(ens: EnsembleParams, width: float, intensity_mw: float,
+                  params: np.ndarray, evaluation) -> tuple[np.ndarray, ...]:
+    """d t / d params and d gl / d params from one ``_fit_eval``.
+
+    A line's average p(zeta) has p' = 2 (1 - zeta p) / width^2, the
+    Faddeeva derivative w'(z) = 2i/sqrt(pi) - 2 z w(z) at z = zeta /
+    width (-p^2 at zero width and far outside the Doppler core).  The
+    chain runs through zeta = d + i a, a = sqrt(1 + s I), I =
+    intensity scale * mW, d = (detuning - offset) in gamma units and
+    the normalized strengths s = q / sum(q), q = (1, ratios).
+    """
+    t, _, kap, poles = evaluation
+    density_scale, intensity = params[0], params[2] * intensity_mw
+    half_c = density_scale * ens.cooperativity / 2.0
+    d_det = d_scale = 0.0
+    d_strength = []                 # d kappa / d s_k, other s held fixed
+    for strength, a, zeta, p in poles:
+        dp = -p * p         # exact when cold; relative error 1/(2 |z|^2)
+        if width > 0.0:     # 1 - zeta p cancels: relative error 2 eps |z|^2
+            dp = np.where(np.abs(zeta) > 5e3 * width, dp,
+                          2.0 * (1.0 - zeta * p) / width**2)
+        d_det = d_det + half_c * strength * _response(a, dp)
+        # d/da: the residues' a-dependence, and p moving with i a
+        d_a = p.imag / a**2 + _response(a, 1j * dp)
+        d_si = half_c * strength * d_a / (2.0 * a)      # d kappa / d(s I)
+        d_scale = d_scale + d_si * strength * intensity_mw
+        d_strength.append(half_c * _response(a, p) + d_si * intensity)
+    q_sum = 1.0 + float(np.sum(params[3:]))
+    mean = sum(s * g for (s, *_), g in zip(poles, d_strength))
+    d_kappa = np.stack([kap / density_scale,
+                        -ghz_to_gamma(1.0, ens.gamma_raw) * d_det, d_scale]
+                       + [(g - mean) / q_sum for g in d_strength[1:]],
+                       axis=-1)
+    d_t = -2.0 * d_kappa.real * t[:, None]
+    return d_t, -d_kappa.imag * t[:, None] - kap.imag[:, None] * d_t
 
 
 def fit(manifold_template: LineManifold, ens: EnsembleParams,
@@ -257,7 +252,9 @@ def fit(manifold_template: LineManifold, ens: EnsembleParams,
     Free parameters: density scale (multiplies C), frequency offset
     (GHz), mW-to-I_x intensity scale, and the line strengths relative
     to the first line.  Deterministic for a fixed initial guess.
-    Requires at least 50 points and monotone detunings.
+    Requires at least 50 points and monotone detunings.  The Jacobian
+    is exact (``_fit_jacobian``) and gives the covariance; ``n_eval``
+    counts residual evaluations.
     """
     # scipy.optimize costs about 0.4 s to import and only fits need it
     from scipy.optimize import least_squares
@@ -285,14 +282,23 @@ def fit(manifold_template: LineManifold, ens: EnsembleParams,
     t_scale = max(np.max(np.abs(t_data)), 1e-12)
     gl_scale = max(np.max(np.abs(gl_data)), 1e-12)
 
+    @functools.lru_cache(maxsize=1)     # jac(x) reuses the poles of fun(x)
+    def evaluate(key: bytes):
+        return _fit_eval(manifold_template, ens, det_ghz, intensity_mw,
+                         np.frombuffer(key))
+
     def residual(p):
-        t_mod, gl_mod = _fit_model(manifold_template, ens, det_ghz,
-                                   intensity_mw, p)
+        t_mod, gl_mod, _, _ = evaluate(p.tobytes())
         return np.concatenate(((t_mod - t_data) / t_scale,
                                (gl_mod - gl_data) / gl_scale))
 
-    res = least_squares(residual, x0, bounds=(lo, hi), method="trf",
-                        diff_step=1e-6, xtol=1e-14, ftol=1e-14, gtol=1e-14,
+    def jacobian(p):
+        d_t, d_gl = _fit_jacobian(ens, manifold_template.doppler_width,
+                                  intensity_mw, p, evaluate(p.tobytes()))
+        return np.concatenate((d_t / t_scale, d_gl / gl_scale))
+
+    res = least_squares(residual, x0, jac=jacobian, bounds=(lo, hi),
+                        method="trf", xtol=1e-14, ftol=1e-14, gtol=1e-14,
                         max_nfev=400)
     if not res.success and res.status <= 0:
         raise NumericalError(f"fit did not converge: {res.message}",

@@ -66,14 +66,15 @@ class _Kernel(NamedTuple):
 
 
 def _kernel(ens: EnsembleParams, drive: DriveParams, omegas,
-            truncate_dephasing: bool = False, sources: bool = True) -> _Kernel:
+            truncate_dephasing: bool = False) -> _Kernel:
     """Drift matrices and Langevin source rows at signed sidebands w.
 
     The rational functions of (I_x, Delta, u) are evaluated once on
     u = (w, -w) over the common denominator
     D(u) = 2 I_x (1-iu)^2 - iu (2-iu) ((1-iu)^2 + Delta^2).  At u = 0
-    the continuity values Lambda = 1, Lambda' = 0 are used, and D = 0
-    raises there only when the source rows are needed (``sources``).
+    the continuity values Lambda = 1, Lambda' = 0 are used.  With no
+    drive (I_x = 0) the factor -iu (2-iu) common to D and every
+    numerator is cancelled, so all limits at u = 0 are finite.
 
     The source row of F_y over (f_y, f_y^dag, f_z, f_z') follows from
     eliminating the atomic fluctuations; the population-noise weights
@@ -89,16 +90,19 @@ def _kernel(ens: EnsembleParams, drive: DriveParams, omegas,
     p1 = 1.0 - iu
     p2 = 2.0 - iu
     d = 2.0 * ix * p1 ** 2 - iu * p2 * (p1 ** 2 + de * de)
-    pole = d == 0.0
-    if not sources:
-        pole &= u != 0.0
-    if pole.any():
-        raise NumericalError("response pole: D(omega) = 0",
-                             {"intensity": ix, "detuning": de,
-                              "omega": float(u[pole][0])})
-    zero = u == 0.0
     c1 = 1.0 - 1j * de - iu
-    with np.errstate(divide="ignore", invalid="ignore"):
+    if ix == 0.0:       # -iu (2-iu) cancelled from D and the numerators
+        lam = b = np.zeros_like(c1)
+        a = c1 / (p1 ** 2 + de * de)
+        lamp = (1.0 - 1j * de) * a
+        row = np.stack([a, b, b, b], axis=-1)
+    else:               # D(0) = 2 I_x: a pole needs D(u) = 0 at real u != 0
+        pole = d == 0.0
+        if pole.any():
+            raise NumericalError("response pole: D(omega) = 0",
+                                 {"intensity": ix, "detuning": de,
+                                  "omega": float(u[pole][0])})
+        zero = u == 0.0
         lam = np.where(zero, 1.0, ix * p1 * p2 / d)
         num = ix * p1 - (1.0 - 1j * de) * c1 * p2
         lamp = np.where(zero, 0.0, iu * num / d)
@@ -139,12 +143,13 @@ def response(ens: EnsembleParams, drive: DriveParams,
 
     Gamma includes the pure transit phase -i w gamma l / c.  At w = 0
     the continuity values Lambda = 1, Lambda' = 0 are used (they are
-    forced by the formulas whenever I_x > 0).
+    forced by the formulas whenever I_x > 0; with no drive the limits
+    are Lambda = 0 and Lambda' = (1 - i Delta)^2 / (1 + Delta^2)).
     """
     if omega < 0:
         raise ValidationError("omega", "must be >= 0")
     k0 = bloch.kappa_zero(ens, drive)
-    k = _kernel(ens, drive, [omega], sources=False)
+    k = _kernel(ens, drive, [omega])
     kap = k0 * k.lam[0]
     gam = -1j * omega * ens.transit_time + kap + np.conj(k0) * k.lam_prime[0]
     return ComplexResponse(omega=omega, kappa=kap, gamma_prop=gam,
@@ -166,8 +171,14 @@ def langevin_coeffs(ens: EnsembleParams, drive: DriveParams,
 
     A multiplies the coherence noise together with B; B alone couples
     the adjoint coherence noise.  A(0) = 0 and B(0) = 1/(2 gamma).
+    At I_x = 0 and w = 0, where D = 0, A and B tend to different values
+    as w -> 0 and as I_x -> 0, so that point raises.
     """
     k = _kernel(ens, drive, [omega])
+    if k.d_denom[0] == 0.0:
+        raise NumericalError("response pole: D(omega) = 0",
+                             {"intensity": drive.intensity,
+                              "detuning": drive.detuning, "omega": omega})
     return LangevinCoeffs(a_coef=k.a_coef[0], b_coef=k.b_coef[0],
                           d_denom=k.d_denom[0])
 
@@ -259,8 +270,7 @@ def noise_inflow(ens: EnsembleParams, drive: DriveParams, omega: float,
 def _drift(ens: EnsembleParams, drive: DriveParams, omega: float,
            truncate_dephasing: bool = False) -> np.ndarray:
     """2x2 drift matrix M(w) for (da_y, da_y^dag)."""
-    return _kernel(ens, drive, [omega], truncate_dephasing,
-                   sources=False).m_w[0]
+    return _kernel(ens, drive, [omega], truncate_dephasing).m_w[0]
 
 
 # Pade-13 coefficients b_0..b_13, and the bound theta_13 on the scaled
@@ -369,7 +379,7 @@ def _sigma_out_depleted(ens: EnsembleParams, drive: DriveParams,
         d_loc = DriveParams(
             intensity=g * g * (abs(y[0]) ** 2 + abs(y[1]) ** 2),
             detuning=drive.detuning, ellipticity=drive.ellipticity)
-        k = _kernel(ens, d_loc, w, truncate_dephasing, noisy)
+        k = _kernel(ens, d_loc, w, truncate_dephasing)
         sig = y[2:].reshape(n, 2, 2)
         dsig = k.m_w @ sig + sig @ k.m_mw.transpose(0, 2, 1)
         if noisy:
@@ -456,7 +466,7 @@ def propagate_noise(ens: EnsembleParams, drive: DriveParams,
     if deplete and ens.cooperativity > 0.0:   # no atoms: nothing depletes
         sig = _sigma_out_depleted(ens, drive, w, noisy, truncate_dephasing)
     else:
-        k = _kernel(ens, drive, w, truncate_dephasing, noisy)
+        k = _kernel(ens, drive, w, truncate_dephasing)
         src = (_inflow(ens, k, diffusion(ens, drive)) if noisy
                else np.zeros_like(k.m_w))
         sig = _transport(k.m_w, k.m_mw, src, _VACUUM)
@@ -491,7 +501,7 @@ def commutator_residual(ens: EnsembleParams, drive: DriveParams,
     at strongly amplifying parameter points).
     """
     noisy = ens.cooperativity > 0.0
-    k = _kernel(ens, drive, [omega, -omega], sources=noisy)
+    k = _kernel(ens, drive, [omega, -omega])
     if noisy:
         n_pm = _inflow(ens, k, diffusion(ens, drive))
         src = n_pm[0] - n_pm[1].T

@@ -1,5 +1,6 @@
-"""Shared test oracles: brute-force time integration, exact arithmetic and
-the scalar (one sideband at a time) fluctuation chain."""
+"""Shared test oracles: brute-force time integration, exact arithmetic,
+the scalar (one sideband at a time) fluctuation chain, Doppler
+quadrature and the two-wofz composite kappa."""
 
 from __future__ import annotations
 
@@ -7,9 +8,12 @@ import math
 from fractions import Fraction
 
 import numpy as np
+from numpy.polynomial.hermite import hermgauss
 from scipy.integrate import solve_ivp
+from scipy.special import wofz
 
 from psrsim import bloch
+from psrsim.core import NumericalError
 
 
 def evolve_density_matrix(ens, a_plus, a_minus, detuning,
@@ -211,3 +215,123 @@ def brute_force_diffusion(ens, drive):
                     - diss[a] @ ops[b] - ops[a] @ diss[b])
             d8[a, b] = np.trace(rho @ term)
     return fluct._COMBINE @ d8 @ fluct._COMBINE.T
+
+
+# ---------------------------------------------------------------------------
+# Doppler averaging: quadrature of any integrand, and the composite kappa
+# with a separate wofz call for each of a line's two poles
+# ---------------------------------------------------------------------------
+
+def doppler_average(f, manifold, nodes: int = 64, rel_tol: float = 1e-6):
+    """Average f over the thermal detuning distribution (any integrand).
+
+    ``f`` maps an array of detuning shifts (gamma units) to values.
+    Gauss-Hermite quadrature with the exact Gaussian weight is tried
+    first and checked against a doubled node count; integrands with
+    structure much narrower than the Doppler width defeat it, so a
+    dense trapezoid rule (also convergence-checked by doubling) is the
+    fallback.  Zero width returns f(0).
+    """
+    w = manifold.doppler_width
+    if w == 0.0:
+        return np.asarray(f(np.array([0.0])))[..., 0] * 1.0
+
+    def gh(n):
+        x, wt = hermgauss(n)
+        vals = np.asarray(f(w * x))
+        return np.tensordot(vals, wt, axes=([-1], [0])) / math.sqrt(math.pi)
+
+    coarse, fine = gh(nodes), gh(2 * nodes)
+    scale = np.max(np.abs(fine)) + 1e-300
+    if np.max(np.abs(fine - coarse)) / scale <= rel_tol:
+        return fine
+
+    def trap(n):
+        v = np.linspace(-8.0 * w, 8.0 * w, n)
+        wt = np.exp(-((v / w) ** 2))
+        wt /= wt.sum()
+        return np.tensordot(np.asarray(f(v)), wt, axes=([-1], [0]))
+
+    n_pts = 4001
+    prev = trap(n_pts)
+    for _ in range(4):
+        n_pts = 2 * n_pts - 1
+        cur = trap(n_pts)
+        scale = np.max(np.abs(cur)) + 1e-300
+        if np.max(np.abs(cur - prev)) / scale <= rel_tol:
+            return cur
+        prev = cur
+    raise NumericalError(
+        f"Doppler quadrature not converged at {n_pts} trapezoid points "
+        f"(Gauss-Hermite {nodes}/{2 * nodes} also disagreed)",
+        {"doppler_width": w})
+
+
+def _gaussian_pole_average(z0, width):
+    """< 1/(z0 - v) > over the Gaussian detuning spread, via wofz.
+
+    ``z0`` must have a non-vanishing imaginary part (off the real
+    axis); width = 0 reduces to 1/z0.
+    """
+    z0 = np.asarray(z0, dtype=complex)
+    if width == 0.0:
+        return 1.0 / z0
+    z = z0 / width
+    upper = z.imag > 0
+    out = np.empty(z.shape, dtype=complex)
+    root_pi = math.sqrt(math.pi)
+    out[upper] = -1j * root_pi * wofz(z[upper]) / width
+    low = ~upper
+    out[low] = np.conj(-1j * root_pi * wofz(np.conj(z[low]))) / width
+    return out
+
+
+def two_wofz_composite_kappa(manifold, ens, detunings, intensity: float):
+    """``ensemble.composite_kappa`` with a wofz call for each pole.
+
+    The saturated single-line response (1 - i d) / (d^2 + 1 + s I) has
+    simple poles at +-i a, a = sqrt(1 + s I); each pole's Gaussian
+    average is its own Faddeeva evaluation (the lower one on the
+    conjugated argument).  Detunings and intensity in gamma units.
+    """
+    detunings = np.asarray(detunings, dtype=float)
+    wd = manifold.doppler_width
+    out = np.zeros(detunings.shape, dtype=complex)
+    for centre, strength in manifold.lines:
+        a = math.sqrt(1.0 + strength * intensity)
+        r_plus = (1.0 + a) / (2j * a)    # residue at +i a
+        r_minus = (a - 1.0) / (2j * a)   # residue at -i a
+        d0 = detunings - centre
+        avg = (r_plus * _gaussian_pole_average(d0 - 1j * a, wd)
+               + r_minus * _gaussian_pole_average(d0 + 1j * a, wd))
+        out += strength * ens.cooperativity / 2.0 * avg
+    return out
+
+
+def finite_difference_fit(manifold, ens, det_ghz, t_data, gl_data,
+                          intensity_mw, initial):
+    """``ensemble.fit``'s least-squares problem with a finite-difference
+    Jacobian: (fitted parameters, rms residual)."""
+    from scipy.optimize import least_squares
+
+    from psrsim import ensemble
+
+    strengths = [s for _, s in manifold.lines]
+    x0 = np.array([1.0, 0.0, initial["intensity_scale"]]
+                  + [s / strengths[0] for s in strengths[1:]])
+    n_ratio = len(strengths) - 1
+    lo = np.array([1e-3, -1.0, 1e-3] + [1e-3] * n_ratio)
+    hi = np.array([1e3, 1.0, 1e6] + [1e3] * n_ratio)
+    t_scale = np.max(np.abs(t_data))
+    gl_scale = np.max(np.abs(gl_data))
+
+    def residual(p):
+        t_mod, gl_mod = ensemble._fit_model(manifold, ens, det_ghz,
+                                            intensity_mw, p)
+        return np.concatenate(((t_mod - t_data) / t_scale,
+                               (gl_mod - gl_data) / gl_scale))
+
+    res = least_squares(residual, x0, bounds=(lo, hi), method="trf",
+                        diff_step=1e-6, xtol=1e-14, ftol=1e-14, gtol=1e-14,
+                        max_nfev=400)
+    return res.x, float(np.sqrt(np.mean(res.fun ** 2)))

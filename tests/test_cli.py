@@ -51,6 +51,36 @@ def test_noise_without_atoms_is_at_the_qnl(tmp_path):
     assert any("psr-sim v" in m for m in meta)
 
 
+def test_undriven_noise_is_at_the_qnl_down_to_zero_omega(tmp_path):
+    """I_x = 0 with omega = 0 used to exit 3 on the removable pole D(0)."""
+    cfg = write_cfg(tmp_path, {
+        "ensemble": {"cooperativity": 15.0},
+        "drive": {"intensity": 0.0, "detuning": 2.0},
+        "noise": {"omegas": [0.0, 0.5], "theta_points": 16},
+    })
+    out = tmp_path / "noise.csv"
+    res = run_cli("noise", "--config", str(cfg), "--out", str(out))
+    assert res.returncode == 0, res.stderr
+    _, _, rows = parse_csv(out)
+    assert [float(r[1]) for r in rows] == [0.0, 0.5]
+    for row in rows:
+        assert abs(float(row[2])) <= 1e-12
+        assert abs(float(row[3])) <= 1e-12
+
+
+def test_sweep_outputs_do_not_depend_on_workers(tmp_path):
+    outs = {}
+    for fmt in ("csv", "json"):
+        for jobs in ("1", "2"):
+            out = tmp_path / f"{fmt}{jobs}"
+            res = run_cli("sweep", "--config", "d2-sweep", "--out", str(out),
+                          "--format", fmt, "--jobs", jobs)
+            assert res.returncode == 0, res.stderr
+            outs[fmt, jobs] = [f.read_bytes() for f in sorted(out.iterdir())]
+    assert outs["csv", "1"] == outs["csv", "2"]
+    assert outs["json", "1"] == outs["json", "2"]
+
+
 def test_outputs_are_deterministic_across_workers(tmp_path):
     cfg_payload = {
         "ensemble": {"cooperativity": 20.0},

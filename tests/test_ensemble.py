@@ -2,6 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from conftest import (doppler_average, finite_difference_fit,
+                      two_wofz_composite_kappa)
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from psrsim import ensemble
 from psrsim.core import (EnsembleParams, NumericalError, ValidationError,
@@ -49,13 +53,13 @@ def test_sweep_grid_validation():
 
 def test_doppler_average_zero_width_is_identity():
     man = ensemble.LineManifold(lines=((0.0, 1.0),), doppler_width=0.0)
-    val = ensemble.doppler_average(lambda x: 3.5 + x, man)
+    val = doppler_average(lambda x: 3.5 + x, man)
     assert val == pytest.approx(3.5, rel=1e-15)
 
 
 def test_doppler_average_normalization():
     man = ensemble.LineManifold(lines=((0.0, 1.0),), doppler_width=7.0)
-    val = ensemble.doppler_average(lambda x: np.ones_like(x), man)
+    val = doppler_average(lambda x: np.ones_like(x), man)
     assert val == pytest.approx(1.0, rel=1e-14)
 
 
@@ -64,9 +68,8 @@ def test_doppler_average_is_linear():
     f = lambda x: 1.0 / (1.0 + (x - 2.0) ** 2)
     g = lambda x: np.exp(-((x / 5.0) ** 2))
     a, b = 1.7, -0.4
-    lhs = ensemble.doppler_average(lambda x: a * f(x) + b * g(x), man)
-    rhs = a * ensemble.doppler_average(f, man) \
-        + b * ensemble.doppler_average(g, man)
+    lhs = doppler_average(lambda x: a * f(x) + b * g(x), man)
+    rhs = a * doppler_average(f, man) + b * doppler_average(g, man)
     assert lhs == pytest.approx(rhs, abs=1e-12)
 
 
@@ -79,7 +82,7 @@ def test_voigt_profile_against_brute_force_convolution():
     def lorentz(d):
         return 1.0 / (1.0 + d * d)
 
-    voigt = np.array([ensemble.doppler_average(
+    voigt = np.array([doppler_average(
         lambda x: lorentz(d0 - x), man) for d0 in detunings])
     # dense direct convolution with the Gaussian weight
     v = np.linspace(-8 * width, 8 * width, 40001)
@@ -98,7 +101,7 @@ def test_doppler_average_convergence_guard():
     man = ensemble.LineManifold(lines=((0.0, 1.0),), doppler_width=100.0)
     spike = lambda x: 1.0 / (1e-8 + (x - 17.123) ** 2)
     with pytest.raises(NumericalError):
-        ensemble.doppler_average(spike, man)
+        doppler_average(spike, man)
 
 
 def test_composite_far_detuned_is_transparent():
@@ -215,6 +218,91 @@ def test_fit_requires_enough_points():
     man, ens, det, t_data, gl_data, _ = synthetic_traces(0.0)
     with pytest.raises(ValidationError):
         ensemble.fit(man, ens, det[:20], t_data[:20], gl_data[:20], 22.3)
+
+
+# (manifold, gamma_raw); "narrow" is 1 kHz wide, so the detunings lie up
+# to 1.6e6 Doppler widths out
+MANIFOLDS = {"d1": (d1_manifold(), GAMMA_D1), "d2": (d2_manifold(), GAMMA_D2),
+             "cold": (d1_manifold(width_ghz=0.0), GAMMA_D1),
+             "narrow": (d1_manifold(width_ghz=1e-6), GAMMA_D1)}
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(name=st.sampled_from(sorted(MANIFOLDS)),
+       density=st.floats(0.01, 10.0), offset=st.floats(-0.9, 0.9),
+       scale=st.floats(1.0, 1e4),
+       ratios=st.lists(st.floats(0.01, 10.0), min_size=2, max_size=2))
+def test_fit_jacobian_matches_central_differences(name, density, offset,
+                                                  scale, ratios):
+    man, gamma_raw = MANIFOLDS[name]
+    ens = EnsembleParams.from_cooperativity(2000.0, gamma_raw=gamma_raw)
+    det = np.linspace(-1.5, 1.6, 400)
+    params = np.array([density, offset, scale]
+                      + ratios[:len(man.lines) - 1])
+    evaluation = ensemble._fit_eval(man, ens, det, 22.3, params)
+    jac = np.concatenate(ensemble._fit_jacobian(
+        ens, man.doppler_width, 22.3, params, evaluation))
+
+    def central(k, h):
+        up, down = params.copy(), params.copy()
+        up[k] += h
+        down[k] -= h
+        return (np.concatenate(ensemble._fit_model(man, ens, det, 22.3, up))
+                - np.concatenate(ensemble._fit_model(man, ens, det, 22.3,
+                                                     down))) / (2.0 * h)
+
+    for k in range(params.size):
+        h = 1e-4 * max(abs(params[k]), 1e-2)
+        fd = (4.0 * central(k, h / 2.0) - central(k, h)) / 3.0  # Richardson
+        assert np.abs(fd - jac[:, k]).max() <= 1e-6 * np.abs(jac[:, k]).max()
+
+
+@pytest.mark.parametrize("name", sorted(MANIFOLDS))
+def test_composite_kappa_equals_two_wofz_oracle_bit_for_bit(name):
+    base, gamma_raw = MANIFOLDS[name]
+    ens = EnsembleParams.from_cooperativity(3000.0, gamma_raw=gamma_raw)
+    rng = np.random.default_rng(5)
+    det = np.sort(rng.uniform(-600.0, 600.0, 501))
+    for width in (base.doppler_width, 0.5, 40.0):
+        man = ensemble.LineManifold(lines=base.lines, doppler_width=width)
+        for intensity in (0.0, 2.5, 7.0e3, float(rng.uniform(0.0, 1e6))):
+            new = ensemble.composite_kappa(man, ens, det, intensity)
+            old = two_wofz_composite_kappa(man, ens, det, intensity)
+            assert new.tobytes() == old.tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(MANIFOLDS))
+def test_composite_spectrum_equals_per_column_kappa(name):
+    man, gamma_raw = MANIFOLDS[name]
+    ens = EnsembleParams.from_cooperativity(4000.0, gamma_raw=gamma_raw)
+    grid = ensemble.SweepGrid(
+        detunings_ghz=tuple(np.linspace(-1.5, 1.6, 301)),
+        intensities_mw=(0.5, 1.0, 3.0, 8.0, 22.3, 45.0))
+    maps = ensemble.composite_spectrum(man, ens, grid, intensity_scale=250.0)
+    det = ghz_to_gamma(np.asarray(grid.detunings_ghz), gamma_raw)
+    for j, mw in enumerate(grid.intensities_mw):
+        kap = ensemble.composite_kappa(man, ens, det, 250.0 * mw)
+        t_col = np.exp(-2.0 * kap.real)
+        assert maps.transmission[:, j].tobytes() == t_col.tobytes()
+        assert maps.psr_gl[:, j].tobytes() == (-kap.imag * t_col).tobytes()
+
+
+@pytest.mark.parametrize("noise,seed", [(0.0, 0), (0.01, 1), (0.03, 2)])
+def test_fit_matches_finite_difference_oracle(noise, seed):
+    man, ens, det, t_data, gl_data, _ = synthetic_traces(noise, seed)
+    initial = {"intensity_scale": 280.0}
+    res = ensemble.fit(man, ens, det, t_data, gl_data, 22.3, initial)
+    ref_x, ref_rms = finite_difference_fit(man, ens, det, t_data, gl_data,
+                                           22.3, initial)
+    fitted = np.array([res.density_scale, res.freq_offset_ghz,
+                       res.intensity_scale, *res.strength_ratios])
+    scale = np.abs(ref_x)
+    scale[1] = 0.05
+    assert (np.abs(fitted - ref_x) / scale).max() < 1e-7
+    if noise:
+        assert abs(res.rms_residual - ref_rms) <= 1e-10 * ref_rms
+    else:
+        assert res.rms_residual < 1e-8 and ref_rms < 1e-8
 
 
 def test_doppler_width_helper_matches_manifold_inputs():
