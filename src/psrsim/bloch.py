@@ -9,16 +9,17 @@ fixed by the two complex Rabi-scale amplitudes Omega+- = g <a+-> and the
 common detuning Delta.
 
 This module provides the steady state of those equations in closed
-form, the Liouvillian (used by the tests as a brute-force time-domain
-oracle and by :mod:`psrsim.fluct` for the noise correlators), the
-adiabatic mean-field propagation through the cell, and the
-single-velocity-class self-rotation parameter Gl.
+form, the jump operators and adjoint dissipator behind the noise
+correlators of :mod:`psrsim.fluct`, the Dormand-Prince integrator shared
+by the mean-field propagation through the cell and the depleted noise
+transport, and the single-velocity-class self-rotation parameter Gl.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,16 +31,6 @@ from .core import DriveParams, EnsembleParams, NumericalError
 PSR_SIGN = +1.0
 
 
-def solve_ivp(fun, t_span, y0, **kwargs):
-    """:func:`scipy.integrate.solve_ivp`, imported on the first call.
-
-    scipy.integrate pulls in scipy.optimize, about 0.4 s of import that
-    commands without an ODE never need.
-    """
-    from scipy.integrate import solve_ivp as solve
-    return solve(fun, t_span, y0, **kwargs)
-
-
 def sigma_op(i: int, j: int) -> np.ndarray:
     """|i><j| on the 4-level space, 1-based labels."""
     m = np.zeros((4, 4), dtype=complex)
@@ -47,31 +38,9 @@ def sigma_op(i: int, j: int) -> np.ndarray:
     return m
 
 
-def hamiltonian(omega_plus: complex, omega_minus: complex,
-                detuning: float) -> np.ndarray:
-    """Rotating-frame Hamiltonian (units of hbar*gamma)."""
-    h = detuning * (sigma_op(3, 3) + sigma_op(4, 4))
-    h -= omega_plus * sigma_op(4, 1) + np.conj(omega_plus) * sigma_op(1, 4)
-    h -= omega_minus * sigma_op(3, 2) + np.conj(omega_minus) * sigma_op(2, 3)
-    return h
-
-
 def jump_operators() -> list[np.ndarray]:
     """Four independent decay channels, each at rate gamma = 1."""
     return [sigma_op(g, e) for e in (3, 4) for g in (1, 2)]
-
-
-def liouvillian(omega_plus: complex, omega_minus: complex,
-                detuning: float) -> np.ndarray:
-    """16x16 generator L with vec(rho_dot) = L vec(rho) (row-major vec)."""
-    h = hamiltonian(omega_plus, omega_minus, detuning)
-    eye = np.eye(4)
-    L = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
-    for j in jump_operators():
-        jdj = j.conj().T @ j
-        L += np.kron(j, j.conj()) - 0.5 * (np.kron(jdj, eye)
-                                           + np.kron(eye, jdj.T))
-    return L
 
 
 def adjoint_dissipator(x: np.ndarray) -> np.ndarray:
@@ -196,6 +165,78 @@ def field_derivative(ens: EnsembleParams, drive_plus: complex,
     return np.array([pref * st.coh_14, pref * st.coh_23])
 
 
+# Dormand-Prince 5(4) as in scipy's RK45: nodes, stage weights, 5th-order
+# weights and error weights (5th minus the embedded 4th order)
+_DP_C = np.array([0, 1/5, 3/10, 4/5, 8/9, 1])
+_DP_A = np.array([[0, 0, 0, 0, 0], [1/5, 0, 0, 0, 0], [3/40, 9/40, 0, 0, 0],
+                  [44/45, -56/15, 32/9, 0, 0],
+                  [19372/6561, -25360/2187, 64448/6561, -212/729, 0],
+                  [9017/3168, -355/33, 46732/5247, 49/176, -5103/18656]])
+_DP_B = np.array([35/384, 0, 500/1113, 125/192, -2187/6784, 11/84])
+_DP_E = np.array([-71/57600, 0, 71/16695, -71/1920, 17253/339200, -22/525,
+                  1/40])
+
+
+class OdeResult(NamedTuple):
+    y: np.ndarray              # the state at z = 1
+    nfev: int                  # right-hand-side evaluations
+
+
+def solve_ivp(fun, y0, rtol: float, atol: float, point: dict) -> OdeResult:
+    """Integrate dy/dz = fun(z, y), y complex, from z = 0 to z = 1.
+
+    Dormand-Prince 5(4) that repeats scipy.integrate.RK45 operation for
+    operation (initial step, RMS error norm, step controller), so its
+    steps, final state and ``nfev`` equal scipy's bit for bit.  A
+    non-finite right-hand side or a step below 10 ulp(z) raises
+    NumericalError at ``point``.
+    """
+    nfev = 0
+
+    def f(z, y):
+        nonlocal nfev
+        nfev += 1
+        out = np.asarray(fun(z, y), dtype=complex)
+        if not np.isfinite(out).all():
+            raise NumericalError("non-finite ODE right-hand side", point)
+        return out
+
+    y = np.asarray(y0, dtype=complex)
+    root_n = y.size ** 0.5                  # RMS norm = 2-norm / root_n
+    k = np.empty((7, y.size), dtype=complex)    # stages; k[0] = fun(z, y)
+    k[0] = f(0.0, y)
+    scale = atol + np.abs(y) * rtol
+    d0, d1 = (np.linalg.norm(x / scale) / root_n for x in (y, k[0]))
+    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, 1.0)
+    d2 = np.linalg.norm((f(h0, y + h0 * k[0]) - k[0]) / scale) / root_n / h0
+    h1 = (max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15
+          else (0.01 / max(d1, d2)) ** 0.2)
+    h_abs, z = min(100 * h0, h1, 1.0), 0.0
+    while z < 1.0:
+        min_step = 10 * (np.nextafter(z, np.inf) - z)
+        h_abs, rejected = max(h_abs, min_step), False
+        while True:
+            if h_abs < min_step:
+                raise NumericalError("ODE step size underflow", point)
+            z_new = min(z + h_abs, 1.0)
+            h = h_abs = z_new - z
+            for s in range(1, 6):
+                k[s] = f(z + _DP_C[s] * h,
+                         y + np.dot(k[:s].T, _DP_A[s, :s]) * h)
+            y_new = y + h * np.dot(k[:-1].T, _DP_B)
+            k[6] = f(z + h, y_new)
+            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+            err = np.linalg.norm(np.dot(k.T, _DP_E) * h / scale) / root_n
+            if err < 1:
+                factor = 10 if err == 0 else min(10, 0.9 * err ** -0.2)
+                h_abs *= min(1, factor) if rejected else factor
+                break
+            h_abs *= max(0.2, 0.9 * err ** -0.2)
+            rejected = True
+        z, y, k[0] = z_new, y_new, k[6]
+    return OdeResult(y, nfev)
+
+
 def propagate_mean_field(ens: EnsembleParams, field: FieldState,
                          detuning: float, rtol: float = 1e-8
                          ) -> tuple[FieldState, float]:
@@ -213,13 +254,9 @@ def propagate_mean_field(ens: EnsembleParams, field: FieldState,
     if p_in == 0.0 or ens.cooperativity == 0.0:
         return field, 1.0
     sol = solve_ivp(lambda _z, y: field_derivative(ens, y[0], y[1], detuning),
-                    (0.0, 1.0), y0, method="RK45",
-                    rtol=rtol, atol=rtol * math.sqrt(p_in) * 1e-3)
-    if not sol.success:
-        raise NumericalError(f"mean-field integration failed: {sol.message}",
-                             {"detuning": detuning,
-                              "cooperativity": ens.cooperativity})
-    out = FieldState(amp_plus=sol.y[0, -1], amp_minus=sol.y[1, -1])
+                    y0, rtol, rtol * math.sqrt(p_in) * 1e-3,
+                    {"detuning": detuning, "cooperativity": ens.cooperativity})
+    out = FieldState(amp_plus=sol.y[0], amp_minus=sol.y[1])
     t = (abs(out.amp_plus) ** 2 + abs(out.amp_minus) ** 2) / p_in
     return out, float(min(max(t, 0.0), 1.0))
 

@@ -16,7 +16,6 @@ import io
 import json
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from importlib import resources
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -140,18 +139,6 @@ def build_ensemble(cfg: dict) -> EnsembleParams:
         raise ConfigError(f"ensemble.{exc.field_name}", str(exc))
 
 
-def build_drive(cfg: dict, detuning: float | None = None) -> DriveParams:
-    sec = _section(cfg, "drive")
-    try:
-        return DriveParams(
-            intensity=_num(sec, "drive", "intensity"),
-            detuning=detuning if detuning is not None
-            else _num(sec, "drive", "detuning", 0.0),
-            ellipticity=_num(sec, "drive", "ellipticity", 0.0))
-    except ValidationError as exc:
-        raise ConfigError(f"drive.{exc.field_name}", str(exc))
-
-
 def build_manifold(sec: dict, section: str,
                    ens: EnsembleParams) -> ensemble.LineManifold:
     from . import ensemble
@@ -227,12 +214,9 @@ def _noise_point(ens: EnsembleParams, intensity: float, det: float, omegas,
     drive = DriveParams(intensity=intensity, detuning=det)
     spec = fluct.propagate_noise(ens, drive, omegas, thetas,
                                  deplete=deplete, omega_floor=floor)
-    rows = []
-    for i, w in enumerate(spec.omegas):
-        rows.append((det, float(w), float(spec.min_db()[i]),
-                     float(spec.max_db()[i]), bool(spec.low_omega[i]),
-                     [float(v) for v in spec.to_db()[i]]))
-    return rows
+    return [(det, w, lo, hi, low, row) for w, lo, hi, low, row in zip(
+        spec.omegas.tolist(), spec.min_db().tolist(), spec.max_db().tolist(),
+        spec.low_omega.tolist(), spec.to_db().tolist())]
 
 
 # ---------------------------------------------------------------------------
@@ -268,6 +252,7 @@ def _map_ordered(worker, arg_list, jobs: int):
     processes (the frozen parameter records pickle as they are)."""
     if jobs == 1 or len(arg_list) <= 1:
         return [worker(*a) for a in arg_list]
+    from concurrent.futures import ProcessPoolExecutor  # 30 modules
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(worker, *zip(*arg_list)))
 

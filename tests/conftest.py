@@ -1,6 +1,7 @@
-"""Shared test oracles: brute-force time integration, exact arithmetic,
-the scalar (one sideband at a time) fluctuation chain, Doppler
-quadrature and the two-wofz composite kappa."""
+"""Shared test oracles: the Liouvillian and brute-force time
+integration, scipy's RK45, exact arithmetic, the scalar (one sideband
+at a time) fluctuation chain, Doppler quadrature and the two-wofz
+composite kappa."""
 
 from __future__ import annotations
 
@@ -16,6 +17,38 @@ from psrsim import bloch
 from psrsim.core import NumericalError
 
 
+def hamiltonian(omega_plus: complex, omega_minus: complex,
+                detuning: float) -> np.ndarray:
+    """Rotating-frame Hamiltonian (units of hbar*gamma)."""
+    h = detuning * (bloch.sigma_op(3, 3) + bloch.sigma_op(4, 4))
+    h -= (omega_plus * bloch.sigma_op(4, 1)
+          + np.conj(omega_plus) * bloch.sigma_op(1, 4))
+    h -= (omega_minus * bloch.sigma_op(3, 2)
+          + np.conj(omega_minus) * bloch.sigma_op(2, 3))
+    return h
+
+
+def liouvillian(omega_plus: complex, omega_minus: complex,
+                detuning: float) -> np.ndarray:
+    """16x16 generator L with vec(rho_dot) = L vec(rho) (row-major vec)."""
+    h = hamiltonian(omega_plus, omega_minus, detuning)
+    eye = np.eye(4)
+    L = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
+    for j in bloch.jump_operators():
+        jdj = j.conj().T @ j
+        L += np.kron(j, j.conj()) - 0.5 * (np.kron(jdj, eye)
+                                           + np.kron(eye, jdj.T))
+    return L
+
+
+def scipy_rk45(fun, y0, rtol, atol, point):
+    """``bloch.solve_ivp`` done by scipy.integrate.solve_ivp(RK45)."""
+    sol = solve_ivp(fun, (0.0, 1.0), y0, method="RK45", rtol=rtol, atol=atol)
+    if not sol.success:
+        raise NumericalError(f"RK45 failed: {sol.message}", point)
+    return bloch.OdeResult(sol.y[:, -1], sol.nfev)
+
+
 def evolve_density_matrix(ens, a_plus, a_minus, detuning,
                           t_end=1000.0, method="expm"):
     """Time-domain integration of the Bloch equations (noise dropped).
@@ -28,8 +61,7 @@ def evolve_density_matrix(ens, a_plus, a_minus, detuning,
     the 4x4 density matrix.
     """
     g = ens.coupling_normalized
-    liou = bloch.liouvillian(g * complex(a_plus), g * complex(a_minus),
-                             detuning)
+    liou = liouvillian(g * complex(a_plus), g * complex(a_minus), detuning)
     rho0 = np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex).reshape(-1)
     if method == "expm":
         from scipy.linalg import expm

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
-from conftest import evolve_density_matrix, oracle_steady_values
+from conftest import (evolve_density_matrix, liouvillian,
+                      oracle_steady_values)
 
 from psrsim import bloch
 from psrsim.core import DriveParams, EnsembleParams
@@ -21,7 +22,7 @@ def test_liouvillian_reproduces_bloch_drift():
     rho = a @ a.conj().T
     rho /= np.trace(rho)
     om_p, om_m, de = 0.7 - 0.2j, -0.5 + 0.1j, 1.3
-    liou = bloch.liouvillian(om_p, om_m, de)
+    liou = liouvillian(om_p, om_m, de)
     drho = (liou @ rho.reshape(-1)).reshape(4, 4)
 
     def ev(i, j):

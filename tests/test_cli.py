@@ -172,11 +172,14 @@ def test_noise_rejects_reinterpreted_values(tmp_path, override, field):
     assert field in res.stderr
 
 
-def test_only_sweep_fit_and_deplete_load_scipy(tmp_path):
-    """A fresh interpreter: import and an undepleted noise run stay
-    scipy-free; sweep loads scipy.special (so the probe can see it)."""
+def test_only_sweep_and_fit_load_scipy(tmp_path):
+    """A fresh interpreter: import and noise runs, --deplete included,
+    stay scipy-free and load no process pool with one worker; sweep
+    loads scipy.special (so the probe can see it)."""
     runs = {"noise": ["noise", "--config", "hot-vapour-d2",
                       "--out", str(tmp_path / "d2.csv")],
+            "deplete": ["noise", "--config", "hot-vapour-d1", "--deplete",
+                        "--jobs", "1", "--out", str(tmp_path / "d1.csv")],
             "sweep": ["sweep", "--config", "d1-sweep",
                       "--out", str(tmp_path / "maps")]}
     probe = (
@@ -184,7 +187,8 @@ def test_only_sweep_fit_and_deplete_load_scipy(tmp_path):
         "import psrsim.cli, psrsim.fluct\n"
         "def loaded():\n"
         "    return sorted(m for m in sys.modules\n"
-        "                  if m.split('.')[0] == 'scipy')\n"
+        "                  if m.split('.')[0] == 'scipy'\n"
+        "                  or m == 'concurrent.futures.process')\n"
         "seen = {'import': loaded()}\n"
         f"for name, args in {runs!r}.items():\n"
         "    sys.argv = ['psr-sim', *args]\n"
@@ -197,8 +201,11 @@ def test_only_sweep_fit_and_deplete_load_scipy(tmp_path):
     seen = json.loads(res.stdout.splitlines()[-1])
     assert seen["import"] == []
     assert seen["noise"] == []
+    assert seen["deplete"] == []
     assert "scipy.special" in seen["sweep"]
+    assert "concurrent.futures.process" not in seen["sweep"]
     assert (tmp_path / "d2.csv").exists()
+    assert (tmp_path / "d1.csv").exists()
 
 
 def test_missing_config_is_a_config_error(tmp_path):
