@@ -468,7 +468,7 @@ def matsko_cmd(config_path: str, out_path: Path, fmt: str) -> None:
     if g_l != 0.0:
         chi_star, v_min = matsko.optimal_phase(g_l, alpha_l)
         opt = {"chi_star": chi_star, "min_variance": v_min,
-               "min_variance_db": 10.0 * math.log10(v_min)}
+               "min_variance_db": matsko.min_variance_db(g_l, alpha_l)}
     else:
         opt = {"chi_star": float("nan"), "min_variance": 1.0,
                "min_variance_db": 0.0}

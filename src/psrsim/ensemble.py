@@ -89,16 +89,21 @@ def _line_poles(manifold: LineManifold, detunings, intensity):
         zeta = detunings - centre + 1j * a
         if width == 0.0:
             p = 1.0 / zeta
-        else:
-            p = -1j * _ROOT_PI * wofz(zeta / width) / width
+        else:           # in place: no map-sized temporaries beside p
+            p = zeta / width
+            wofz(p, out=p)
+            p *= -1j * _ROOT_PI
+            p /= width
         yield strength, a, zeta, p
 
 
 def _response(a, p):
     """r+ conj(p) + r- p, with the residues r+- at d = +-i a: a line's
     averaged response from its upper-pole average p (linear in p)."""
-    return (-1j * ((1.0 + a) / (2.0 * a)) * np.conj(p)
-            + -1j * ((a - 1.0) / (2.0 * a)) * p)
+    out = np.conj(p)
+    out *= -1j * ((1.0 + a) / (2.0 * a))
+    out += -1j * ((a - 1.0) / (2.0 * a)) * p
+    return out
 
 
 def _kappa(poles, cooperativity: float):

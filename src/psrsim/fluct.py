@@ -273,94 +273,71 @@ def _drift(ens: EnsembleParams, drive: DriveParams, omega: float,
     return _kernel(ens, drive, [omega], truncate_dephasing).m_w[0]
 
 
-# Pade-13 coefficients b_0..b_13, and the bound theta_13 on the scaled
-# matrix below which one Pade-13 step is accurate to double precision
-# (Al-Mohy & Higham 2009)
-_PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
-           1187353796428800.0, 129060195264000.0, 10559470521600.0,
-           670442572800.0, 33522128640.0, 1323241920.0, 40840800.0,
-           960960.0, 16380.0, 182.0, 1.0)
-_THETA13 = 5.371920351148152
+# theta_m: the largest scaled norm at which the degree-m Taylor series of
+# exp (and of phi_1) is accurate to double precision,
+# theta^(m+1) e^theta / (m+1)! <= 2^-53, for m = 1..18; theta_18 is capped
+# at 1, the bound the squaring count scales every norm below
+_THETA = np.array([(math.factorial(m + 1) * 2.0 ** -53 / math.e)
+                   ** (1.0 / (m + 1)) for m in range(1, 18)] + [1.0])
+_EYE = np.eye(2)[:, :, None]
 
 
-def expm(a: np.ndarray) -> np.ndarray:
-    """Matrix exponentials of a stack (n, k, k), by scaling and squaring.
-
-    Each matrix A is scaled by 2^-s, with its own s, goes through one
-    Pade-13 step taken over the whole stack, and is squared s times.
-    s is set by eta = max(||A^4||^(1/4), ||A^6||^(1/6)) (1-norms), which
-    bounds the Pade error as ||A|| does but stays small when one column,
-    like the transport's source, dominates ||A||: fewer squarings, less
-    rounding (Al-Mohy & Higham 2009, alpha_2).  Upper-triangular
-    matrices (diagonal ones included) get their diagonal and
-    superdiagonal recomputed exactly at every level (their Code
-    Fragment 2.1), so a diagonal matrix comes out as the exponential of
-    its diagonal, exactly.  Each result depends only on its own matrix,
-    not on the rest of the stack.
-    """
-    b = _PADE13
-    k = a.shape[-1]
-    a2 = a @ a
-    a4 = a2 @ a2
-    a6 = a4 @ a2
-    eta = np.maximum(np.abs(a4).sum(axis=-2).max(axis=-1) ** (1.0 / 4.0),
-                     np.abs(a6).sum(axis=-2).max(axis=-1) ** (1.0 / 6.0))
-    # s = ceil(log2(eta / theta13)), at least 0; frexp keeps eta = 0 quiet
-    s = np.maximum(np.frexp(eta / _THETA13)[1], 0)
-    c = np.ldexp(1.0, -s)[:, None, None]
-    x, x2, x4, x6 = a * c, a2 * c ** 2, a4 * c ** 4, a6 * c ** 6
-    eye = np.eye(k)
-    u = x @ (x6 @ (b[13] * x6 + b[11] * x4 + b[9] * x2)
-             + b[7] * x6 + b[5] * x4 + b[3] * x2 + b[1] * eye)
-    v = (x6 @ (b[12] * x6 + b[10] * x4 + b[8] * x2)
-         + b[6] * x6 + b[4] * x4 + b[2] * x2 + b[0] * eye)
-    e = np.linalg.solve(v - u, v + u)
-
-    tri = ~np.tril(a, -1).any(axis=(-2, -1))
-    diag = np.diagonal(a, axis1=-2, axis2=-1)
-    sup = np.diagonal(a, 1, axis1=-2, axis2=-1)
-    r = np.arange(k)
-
-    def exact_bands(t, level):
-        """Diagonal and superdiagonal of exp(a[t] 2^-level), in place."""
-        scale = np.ldexp(1.0, -level)[:, None]
-        d = diag[t] * scale
-        ed = np.exp(d)
-        dd = np.diff(d, axis=-1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            sinch = np.where(dd == 0.0, ed[:, :-1], np.diff(ed, axis=-1) / dd)
-        e[t[:, None], r, r] = ed
-        e[t[:, None], r[:-1], r[1:]] = sinch * sup[t] * scale
-
-    exact_bands(np.flatnonzero(tri), s[tri])
-    while (s > 0).any():
-        j = np.flatnonzero(s > 0)
-        e[j] = e[j] @ e[j]
-        s[j] -= 1
-        t = j[tri[j]]
-        exact_bands(t, s[t])
-    return e
+def _mul(a, b):
+    """Products of 2x2 stacks stored component-wise, shape (..., 2, 2, n)."""
+    return (a[..., :, :1, :] * b[..., None, 0, :, :]
+            + a[..., :, 1:, :] * b[..., None, 1, :, :])
 
 
 def _transport(m_w: np.ndarray, m_mw: np.ndarray, src: np.ndarray,
                sigma0: np.ndarray) -> np.ndarray:
     """Solve dS/dz = M S + S Mm^T + src over z in [0, 1], constant coeffs.
 
-    All arguments but ``sigma0`` are stacks over sidebands; one batched
-    matrix exponential of the augmented 5x5 generators does the whole
-    stack.
+    S(1) = e^M sigma0 e^(Mm^T) + F, F = int_0^1 e^(Mz) src e^(Mm^T z) dz.
+    Each sideband takes its own squaring count s and Taylor degree
+    m <= 18 from eta = ||M||_1 + ||Mm||_1, which bounds the 1-norm of
+    the Kronecker-sum generator L(X) = M X + X Mm^T, so that
+    h eta <= theta_m with h = 2^-s.  Horner gives E = e^(hM),
+    E' = e^(hMm) and F = h phi_1(hL) src; then F <- F + E F E'^T,
+    E <- E^2 and E' <- E'^2 run s times.  Diagonal drift pairs (no
+    drive, or no atoms) take the closed form
+    S_ij = e^x sigma0_ij + src_ij expm1(x)/x, x = M_ii + Mm_jj.  The 2x2
+    stacks are held component-wise along the sideband axis, so every
+    product is a few elementwise operations over the whole stack, and
+    each result depends only on its own sideband.
     """
-    n = m_w.shape[0]
-    eye = np.eye(2)
-    aug = np.zeros((n, 5, 5), dtype=complex)
-    # kron(M, 1) + kron(1, Mm) for each sideband
-    aug[:, :4, :4] = (m_w[:, :, None, :, None] * eye[:, None, :]
-                      + eye[:, None, :, None] * m_mw[:, None, :, None, :]
-                      ).reshape(n, 4, 4)
-    aug[:, :4, 4] = src.reshape(n, 4)
-    e = expm(aug)
-    out = e[:, :4, :4] @ sigma0.reshape(-1) + e[:, :4, 4]
-    return out.reshape(n, 2, 2)
+    gen = np.moveaxis(np.stack([m_w, m_mw]), 1, -1).copy()   # (2, 2, 2, n)
+    n_src = np.moveaxis(src, 0, -1).copy()
+    sig0 = sigma0[:, :, None]
+    undriven = ~(gen[:, 0, 1].any(axis=0) | gen[:, 1, 0].any(axis=0))
+    eta = np.abs(gen).sum(axis=-3).max(axis=-2).sum(axis=0)
+    s = np.where(undriven, 0, np.maximum(np.frexp(eta)[1], 0))
+    h = np.where(undriven, 0.0, np.ldexp(1.0, -s))
+    deg = np.minimum(np.searchsorted(_THETA, eta * h) + 1, _THETA.size)
+    # Horner factors 1/j (exp) and 1/(j+1) (phi_1), j = max(deg)..1;
+    # a sideband of lower degree keeps I and src until j reaches its own
+    j = np.arange(deg.max(initial=0), 0, -1.0)[:, None]
+    c_exp = np.where(j <= deg, 1.0 / j, 0.0)
+    c_phi = np.where(j <= deg, 1.0 / (j + 1.0), 0.0)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        hgen = gen * h
+        hm, hb = hgen[0], hgen[1].transpose(1, 0, 2)
+        e, f = np.broadcast_to(_EYE, gen.shape), n_src
+        for a, b in zip(c_exp, c_phi):
+            e = _EYE + _mul(hgen, e) * a
+            f = n_src + (_mul(hm, f) + _mul(f, hb)) * b
+        f = f * h
+        for t in range(int(s.max(initial=0))):
+            live = s > t
+            f = np.where(live, f + _mul(_mul(e[0], f),
+                                        e[1].transpose(1, 0, 2)), f)
+            e = np.where(live, _mul(e, e), e)
+        out = _mul(_mul(e[0], sig0), e[1].transpose(1, 0, 2)) + f
+        if undriven.any():
+            x = (np.diagonal(gen[0]).T[:, None]
+                 + np.diagonal(gen[1]).T[None, :])
+            phi = np.where(x == 0.0, 1.0, np.expm1(x) / x)
+            out = np.where(undriven, np.exp(x) * sig0 + n_src * phi, out)
+    return np.moveaxis(out, -1, 0)
 
 
 def _sigma_out_depleted(ens: EnsembleParams, drive: DriveParams,
@@ -511,34 +488,6 @@ def commutator_residual(ens: EnsembleParams, drive: DriveParams,
 # ---------------------------------------------------------------------------
 # limit regimes
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class LowSidebandLimit:
-    """w << gamma evolution: pure two-mode coupling plus pumping noise."""
-
-    coef_aydag: complex        # i delta0/(1+s) on da_y^dag
-    noise_scale: float         # the C/(g l) pumping-noise scale
-    note: str
-
-
-def limit_low_sideband(ens: EnsembleParams,
-                       drive: DriveParams) -> LowSidebandLimit:
-    """Low-sideband evolution coefficients (Delta >> gamma).
-
-    The y-mode couples to its adjoint with strength i delta0/(1+s);
-    the accompanying optical-pumping noise scales at least like
-    C/(g l), far above the QNL for cell-sized ensembles, which is why
-    no squeezing survives at low analysis frequencies.
-    """
-    d0 = drive.linear_dephasing(ens)
-    s = drive.saturation
-    scale = ens.cooperativity / (ens.coupling * ens.cell_length) \
-        if ens.coupling > 0 else float("inf")
-    return LowSidebandLimit(
-        coef_aydag=1j * d0 / (1.0 + s),
-        noise_scale=scale,
-        note="pumping noise scale ~ C/(g l); grows with optical depth")
-
 
 @dataclass(frozen=True)
 class HighSidebandLimit:

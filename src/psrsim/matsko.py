@@ -33,11 +33,6 @@ class PhenomenologicalParams:
         _require(self.absorption >= 0, "absorption", "must be >= 0")
 
 
-def psr_angle(g_l: float, ellipticity: float) -> float:
-    """Self-rotation angle of the polarization ellipse: phi = Gl * epsilon."""
-    return g_l * ellipticity
-
-
 def variance(params: PhenomenologicalParams) -> float:
     """Output quadrature variance at phase chi, QNL = 1."""
     g, chi, al = params.rotation_strength, params.phase, params.absorption
@@ -79,24 +74,3 @@ def min_variance_db(g_l: float, alpha_l: float = 0.0) -> float:
     """Minimum variance in dB relative to the QNL (negative = squeezing)."""
     v_min, _ = variance_extrema(g_l, alpha_l)
     return 10.0 * math.log10(v_min)
-
-
-def rotation_strength_for_db(target_db: float, alpha_l: float = 0.0,
-                             bracket: tuple[float, float] = (1e-6, 1e3)
-                             ) -> float:
-    """Smallest Gl whose optimal-phase variance reaches ``target_db``.
-
-    Bisection on the closed-form minimum; the minimum decreases
-    monotonically with Gl at fixed absorption.
-    """
-    lo, hi = bracket
-    if min_variance_db(hi, alpha_l) > target_db:
-        raise ValidationError("rotation_strength",
-                              f"target {target_db} dB unreachable in bracket")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if min_variance_db(mid, alpha_l) > target_db:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)

@@ -1,11 +1,14 @@
 """Shared test oracles: the Liouvillian and brute-force time
 integration, scipy's RK45, exact arithmetic, the scalar (one sideband
-at a time) fluctuation chain, Doppler quadrature and the two-wofz
-composite kappa."""
+at a time) fluctuation chain, the covariance transport by 5x5
+exponentials (scipy and 50-digit mpmath), Doppler quadrature, the
+two-wofz composite kappa, the low-sideband limit and the phenomenological
+rotation model's inverse."""
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -14,7 +17,8 @@ from scipy.integrate import solve_ivp
 from scipy.special import wofz
 
 from psrsim import bloch
-from psrsim.core import NumericalError
+from psrsim.core import NumericalError, ValidationError
+from psrsim.matsko import min_variance_db
 
 
 def hamiltonian(omega_plus: complex, omega_minus: complex,
@@ -250,6 +254,58 @@ def brute_force_diffusion(ens, drive):
 
 
 # ---------------------------------------------------------------------------
+# covariance transport: the 5x5 augmented generator of each sideband,
+# exponentiated by scipy and by mpmath at 50 digits
+# ---------------------------------------------------------------------------
+
+def augmented_generator(m_w, m_mw, src):
+    """[[kron(M, 1) + kron(1, Mm), vec(src)], [0, 0]] of one sideband.
+
+    Its exponential carries (vec(S), 1) from z = 0 to z = 1 under
+    dS/dz = M S + S Mm^T + src (row-major vec).
+    """
+    eye = np.eye(2)
+    a = np.zeros((5, 5), dtype=complex)
+    a[:4, :4] = np.kron(m_w, eye) + np.kron(eye, m_mw)
+    a[:4, 4] = np.reshape(src, 4)
+    return a
+
+
+def scipy_transport(m_w, m_mw, src, sigma0):
+    """``fluct._transport`` by scipy's expm of each augmented generator."""
+    from scipy.linalg import expm
+    out = [e[:4, :4] @ np.reshape(sigma0, 4) + e[:4, 4]
+           for e in map(expm, map(augmented_generator, m_w, m_mw, src))]
+    return np.reshape(out, (-1, 2, 2))
+
+
+def mpmath_extrema(m_w, m_mw, src, sigma0, dps=50):
+    """S_min and S_max over theta from a ``dps``-digit transport.
+
+    The stacks hold the sidebands +w, then -w, as ``propagate_noise``
+    builds them.  Each augmented generator is exponentiated by
+    ``mpmath.expm``, and the output covariances are symmetrized over
+    +-w as ``propagate_noise`` does; only the final values are rounded
+    to double.
+    """
+    import mpmath
+    s0 = np.reshape(sigma0, 4).tolist()
+    n = len(m_w) // 2
+    with mpmath.workdps(dps):
+        sig = []
+        for a in map(augmented_generator, m_w, m_mw, src):
+            e = mpmath.expm(mpmath.matrix(a.tolist()))
+            sig.append([sum(e[i, k] * s0[k] for k in range(4)) + e[i, 4]
+                        for i in range(4)])
+        out = []
+        for p, m in zip(sig[:n], sig[n:]):
+            iso = mpmath.re(p[1] + p[2] + m[1] + m[2]) / 2
+            spread = abs(p[3] + m[3])       # 2 |anomalous moment|
+            out.append((float(iso - spread), float(iso + spread)))
+    return np.array(out).T
+
+
+# ---------------------------------------------------------------------------
 # Doppler averaging: quadrature of any integrand, and the composite kappa
 # with a separate wofz call for each of a line's two poles
 # ---------------------------------------------------------------------------
@@ -367,3 +423,61 @@ def finite_difference_fit(manifold, ens, det_ghz, t_data, gl_data,
                         diff_step=1e-6, xtol=1e-14, ftol=1e-14, gtol=1e-14,
                         max_nfev=400)
     return res.x, float(np.sqrt(np.mean(res.fun ** 2)))
+
+
+# ---------------------------------------------------------------------------
+# limit regimes and the phenomenological rotation model: closed forms
+# that only the tests use
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class LowSidebandLimit:
+    """w << gamma evolution: pure two-mode coupling plus pumping noise."""
+
+    coef_aydag: complex        # i delta0/(1+s) on da_y^dag
+    noise_scale: float         # the C/(g l) pumping-noise scale
+    note: str
+
+
+def limit_low_sideband(ens, drive) -> LowSidebandLimit:
+    """Low-sideband evolution coefficients (Delta >> gamma).
+
+    The y-mode couples to its adjoint with strength i delta0/(1+s);
+    the accompanying optical-pumping noise scales at least like
+    C/(g l), far above the QNL for cell-sized ensembles, which is why
+    no squeezing survives at low analysis frequencies.
+    """
+    d0 = drive.linear_dephasing(ens)
+    s = drive.saturation
+    scale = ens.cooperativity / (ens.coupling * ens.cell_length) \
+        if ens.coupling > 0 else float("inf")
+    return LowSidebandLimit(
+        coef_aydag=1j * d0 / (1.0 + s),
+        noise_scale=scale,
+        note="pumping noise scale ~ C/(g l); grows with optical depth")
+
+
+def psr_angle(g_l: float, ellipticity: float) -> float:
+    """Self-rotation angle of the polarization ellipse: phi = Gl * epsilon."""
+    return g_l * ellipticity
+
+
+def rotation_strength_for_db(target_db: float, alpha_l: float = 0.0,
+                             bracket: tuple[float, float] = (1e-6, 1e3)
+                             ) -> float:
+    """Smallest Gl whose optimal-phase variance reaches ``target_db``.
+
+    Bisection on the closed-form minimum; the minimum decreases
+    monotonically with Gl at fixed absorption.
+    """
+    lo, hi = bracket
+    if min_variance_db(hi, alpha_l) > target_db:
+        raise ValidationError("rotation_strength",
+                              f"target {target_db} dB unreachable in bracket")
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if min_variance_db(mid, alpha_l) > target_db:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)

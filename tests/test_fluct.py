@@ -3,7 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from conftest import (exact_a_coef, exact_b_coef, exact_lambda,
-                      exact_lambda_prime)
+                      exact_lambda_prime, limit_low_sideband)
 
 from psrsim import bloch, fluct
 from psrsim.core import (DriveParams, EnsembleParams, NumericalError,
@@ -207,7 +207,7 @@ def test_depleted_transport_close_to_undepleted_for_thin_cell():
 
 def test_low_sideband_limit_matches_full_response():
     d = DriveParams(intensity=2.0 * (1 + 100.0**2), detuning=100.0)
-    lim = fluct.limit_low_sideband(ENS, d)
+    lim = limit_low_sideband(ENS, d)
     # full coupling -kappa(w->0) approaches i delta0/(1+s)
     _, coupling = drift_no_transit(ENS, d, 1e-3)
     assert abs(lim.coef_aydag - coupling) < 2e-2 * abs(coupling)

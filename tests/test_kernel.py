@@ -1,20 +1,22 @@
-"""The array fluctuation kernel against the scalar chain, the batched
-transport exponential against scipy, and --deplete."""
+"""The array fluctuation kernel against the scalar chain, the 2x2
+covariance transport against 5x5 exponentials (scipy, and mpmath at 50
+digits), and --deplete."""
 
 import subprocess
 import sys
 from unittest import mock
 
+import mpmath
 import numpy as np
 import pytest
-import scipy.linalg
 import yaml
-from conftest import (brute_force_diffusion, scalar_drift, scalar_inflow,
-                      scalar_source_rows_pair)
+from conftest import (brute_force_diffusion, mpmath_extrema, scalar_drift,
+                      scalar_inflow, scalar_source_rows_pair,
+                      scipy_transport)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from psrsim import fluct
+from psrsim import cli, fluct
 from psrsim.core import DriveParams, EnsembleParams
 
 THETAS = np.linspace(0.0, np.pi, 31, endpoint=False)
@@ -69,11 +71,12 @@ def test_diffusion_equals_brute_force_loop(ix, de):
                           brute_force_diffusion(ens, drive))
 
 
-def transport_generators(ens, drive, omegas):
-    """The (2n, 5, 5) stack that propagate_noise hands to fluct.expm."""
-    with mock.patch.object(fluct, "expm", wraps=fluct.expm) as spy:
+def transport_inputs(ens, drive, omegas):
+    """The (m_w, m_mw, src, sigma0) that propagate_noise transports."""
+    with mock.patch.object(fluct, "_transport",
+                           wraps=fluct._transport) as spy:
         fluct.propagate_noise(ens, drive, omegas, [0.0])
-    return spy.call_args.args[0]
+    return spy.call_args.args
 
 
 # the preset ranges: hot vapour (D1/D2 cells) and cold far-detuned atoms
@@ -89,56 +92,111 @@ cold_point = st.tuples(st.floats(100.0, 2000.0), st.floats(1e4, 1e5),
 
 @KERNEL
 @given(st.one_of(hot_point, cold_point))
-def test_expm_matches_scipy_on_transport_generators(point):
+def test_transport_matches_scipy_expm_of_augmented_generators(point):
     c, ix, de, omegas = point
     ens = EnsembleParams.from_cooperativity(c, gamma_raw=1.9058e7,
                                             temperature=345.0)
-    stack = transport_generators(ens, DriveParams(intensity=ix, detuning=de),
-                                 sorted(set(omegas)))
-    got = fluct.expm(stack)
-    for e, ref in zip(got, scipy.linalg.expm(stack)):
-        assert_close(e, ref, rtol=1e-13)
+    args = transport_inputs(ens, DriveParams(intensity=ix, detuning=de),
+                            sorted(set(omegas)))
+    for s, ref in zip(fluct._transport(*args), scipy_transport(*args)):
+        assert_close(s, ref, rtol=1e-13)
+
+
+diagonal_drift = st.lists(st.complex_numbers(max_magnitude=300.0),
+                          min_size=2, max_size=2)
+source = st.lists(st.complex_numbers(max_magnitude=1e6), min_size=4,
+                  max_size=4)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
-@given(st.integers(1, 6).flatmap(lambda k: st.lists(
-    st.lists(st.complex_numbers(max_magnitude=300.0), min_size=k,
-             max_size=k), min_size=1, max_size=4)))
-def test_expm_of_a_diagonal_is_exp_of_the_diagonal(diagonals):
-    d = np.array(diagonals, dtype=complex)
-    stack = np.zeros(d.shape + d.shape[-1:], dtype=complex)
-    want = np.zeros_like(stack)
-    np.einsum("...ii->...i", stack)[:] = d
-    np.einsum("...ii->...i", want)[:] = np.exp(d)
-    assert np.array_equal(fluct.expm(stack), want)
+@given(st.lists(st.tuples(diagonal_drift, diagonal_drift, source),
+                min_size=1, max_size=4), source)
+def test_undriven_transport_is_the_closed_form(sidebands, sigma0):
+    """Diagonal drifts: S_ij = e^x sigma0_ij + src_ij (e^x - 1)/x with
+    x = M_ii + Mm_jj, to 1e-15 of the larger term (e^x and (e^x - 1)/x
+    at 30 digits from the same double x)."""
+    m_w = np.array([np.diag(m) for m, _, _ in sidebands])
+    m_mw = np.array([np.diag(mm) for _, mm, _ in sidebands])
+    src = np.array([n for _, _, n in sidebands]).reshape(-1, 2, 2)
+    sigma0 = np.reshape(sigma0, (2, 2))
+    got = fluct._transport(m_w, m_mw, src, sigma0)
+    with mpmath.workdps(30):
+        for k, (m, mm, _) in enumerate(sidebands):
+            for i, j in np.ndindex(2, 2):
+                x = m[i] + mm[j]
+                kept = mpmath.exp(x) * complex(sigma0[i, j])
+                fed = complex(src[k, i, j]) * (
+                    1 if x == 0 else mpmath.expm1(x) / x)
+                scale = float(abs(kept) + abs(fed))
+                assert abs(got[k, i, j] - complex(kept + fed)) \
+                    <= 1e-15 * scale
 
 
 def test_triangular_transport_without_drive_stays_at_the_qnl():
-    """I_x = 0: upper-triangular generators, squared with exact bands."""
-    ens = EnsembleParams.from_cooperativity(1600.0)
-    spec = fluct.propagate_noise(ens, DriveParams(intensity=0.0, detuning=2.0),
-                                 [0.1, 0.5, 1.0, 5.0], THETAS)
-    assert np.abs(spec.min_db()).max() <= 1e-14
-    assert np.abs(spec.max_db()).max() <= 1e-14
+    """I_x = 0: diagonal drifts, transported in closed form.
+
+    At C = 1e5, Delta = +-300 a plain Taylor scaling and squaring of the
+    2x2 drifts moves the spectra off the QNL by more than 1e-13 dB."""
+    for c, de in [(1600.0, 2.0), (1e5, 300.0), (1e5, -300.0)]:
+        ens = EnsembleParams.from_cooperativity(c)
+        spec = fluct.propagate_noise(ens, DriveParams(intensity=0.0,
+                                                      detuning=de),
+                                     [0.1, 0.5, 1.0, 5.0], THETAS)
+        assert np.abs(spec.min_db()).max() <= 1e-14
+        assert np.abs(spec.max_db()).max() <= 1e-14
 
 
-def test_expm_of_each_matrix_does_not_depend_on_its_stack():
+def test_transport_of_each_sideband_does_not_depend_on_its_stack():
     cold = EnsembleParams.from_cooperativity(1600.0)
-    stack = np.concatenate([
-        transport_generators(HOT, DriveParams(intensity=1000.0, detuning=-1.5),
-                             np.geomspace(0.1, 3.0, 20)),
-        transport_generators(cold, DriveParams(intensity=8e4, detuning=400.0),
-                             np.geomspace(1.0, 300.0, 20)),
-        transport_generators(cold, DriveParams(intensity=0.0, detuning=2.0),
-                             [0.1, 0.5, 1.0, 5.0]),
-        transport_generators(EnsembleParams.from_cooperativity(0.0),
-                             DriveParams(intensity=4.0, detuning=1.0),
-                             [0.0, 0.5, 30.0])])
-    batched = fluct.expm(stack)
-    for a, e in zip(stack, batched):
-        assert np.array_equal(fluct.expm(a[None])[0], e)
-    perm = np.random.default_rng(1).permutation(len(stack))
-    assert np.array_equal(fluct.expm(stack[perm]), batched[perm])
+    parts = [
+        transport_inputs(HOT, DriveParams(intensity=1000.0, detuning=-1.5),
+                         np.geomspace(0.1, 3.0, 20)),
+        transport_inputs(cold, DriveParams(intensity=8e4, detuning=400.0),
+                         np.geomspace(1.0, 300.0, 20)),
+        transport_inputs(cold, DriveParams(intensity=0.0, detuning=2.0),
+                         [0.1, 0.5, 1.0, 5.0]),
+        transport_inputs(EnsembleParams.from_cooperativity(0.0),
+                         DriveParams(intensity=4.0, detuning=1.0),
+                         [0.0, 0.5, 30.0])]
+    sigma0 = parts[0][3]
+    stack = [np.concatenate([p[i] for p in parts]) for i in range(3)]
+    batched = fluct._transport(*stack, sigma0)
+    for k, s in enumerate(batched):
+        one = fluct._transport(*(a[k:k + 1] for a in stack), sigma0)
+        assert np.array_equal(one[0], s)
+    perm = np.random.default_rng(1).permutation(len(batched))
+    assert np.array_equal(fluct._transport(*(a[perm] for a in stack),
+                                           sigma0), batched[perm])
+
+
+def preset_points(preset, every=3):
+    """(ensemble, drive, omegas) of every ``every``-th preset detuning."""
+    cfg, _ = cli.load_config(preset)
+    sec = cfg["noise"]
+    ix = float(cfg["drive"]["intensity"])   # YAML reads 8.0e4 as a string
+    return [pytest.param(cli.build_ensemble(cfg),
+                         DriveParams(intensity=ix, detuning=de),
+                         sec["omegas"], id=f"{preset}-{de:g}")
+            for de in sec["detunings"][::every]]
+
+
+# 104 augmented generators: the preset grids (hot ones at every third
+# detuning) and the strongly amplifying C = 1e7, 1e8 points, where the
+# absolute commutator residual reaches 77 and 1e119
+ORACLE_POINTS = (
+    preset_points("hot-vapour-d2") + preset_points("hot-vapour-d1")
+    + preset_points("cold-atom-kerr")
+    + [pytest.param(EnsembleParams.from_cooperativity(c),
+                    DriveParams(intensity=1e6, detuning=3.0), [0.5, 1.0],
+                    id=f"C{c:g}") for c in (1e7, 1e8)])
+
+
+@pytest.mark.parametrize("ens, drive, omegas", ORACLE_POINTS)
+def test_spectrum_extrema_match_a_50_digit_transport(ens, drive, omegas):
+    spec = fluct.propagate_noise(ens, drive, omegas, THETAS)
+    s_min, s_max = mpmath_extrema(*transport_inputs(ens, drive, omegas))
+    assert np.abs(spec.s_min / s_min - 1.0).max() <= 1e-11
+    assert np.abs(spec.s_max / s_max - 1.0).max() <= 1e-11
 
 
 def test_deplete_without_atoms_is_at_the_qnl():

@@ -2,12 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from conftest import psr_angle, rotation_strength_for_db
 
 from psrsim.core import ValidationError
 from psrsim.matsko import (PhenomenologicalParams, min_variance_db,
-                           optimal_phase, psr_angle,
-                           rotation_strength_for_db, variance,
-                           variance_extrema)
+                           optimal_phase, variance, variance_extrema)
 
 
 def scan_variance(g_l, alpha_l, n=1_000_000):
