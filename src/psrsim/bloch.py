@@ -65,7 +65,8 @@ class SteadyState:
     coh_23: complex
 
     def density_matrix(self) -> np.ndarray:
-        rho = np.diag(self.populations).astype(complex)
+        rho = np.zeros((4, 4), dtype=complex)
+        rho.flat[::5] = self.populations        # the diagonal
         # rho_ij = <sigma_ji>
         rho[3, 0] = self.coh_14
         rho[0, 3] = np.conj(self.coh_14)

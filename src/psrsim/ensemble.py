@@ -81,20 +81,26 @@ def _line_poles(manifold: LineManifold, detunings, intensity):
     conjugate of the upper one, so one wofz call per line serves both:
     p = < 1/(zeta - v) > at zeta = d + i a (1/zeta at zero width).
     ``detunings`` (the frame of the line centres) and ``intensity``
-    broadcast; both in gamma units.
+    broadcast; both in gamma units.  The generator keeps no reference
+    to a line once it is yielded.
     """
     width = manifold.doppler_width
-    for centre, strength in manifold.lines:
-        a = np.sqrt(1.0 + strength * intensity)
-        zeta = detunings - centre + 1j * a
-        if width == 0.0:
-            p = 1.0 / zeta
-        else:           # in place: no map-sized temporaries beside p
-            p = zeta / width
-            wofz(p, out=p)
-            p *= -1j * _ROOT_PI
-            p /= width
-        yield strength, a, zeta, p
+    return (_line_pole(detunings - centre, strength, intensity, width)
+            for centre, strength in manifold.lines)
+
+
+def _line_pole(offsets, strength, intensity, width):
+    """(strength, a, zeta, p) of one line, ``offsets`` from its centre."""
+    a = np.sqrt(1.0 + strength * intensity)
+    zeta = offsets + 1j * a
+    if width == 0.0:
+        p = 1.0 / zeta
+    else:               # in place: no map-sized temporaries beside p
+        p = zeta / width
+        wofz(p, out=p)
+        p *= -1j * _ROOT_PI
+        p /= width
+    return strength, a, zeta, p
 
 
 def _response(a, p):
@@ -107,9 +113,17 @@ def _response(a, p):
 
 
 def _kappa(poles, cooperativity: float):
-    """Strength-weighted sum of the lines' averaged responses."""
-    return sum(strength * cooperativity / 2.0 * _response(a, p)
-               for strength, a, _, p in poles)
+    """Strength-weighted sum of the lines' averaged responses.
+
+    A line's zeta is dropped on arrival and its p before the next line
+    is built, so at most four map-sized arrays are alive at a time.
+    """
+    total = 0
+    for strength, a, zeta, p in poles:
+        del zeta
+        total = total + strength * cooperativity / 2.0 * _response(a, p)
+        del p
+    return total
 
 
 def composite_kappa(manifold: LineManifold, ens: EnsembleParams,

@@ -65,6 +65,98 @@ class _Kernel(NamedTuple):
     d_denom: np.ndarray        # (n,) D(w)
 
 
+class _Sidebands(NamedTuple):
+    """The intensity-free factors of the kernel at u = (w, -w)."""
+
+    ens: EnsembleParams
+    detuning: float
+    truncate_dephasing: bool
+    u: np.ndarray              # (2n,) signed sidebands
+    iu: np.ndarray             # i u
+    p1: np.ndarray             # 1 - iu
+    p2: np.ndarray             # 2 - iu
+    p1_sq: np.ndarray          # (1 - iu)^2
+    d_free: np.ndarray         # iu (2-iu) ((1-iu)^2 + Delta^2), -D at I_x = 0
+    c1: np.ndarray             # 1 - i Delta - iu
+    num_free: np.ndarray       # (1 - i Delta) c1 (2-iu)
+    a_num: np.ndarray          # c1 (-iu) (2-iu)
+    c1_p2: np.ndarray          # c1 (2-iu)
+    zero: np.ndarray           # u == 0
+    flip_m: np.ndarray         # (2n, 2) flat index of M(-u)[0, ::-1]
+    flip_p: np.ndarray         # (2n, 4) flat index of the F_y row at -u,
+                               # f_y and f_y^dag swapped
+    transit: np.ndarray        # iu gamma l / c, the transit phase
+
+
+def _sidebands(ens: EnsembleParams, detuning: float, omegas,
+               truncate_dephasing: bool) -> _Sidebands:
+    """Everything of the kernel that does not depend on I_x."""
+    w = np.asarray(omegas, dtype=float)
+    n = w.size
+    u = np.concatenate([w, -w])
+    de = detuning
+    iu = 1j * u
+    p1 = 1.0 - iu
+    p2 = 2.0 - iu
+    p1_sq = p1 ** 2
+    c1 = 1.0 - 1j * de - iu
+    flip = np.r_[n:2 * n, 0:n]          # index of -u
+    return _Sidebands(
+        ens=ens, detuning=de, truncate_dephasing=truncate_dephasing,
+        u=u, iu=iu, p1=p1, p2=p2, p1_sq=p1_sq,
+        d_free=iu * p2 * (p1_sq + de * de), c1=c1,
+        num_free=(1.0 - 1j * de) * c1 * p2, a_num=c1 * (-1j * u) * p2,
+        c1_p2=c1 * p2, zero=u == 0.0,
+        flip_m=4 * flip[:, None] + [1, 0],
+        flip_p=8 * flip[:, None] + [FYD, FY, FZ, FZP],
+        transit=iu * ens.transit_time)
+
+
+def _kernel_at(sb: _Sidebands, drive: DriveParams) -> _Kernel:
+    """The kernel of ``sb``'s sidebands at the drive's intensity.
+
+    ``drive.detuning`` must be the one ``sb`` was built for.
+    """
+    ix, de = drive.intensity, sb.detuning
+    iu, p1, p2, c1 = sb.iu, sb.p1, sb.p2, sb.c1
+    d = 2.0 * ix * sb.p1_sq - sb.d_free
+    if ix == 0.0:       # -iu (2-iu) cancelled from D and the numerators
+        lam = b = np.zeros_like(c1)
+        a = c1 / (sb.p1_sq + de * de)
+        lamp = (1.0 - 1j * de) * a
+        row = (a, b, b, b)
+    else:               # D(0) = 2 I_x: a pole needs D(u) = 0 at real u != 0
+        pole = d == 0.0
+        if pole.any():
+            raise NumericalError("response pole: D(omega) = 0",
+                                 {"intensity": ix, "detuning": de,
+                                  "omega": float(sb.u[pole][0])})
+        ix_p1 = ix * p1
+        lam = np.where(sb.zero, 1.0, ix_p1 * p2 / d)
+        lamp = np.where(sb.zero, 0.0, iu * (ix_p1 - sb.num_free) / d)
+        a = sb.a_num / d
+        b = ix_p1 / d
+        om = math.sqrt(ix / 2.0)
+        row = (a + b, b, -1j * om * (sb.c1_p2 / d), -1j * om * a / p2)
+
+    k0 = bloch.kappa_zero(sb.ens, drive)
+    m11 = sb.transit
+    if not sb.truncate_dephasing:
+        m11 = m11 - np.conj(k0) * lamp
+    m12 = -k0 * lam
+    # the second rows (da_y^dag, F_y^dag) at u conjugate the first at -u
+    size = sb.u.size
+    m = np.empty((size, 2, 2), dtype=complex)
+    m[:, 0, 0], m[:, 0, 1] = m11, m12
+    np.conjugate(m.reshape(-1)[sb.flip_m], out=m[:, 1])
+    p = np.empty((size, 2, 4), dtype=complex)
+    p[:, 0, 0], p[:, 0, 1], p[:, 0, 2], p[:, 0, 3] = row
+    np.conjugate(p.reshape(-1)[sb.flip_p], out=p[:, 1])
+    n = size // 2
+    return _Kernel(m[:n], m[n:], p[:n], p[n:],
+                   lam[:n], lamp[:n], a[:n], b[:n], d[:n])
+
+
 def _kernel(ens: EnsembleParams, drive: DriveParams, omegas,
             truncate_dephasing: bool = False) -> _Kernel:
     """Drift matrices and Langevin source rows at signed sidebands w.
@@ -81,48 +173,13 @@ def _kernel(ens: EnsembleParams, drive: DriveParams, omegas,
     are finite at u = 0 because A carries a factor of u.  (The f_z
     weight is -i sqrt(I_x/2) A/(-iu): commutator preservation of the
     propagated field pins both its sign and its magnitude.)
-    """
-    w = np.asarray(omegas, dtype=float)
-    n = w.size
-    u = np.concatenate([w, -w])
-    ix, de = drive.intensity, drive.detuning
-    iu = 1j * u
-    p1 = 1.0 - iu
-    p2 = 2.0 - iu
-    d = 2.0 * ix * p1 ** 2 - iu * p2 * (p1 ** 2 + de * de)
-    c1 = 1.0 - 1j * de - iu
-    if ix == 0.0:       # -iu (2-iu) cancelled from D and the numerators
-        lam = b = np.zeros_like(c1)
-        a = c1 / (p1 ** 2 + de * de)
-        lamp = (1.0 - 1j * de) * a
-        row = np.stack([a, b, b, b], axis=-1)
-    else:               # D(0) = 2 I_x: a pole needs D(u) = 0 at real u != 0
-        pole = d == 0.0
-        if pole.any():
-            raise NumericalError("response pole: D(omega) = 0",
-                                 {"intensity": ix, "detuning": de,
-                                  "omega": float(u[pole][0])})
-        zero = u == 0.0
-        lam = np.where(zero, 1.0, ix * p1 * p2 / d)
-        num = ix * p1 - (1.0 - 1j * de) * c1 * p2
-        lamp = np.where(zero, 0.0, iu * num / d)
-        a = c1 * (-1j * u) * p2 / d
-        b = ix * p1 / d
-        om = math.sqrt(ix / 2.0)
-        row = np.stack([a + b, b, -1j * om * (c1 * p2 / d),
-                        -1j * om * a / p2], axis=-1)
 
-    k0 = bloch.kappa_zero(ens, drive)
-    m11 = iu * ens.transit_time
-    if not truncate_dephasing:
-        m11 = m11 - np.conj(k0) * lamp
-    m12 = -k0 * lam
-    flip = np.r_[n:2 * n, 0:n]          # index of -u
-    m = np.stack([m11, m12, np.conj(m12[flip]), np.conj(m11[flip])],
-                 axis=-1).reshape(2 * n, 2, 2)
-    p = np.stack([row, np.conj(row[flip][:, [FYD, FY, FZ, FZP]])], axis=1)
-    return _Kernel(m[:n], m[n:], p[:n], p[n:],
-                   lam[:n], lamp[:n], a[:n], b[:n], d[:n])
+    The factors that do not involve I_x come from ``_sidebands``, so a
+    caller that varies only the intensity builds them once and calls
+    ``_kernel_at``.
+    """
+    return _kernel_at(_sidebands(ens, drive.detuning, omegas,
+                                 truncate_dephasing), drive)
 
 
 @dataclass(frozen=True)
@@ -219,19 +276,22 @@ class DiffusionMatrix:
 
 
 @functools.cache
-def _einstein_tensor() -> np.ndarray:
-    """(8, 8, 4, 4) operators D+(P_a P_b) - D+(P_a) P_b - P_a D+(P_b).
+def _einstein_tensor() -> tuple[np.ndarray, np.ndarray]:
+    """Operators D+(P_a P_b) - D+(P_a) P_b - P_a D+(P_b), non-zero ones.
 
     P runs over the sigma basis and D+ is the dissipative part of the
-    Heisenberg generator.  Built on first use, not at import.
+    Heisenberg generator.  Returns the flat indices a * 8 + b of the
+    26 non-zero operators among the 64 and their (26, 4, 4) stack.
+    Built on first use, not at import.
     """
     ops = [bloch.sigma_op(i, j) for (i, j) in _SIGMA_BASIS]
     diss = [bloch.adjoint_dissipator(p) for p in ops]
-    t = np.array([[bloch.adjoint_dissipator(pa @ pb) - da @ pb - pa @ db
-                   for pb, db in zip(ops, diss)]
-                  for pa, da in zip(ops, diss)])
-    t.flags.writeable = False          # shared by every caller
-    return t
+    t = np.array([bloch.adjoint_dissipator(pa @ pb) - da @ pb - pa @ db
+                  for pa, da in zip(ops, diss) for pb, db in zip(ops, diss)])
+    idx = np.flatnonzero(t.any(axis=(1, 2)))
+    t_nz = t[idx]
+    idx.flags.writeable = t_nz.flags.writeable = False  # shared by callers
+    return idx, t_nz
 
 
 def diffusion(ens: EnsembleParams, drive: DriveParams) -> DiffusionMatrix:
@@ -241,10 +301,13 @@ def diffusion(ens: EnsembleParams, drive: DriveParams) -> DiffusionMatrix:
     <D+(PQ) - D+(P)Q - P D+(Q)> in the steady state, with D+ the
     dissipative part of the Heisenberg generator (the Hamiltonian part
     cancels identically).  Evaluated at the symmetric working point of
-    the fluctuation analysis.
+    the fluctuation analysis.  Only the non-zero operators are traced.
     """
     rho = bloch.symmetric_steady_state(ens, drive).density_matrix()
-    d8 = np.trace(rho @ _einstein_tensor(), axis1=-2, axis2=-1)
+    idx, t_nz = _einstein_tensor()
+    d8 = np.zeros(64, dtype=complex)
+    d8[idx] = np.trace(rho @ t_nz, axis1=-2, axis2=-1)
+    d8 = d8.reshape(8, 8)
     ordered = _COMBINE @ d8 @ _COMBINE.T
     return DiffusionMatrix(gram=ordered[:, [FYD, FY, FZ, FZP]],
                            ordered=ordered)
@@ -347,16 +410,18 @@ def _sigma_out_depleted(ens: EnsembleParams, drive: DriveParams,
 
     One ODE carries the mean field <a+->(z) and the covariances of all
     sidebands, so each right-hand side evaluates the local steady state,
-    the diffusion table and the kernel once.
+    the diffusion table and the kernel once; the kernel's intensity-free
+    factors are built once per solve.
     """
     g = ens.coupling_normalized
     n = w.size
+    sb = _sidebands(ens, drive.detuning, w, truncate_dephasing)
 
     def rhs(_z, y):
         d_loc = DriveParams(
             intensity=g * g * (abs(y[0]) ** 2 + abs(y[1]) ** 2),
             detuning=drive.detuning, ellipticity=drive.ellipticity)
-        k = _kernel(ens, d_loc, w, truncate_dephasing)
+        k = _kernel_at(sb, d_loc)
         sig = y[2:].reshape(n, 2, 2)
         dsig = k.m_w @ sig + sig @ k.m_mw.transpose(0, 2, 1)
         if noisy:
@@ -427,7 +492,9 @@ def propagate_noise(ens: EnsembleParams, drive: DriveParams,
     squeezing interaction.  ``deplete`` feeds the mean-field depletion
     of the drive along the cell into the coefficients (default keeps
     them constant, i.e. an undepleted drive); the whole grid then
-    shares one ODE solve.
+    shares one ODE solve.  With the atomic sources on and the full
+    Gamma, S_min S_max below 1 - 1e-6 (the uncertainty bound) raises
+    NumericalError naming (Delta, omega).
     """
     omegas = np.atleast_1d(np.asarray(omega_grid, dtype=float))
     thetas = np.atleast_1d(np.asarray(theta_grid, dtype=float))
@@ -456,12 +523,24 @@ def propagate_noise(ens: EnsembleParams, drive: DriveParams,
     s_theta = iso.real[:, None] + 2.0 * np.real(np.exp(2j * thetas)
                                                 * anom[:, None])
     spread = 2.0 * np.abs(anom)
-    return QuadratureSpectrum(omegas=omegas, thetas=thetas,
+    spec = QuadratureSpectrum(omegas=omegas, thetas=thetas,
                               values=np.maximum(s_theta, 0.0),
                               s_min=np.maximum(iso.real - spread, 0.0),
                               s_max=iso.real + spread,
                               low_omega=omegas < omega_floor,
                               detuning=drive.detuning)
+    if noisy and not truncate_dephasing:
+        # uncertainty: S_min S_max >= 1, compared as a quotient so that it
+        # cannot overflow (S_max reaches 3e135 at C = 1e8, I_x = 1e6)
+        with np.errstate(divide="ignore"):
+            below = spec.s_min < (1.0 - 1e-6) / spec.s_max
+        if below.any():
+            i = np.flatnonzero(below)[0]
+            raise NumericalError(
+                f"uncertainty product below 1 "
+                f"({spec.s_min[i] * spec.s_max[i]:.6g})",
+                {"detuning": drive.detuning, "omega": float(omegas[i])})
+    return spec
 
 
 def commutator_residual(ens: EnsembleParams, drive: DriveParams,

@@ -1,7 +1,8 @@
 """Shared test oracles: the Liouvillian and brute-force time
 integration, scipy's RK45, exact arithmetic, the scalar (one sideband
 at a time) fluctuation chain, the covariance transport by 5x5
-exponentials (scipy and 50-digit mpmath), Doppler quadrature, the
+exponentials (scipy and 50-digit mpmath), the depleted transport with
+the whole kernel rebuilt at every step, Doppler quadrature, the
 two-wofz composite kappa, the low-sideband limit and the phenomenological
 rotation model's inverse."""
 
@@ -17,7 +18,7 @@ from scipy.integrate import solve_ivp
 from scipy.special import wofz
 
 from psrsim import bloch
-from psrsim.core import NumericalError, ValidationError
+from psrsim.core import DriveParams, NumericalError, ValidationError
 from psrsim.matsko import min_variance_db
 
 
@@ -303,6 +304,38 @@ def mpmath_extrema(m_w, m_mw, src, sigma0, dps=50):
             spread = abs(p[3] + m[3])       # 2 |anomalous moment|
             out.append((float(iso - spread), float(iso + spread)))
     return np.array(out).T
+
+
+def per_evaluation_depleted(ens, drive, w, noisy, truncate_dephasing):
+    """``fluct._sigma_out_depleted`` with nothing built once per solve.
+
+    Every right-hand side makes a fresh DriveParams, the whole kernel
+    (``fluct._kernel``), the diffusion table and the inflow.  Returns
+    ``bloch.solve_ivp``'s result, whose ``y[2:]`` are the covariances.
+    """
+    from psrsim import fluct
+    g = ens.coupling_normalized
+    n = w.size
+
+    def rhs(_z, y):
+        d_loc = DriveParams(
+            intensity=g * g * (abs(y[0]) ** 2 + abs(y[1]) ** 2),
+            detuning=drive.detuning, ellipticity=drive.ellipticity)
+        k = fluct._kernel(ens, d_loc, w, truncate_dephasing)
+        sig = y[2:].reshape(n, 2, 2)
+        dsig = k.m_w @ sig + sig @ k.m_mw.transpose(0, 2, 1)
+        if noisy:
+            dsig = dsig + fluct._inflow(ens, k, fluct.diffusion(ens, d_loc))
+        return np.concatenate((
+            bloch.field_derivative(ens, y[0], y[1], drive.detuning),
+            dsig.reshape(-1)))
+
+    field0 = bloch.FieldState.from_intensity(ens, drive.intensity,
+                                             drive.ellipticity)
+    vacua = np.tile(fluct._VACUUM.reshape(-1), n)
+    y0 = np.concatenate(([field0.amp_plus, field0.amp_minus],
+                         vacua)).astype(complex)
+    return bloch.solve_ivp(rhs, y0, 1e-8, 1e-10, {"detuning": drive.detuning})
 
 
 # ---------------------------------------------------------------------------

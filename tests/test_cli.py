@@ -2,7 +2,9 @@ import json
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
+import numpy as np
 import pytest
 import yaml
 
@@ -154,6 +156,43 @@ def test_non_finite_spectrum_is_a_numerical_error(tmp_path):
     assert res.returncode == 3
     assert "'detuning': 3.0" in res.stderr and "'omega': 0.5" in res.stderr
     assert not out.exists()
+
+
+def test_sub_qnl_uncertainty_product_is_a_numerical_error(tmp_path, capsys):
+    """Covariances with S_min S_max = 0.25 < 1: exit 3 naming the point."""
+    from psrsim import cli, fluct
+    cfg = write_cfg(tmp_path, {**NOISE_CFG,
+                               "ensemble": {"cooperativity": 15.0}})
+    out = tmp_path / "x.csv"
+
+    def squeezed(m_w, m_mw, src, sigma0):
+        return np.broadcast_to(0.5 * sigma0, m_w.shape).copy()
+
+    argv = ["psr-sim", "noise", "--config", str(cfg), "--out", str(out)]
+    with mock.patch.object(fluct, "_transport", squeezed), \
+            mock.patch.object(sys, "argv", argv), \
+            pytest.raises(SystemExit) as exc:
+        cli.main()
+    assert exc.value.code == 3
+    err = capsys.readouterr().err
+    assert "uncertainty product below 1 (0.25)" in err
+    assert "'detuning': 1.0" in err and "'omega': 0.5" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("c", [1e7, 1e8])
+def test_strongly_amplifying_cell_passes_the_uncertainty_gate(tmp_path, c):
+    """S_min S_max reaches 1e34 at C = 1e7 and 1e269 at C = 1e8: exit 0,
+    and no floating-point warning from the gate."""
+    cfg = write_cfg(tmp_path, {"ensemble": {"cooperativity": c},
+                               "drive": {"intensity": 1e6, "detuning": 3.0},
+                               "noise": {"omegas": [0.5, 1.0],
+                                         "theta_points": 16}})
+    res = subprocess.run([sys.executable, "-W", "error", "-m", "psrsim.cli",
+                          "noise", "--config", str(cfg), "--out",
+                          str(tmp_path / "x.csv")],
+                         capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
 
 
 @pytest.mark.parametrize("override, field", [

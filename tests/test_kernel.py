@@ -1,7 +1,9 @@
 """The array fluctuation kernel against the scalar chain, the 2x2
 covariance transport against 5x5 exponentials (scipy, and mpmath at 50
-digits), and --deplete."""
+digits), and --deplete, bit for bit against a right-hand side that
+rebuilds the whole kernel at every evaluation."""
 
+import functools
 import subprocess
 import sys
 from unittest import mock
@@ -10,13 +12,13 @@ import mpmath
 import numpy as np
 import pytest
 import yaml
-from conftest import (brute_force_diffusion, mpmath_extrema, scalar_drift,
-                      scalar_inflow, scalar_source_rows_pair,
-                      scipy_transport)
+from conftest import (brute_force_diffusion, mpmath_extrema,
+                      per_evaluation_depleted, scalar_drift, scalar_inflow,
+                      scalar_source_rows_pair, scipy_transport)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from psrsim import cli, fluct
+from psrsim import bloch, cli, fluct
 from psrsim.core import DriveParams, EnsembleParams
 
 THETAS = np.linspace(0.0, np.pi, 31, endpoint=False)
@@ -69,6 +71,59 @@ def test_diffusion_equals_brute_force_loop(ix, de):
     drive = DriveParams(intensity=ix, detuning=de)
     assert np.array_equal(fluct.diffusion(ens, drive).ordered,
                           brute_force_diffusion(ens, drive))
+
+
+@KERNEL
+@given(cooperativity,
+       st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 1e6)), min_size=1,
+                max_size=4),
+       st.floats(-1e3, 1e3),
+       st.lists(st.one_of(st.just(0.0), sideband), min_size=1, max_size=5),
+       st.booleans())
+def test_intensity_part_equals_a_fresh_kernel(c, intensities, de, omegas,
+                                              truncate):
+    """One ``_sidebands`` serves every intensity, byte for byte, and is
+    left as it was built."""
+    ens = EnsembleParams.from_cooperativity(c, gamma_raw=1.9058e7)
+    sb = fluct._sidebands(ens, de, omegas, truncate)
+    built = [f.tobytes() for f in sb if isinstance(f, np.ndarray)]
+    for ix in intensities:
+        drive = DriveParams(intensity=ix, detuning=de)
+        got = fluct._kernel_at(sb, drive)
+        ref = fluct._kernel(ens, drive, omegas, truncate)
+        for name, a, b in zip(fluct._Kernel._fields, got, ref):
+            assert a.tobytes() == b.tobytes(), name
+    assert [f.tobytes() for f in sb if isinstance(f, np.ndarray)] == built
+
+
+@functools.cache
+def full_einstein_tensor():
+    """All 64 Einstein operators of the sigma basis, (8, 8, 4, 4)."""
+    ops = [bloch.sigma_op(i, j) for (i, j) in fluct._SIGMA_BASIS]
+    diss = [bloch.adjoint_dissipator(p) for p in ops]
+    return np.array([[bloch.adjoint_dissipator(pa @ pb) - da @ pb - pa @ db
+                      for pb, db in zip(ops, diss)]
+                     for pa, da in zip(ops, diss)])
+
+
+def test_einstein_tensor_keeps_every_non_zero_operator():
+    full = full_einstein_tensor().reshape(64, 4, 4)
+    idx, t_nz = fluct._einstein_tensor()
+    assert idx.size == 26
+    assert np.array_equal(full[idx], t_nz)
+    assert not np.delete(full, idx, axis=0).any()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.floats(1.0, 1e7), st.floats(0.0, 1e6), st.floats(-1e3, 1e3))
+def test_sparse_einstein_contraction_equals_the_full_one(c, ix, de):
+    """Bit for bit, the sign of zero included."""
+    ens = EnsembleParams.from_cooperativity(c)
+    drive = DriveParams(intensity=ix, detuning=de)
+    rho = bloch.symmetric_steady_state(ens, drive).density_matrix()
+    d8 = np.trace(rho @ full_einstein_tensor(), axis1=-2, axis2=-1)
+    ref = fluct._COMBINE @ d8 @ fluct._COMBINE.T
+    assert fluct.diffusion(ens, drive).ordered.tobytes() == ref.tobytes()
 
 
 def transport_inputs(ens, drive, omegas):
@@ -249,3 +304,94 @@ def test_deplete_output_does_not_depend_on_jobs(tmp_path):
         outs.append((out.read_bytes(),
                      out.with_name(out.stem + "_theta.csv").read_bytes()))
     assert outs[0] == outs[1]
+
+
+def depleted_and_per_evaluation(ens, drive, omegas, thetas=THETAS, **kw):
+    """propagate_noise(deplete=True) as it runs and with the
+    per-evaluation oracle in place of ``_sigma_out_depleted``, and the
+    two ODE results."""
+    sols = []
+
+    def solve(*args):
+        sols.append(bloch.solve_ivp(*args))
+        return sols[-1]
+
+    def oracle(*args):
+        sols.append(per_evaluation_depleted(*args))
+        return sols[-1].y[2:].reshape(-1, 2, 2)
+
+    with mock.patch.object(fluct, "solve_ivp", solve):
+        got = fluct.propagate_noise(ens, drive, omegas, thetas, deplete=True,
+                                    **kw)
+    with mock.patch.object(fluct, "_sigma_out_depleted", oracle):
+        ref = fluct.propagate_noise(ens, drive, omegas, thetas, deplete=True,
+                                    **kw)
+    return got, ref, sols
+
+
+def assert_depleted_equals_per_evaluation(ens, drive, omegas, thetas=THETAS,
+                                          **kw):
+    got, ref, (sol, sol_ref) = depleted_and_per_evaluation(
+        ens, drive, omegas, thetas, **kw)
+    assert sol.nfev == sol_ref.nfev
+    assert np.array_equal(sol.y, sol_ref.y)
+    for name in ("values", "s_min", "s_max"):
+        assert np.array_equal(getattr(got, name), getattr(ref, name))
+
+
+@pytest.mark.parametrize("preset", ["hot-vapour-d2", "hot-vapour-d1",
+                                    "cold-atom-kerr"])
+def test_depleted_presets_equal_per_evaluation_kernel(preset):
+    cfg, _ = cli.load_config(preset)
+    ens = cli.build_ensemble(cfg)
+    sec = cfg["noise"]
+    ix = float(cfg["drive"]["intensity"])   # YAML reads 8.0e4 as a string
+    thetas = np.linspace(0.0, np.pi, sec["theta_points"], endpoint=False)
+    for de in sec["detunings"]:
+        assert_depleted_equals_per_evaluation(
+            ens, DriveParams(intensity=ix, detuning=de), sec["omegas"],
+            thetas)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(st.floats(-10.0, 10.0), st.floats(10.0, 1e4),
+       st.lists(st.one_of(st.just(0.0), st.floats(0.0, 3.0)), min_size=1,
+                max_size=4))
+def test_depleted_hot_points_equal_per_evaluation_kernel(de, ix, omegas):
+    assert_depleted_equals_per_evaluation(
+        HOT, DriveParams(intensity=ix, detuning=de), omegas)
+
+
+@pytest.mark.parametrize("kw", [{"include_noise": False},
+                                {"truncate_dephasing": True},
+                                {"include_noise": False,
+                                 "truncate_dephasing": True}])
+def test_depleted_variants_equal_per_evaluation_kernel(kw):
+    for ens, drive, omegas in [
+            (HOT, DriveParams(intensity=1000.0, detuning=-1.5),
+             [0.0, 0.5, 1.0]),
+            (EnsembleParams.from_cooperativity(1600.0),
+             DriveParams(intensity=8e4, detuning=400.0), [1.0, 30.0])]:
+        assert_depleted_equals_per_evaluation(ens, drive, omegas, **kw)
+
+
+def test_depleted_solve_builds_the_sidebands_once():
+    """The intensity-free factors once per solve, the diffusion table
+    once per right-hand side."""
+    sols = []
+
+    def solve(*args):
+        sols.append(bloch.solve_ivp(*args))
+        return sols[-1]
+
+    with mock.patch.object(fluct, "solve_ivp", solve), \
+            mock.patch.object(fluct, "_sidebands",
+                              wraps=fluct._sidebands) as sidebands, \
+            mock.patch.object(fluct, "diffusion",
+                              wraps=fluct.diffusion) as diffusion:
+        fluct.propagate_noise(HOT, DriveParams(intensity=1000.0,
+                                               detuning=-1.5),
+                              [0.0, 0.5, 1.0], THETAS, deplete=True)
+    assert len(sols) == 1 and sols[0].nfev > 0
+    assert sidebands.call_count == 1
+    assert diffusion.call_count == sols[0].nfev
