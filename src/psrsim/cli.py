@@ -18,19 +18,15 @@ import math
 import sys
 from importlib import resources
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 import click
 import numpy as np
 import yaml
 
-from . import __version__, fluct, matsko
+# every model module needs numpy alone, so no command loads scipy
+from . import __version__, ensemble, fluct, matsko
 from .core import (DataError, DriveParams, EnsembleParams, NumericalError,
                    SidebandGrid, ValidationError, ghz_to_gamma)
-
-if TYPE_CHECKING:
-    # imported where used: scipy.special loads only for sweep and fit
-    from . import ensemble
 
 _EXIT_CONFIG = 2
 _EXIT_NUMERIC = 3
@@ -141,8 +137,6 @@ def build_ensemble(cfg: dict) -> EnsembleParams:
 
 def build_manifold(sec: dict, section: str,
                    ens: EnsembleParams) -> ensemble.LineManifold:
-    from . import ensemble
-
     raw_lines = sec.get("lines")
     if not isinstance(raw_lines, list) or not raw_lines:
         raise ConfigError(f"{section}.lines", "must be a non-empty list")
@@ -264,8 +258,6 @@ def _map_ordered(worker, arg_list, jobs: int):
 @_JOBS_OPT
 def sweep(config_path: str, out_path: Path, fmt: str, jobs: int) -> None:
     """Transmission and rotation maps over a detuning/intensity grid."""
-    from . import ensemble
-
     cfg, cfg_hash = load_config(config_path)
     jobs = _check_jobs(jobs)
     sec = _section(cfg, "sweep")
@@ -515,8 +507,6 @@ def _read_trace_csv(path: Path, expect_cols: int) -> list[list[float]]:
 @_FORMAT_OPT
 def fit(config_path: str, out_path: Path, fmt: str) -> None:
     """Fit the composite model to measured transmission/rotation traces."""
-    from . import ensemble
-
     cfg, cfg_hash = load_config(config_path)
     sec = _section(cfg, "fit")
     ens = build_ensemble(cfg)

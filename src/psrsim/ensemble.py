@@ -12,24 +12,87 @@ not reach the detectors, which reproduces the vanishing rotation at
 the opaque line centre and the suppression on the strongly absorbing
 side of the manifold.
 
+The Faddeeva function is Weideman's rational expansion in numpy
+(``wofz``), evaluated only in the upper half-plane, where the averaged
+poles lie.
+
 Fitting adjusts a density scale, a frequency offset, the power-to-
 intensity scale and the relative line strengths to measured
-transmission and rotation traces by bounded least squares, with the
-model's exact Jacobian built from the same per-line Faddeeva values.
+transmission and rotation traces by bounded least squares (a projected
+Levenberg-Marquardt, ``_bounded_lm``), with the model's exact Jacobian
+built from the same per-line Faddeeva values.  The module needs numpy
+alone.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import wofz
 
 from .core import EnsembleParams, NumericalError, _require, ghz_to_gamma
 
 _ROOT_PI = math.sqrt(math.pi)
+
+
+def _weideman_coefficients(n: int, scale: float) -> list[float]:
+    """a_n, ..., a_1 of Weideman's expansion, highest order first.
+
+    a_k = (1/2M) sum_j f(t_j) cos(k theta_j) over theta_j = j pi / M,
+    |j| < M = 2n, with t = L tan(theta / 2) and f = exp(-t^2) (L^2 + t^2):
+    the discrete Fourier coefficients of the even f (which vanishes at
+    theta = -pi), summed directly.
+    """
+    m = 2 * n
+    theta = np.arange(-m + 1, m) * (math.pi / m)
+    t = scale * np.tan(theta / 2.0)
+    f = np.exp(-t * t) * (scale * scale + t * t)
+    a = np.cos(np.outer(np.arange(n, 0, -1), theta)) @ f / (2 * m)
+    return a.tolist()
+
+
+_W_TERMS = 48
+_W_SCALE = math.sqrt(_W_TERMS / math.sqrt(2.0))     # Weideman's optimal L
+_W_COEFFS = _weideman_coefficients(_W_TERMS, _W_SCALE)
+_W_CHUNK = 4096     # points per pass: the Horner arrays stay in cache
+
+
+def wofz(z, out: np.ndarray | None = None) -> np.ndarray:
+    """The Faddeeva function w(z) = exp(-z^2) erfc(-i z) for Im z >= 0.
+
+    Weideman's rational expansion (J. A. C. Weideman, SIAM J. Numer.
+    Anal. 31, 1497, 1994) with N = 48 terms: with u = 1 / (L - i z) and
+    Z = (L + i z) u, w = u / sqrt(pi) + 2 u^2 sum_k a_(k+1) Z^k.  Its
+    relative error is about 1e-15 over the upper half-plane (tested
+    against mpmath up to |z| = 1e8); the lower half-plane is outside
+    its range.  The points are taken 4096 at a time, so no temporary
+    grows with z.  ``out`` (C-contiguous, z's shape; z itself is
+    allowed) receives the values.
+    """
+    z = np.asarray(z, dtype=complex)
+    if out is None:
+        out = np.empty(z.shape, dtype=complex)
+    if not out.flags.c_contiguous:
+        raise ValueError("wofz: out must be C-contiguous")
+    flat_z, flat_out = z.reshape(-1), out.reshape(-1)
+    for start in range(0, flat_z.size, _W_CHUNK):
+        chunk = flat_z[start:start + _W_CHUNK]
+        u = chunk * -1j
+        u += _W_SCALE
+        np.reciprocal(u, out=u)
+        big_z = chunk * 1j
+        big_z += _W_SCALE
+        big_z *= u
+        poly = np.full_like(u, _W_COEFFS[0])
+        for coeff in _W_COEFFS[1:]:     # Horner, in place
+            poly *= big_z
+            poly += coeff
+        poly *= u
+        poly *= 2.0
+        poly += 1.0 / _ROOT_PI
+        np.multiply(poly, u, out=flat_out[start:start + _W_CHUNK])
+    return out
 
 
 @dataclass(frozen=True)
@@ -104,25 +167,36 @@ def _line_pole(offsets, strength, intensity, width):
 
 
 def _response(a, p):
-    """r+ conj(p) + r- p, with the residues r+- at d = +-i a: a line's
-    averaged response from its upper-pole average p (linear in p)."""
-    out = np.conj(p)
-    out *= -1j * ((1.0 + a) / (2.0 * a))
-    out += -1j * ((a - 1.0) / (2.0 * a)) * p
+    """A line's averaged response from its upper-pole average p.
+
+    With the residues r+- = -i (a +- 1) / (2 a) at d = +-i a and the
+    lower pole's average conj(p), r+ conj(p) + r- p = -Im(p)/a - i Re(p)
+    (real-linear in p).  No temporary the size of p is made.
+    """
+    out = np.empty(np.broadcast_shapes(np.shape(a), np.shape(p)),
+                   dtype=complex)
+    np.divide(np.imag(p), np.negative(a), out=out.real)
+    np.negative(np.real(p), out=out.imag)
     return out
 
 
 def _kappa(poles, cooperativity: float):
     """Strength-weighted sum of the lines' averaged responses.
 
-    A line's zeta is dropped on arrival and its p before the next line
-    is built, so at most four map-sized arrays are alive at a time.
+    A line's zeta is dropped on arrival and its p once its response is
+    made, so at most three map-sized arrays are alive at a time.
     """
-    total = 0
+    total = None
     for strength, a, zeta, p in poles:
         del zeta
-        total = total + strength * cooperativity / 2.0 * _response(a, p)
+        term = _response(a, p)
         del p
+        term *= strength * cooperativity / 2.0
+        if total is None:
+            total = term
+        else:
+            total += term
+        del term
     return total
 
 
@@ -263,6 +337,66 @@ def _fit_jacobian(ens: EnsembleParams, width: float, intensity_mw: float,
     return d_t, -d_kappa.imag * t[:, None] - kap.imag[:, None] * d_t
 
 
+_FIT_MAX_NFEV = 400
+_ROUNDOFF = 4.0 * np.finfo(float).eps
+
+
+def _bounded_lm(evaluate, jacobian, x, lo, hi):
+    """min 0.5 |r(x)|^2 over lo <= x <= hi: a projected Levenberg-Marquardt.
+
+    ``evaluate(x)`` gives (r, state) and ``jacobian(x, state)`` dr/dx,
+    built only at accepted points.  Each step solves the damped
+    Gauss-Newton problem in More's column scaling (J. J. More, Lecture
+    Notes in Math. 630, 105, 1978) over the variables that no active
+    bound holds, from one SVD, and clips the result into the box; the
+    gain ratio of the clipped step updates the damping (Nielsen's
+    rule).  It stops on roundoff: when the step's predicted reduction
+    of the cost is below the cost's own rounding error, about
+    eps |r|_1.  Returns (x, r, J, residual evaluations);
+    ``NumericalError`` with the best point after ``_FIT_MAX_NFEV``.
+    """
+    r, state = evaluate(x)
+    if not np.all(np.isfinite(r)):
+        raise NumericalError("fit residuals are not finite",
+                             {"best": x.tolist()})
+    nfev, jac = 1, jacobian(x, state)
+    cost = 0.5 * (r @ r)
+    col_scale = np.zeros_like(x)
+    damping, growth = 1e-3, 2.0
+    while True:
+        grad = jac.T @ r
+        free = ~(((x <= lo) & (grad > 0)) | ((x >= hi) & (grad < 0)))
+        col_scale = np.maximum(col_scale, np.linalg.norm(jac, axis=0))
+        scale = np.where(col_scale > 0.0, col_scale, 1.0)[free]
+        u, sv, vt = np.linalg.svd(jac[:, free] / scale, full_matrices=False)
+        ur = u.T @ r
+        floor = _ROUNDOFF * np.abs(r).sum()
+        while True:
+            step = np.zeros_like(x)
+            step[free] = -(vt.T @ (sv * ur / (sv * sv + damping))) / scale
+            trial = np.clip(x + step, lo, hi)
+            j_step = jac @ (trial - x)
+            predicted = -(r @ j_step) - 0.5 * (j_step @ j_step)
+            if not predicted > floor:
+                return x, r, jac, nfev
+            if nfev >= _FIT_MAX_NFEV:
+                raise NumericalError(
+                    f"fit did not converge in {nfev} evaluations",
+                    {"best": x.tolist()})
+            r_trial, state = evaluate(trial)
+            nfev += 1
+            cost_trial = 0.5 * (r_trial @ r_trial)
+            gain = (cost - cost_trial) / predicted
+            if gain > 1e-4:
+                break
+            damping *= growth
+            growth *= 2.0
+        damping *= max(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3)
+        growth = 2.0
+        x, r, cost = trial, r_trial, cost_trial
+        jac = jacobian(x, state)
+
+
 def fit(manifold_template: LineManifold, ens: EnsembleParams,
         det_ghz: np.ndarray, t_data: np.ndarray, gl_data: np.ndarray,
         intensity_mw: float, initial: dict | None = None) -> FitResult:
@@ -270,14 +404,12 @@ def fit(manifold_template: LineManifold, ens: EnsembleParams,
 
     Free parameters: density scale (multiplies C), frequency offset
     (GHz), mW-to-I_x intensity scale, and the line strengths relative
-    to the first line.  Deterministic for a fixed initial guess.
-    Requires at least 50 points and monotone detunings.  The Jacobian
-    is exact (``_fit_jacobian``) and gives the covariance; ``n_eval``
-    counts residual evaluations.
+    to the first line, each within fixed bounds that the initial guess
+    must respect.  Deterministic for a fixed initial guess.  Requires
+    at least 50 points and monotone detunings.  The Jacobian is exact
+    (``_fit_jacobian``) and gives the covariance; ``n_eval`` counts
+    residual evaluations.
     """
-    # scipy.optimize costs about 0.4 s to import and only fits need it
-    from scipy.optimize import least_squares
-
     det_ghz = np.asarray(det_ghz, dtype=float)
     t_data = np.asarray(t_data, dtype=float)
     gl_data = np.asarray(gl_data, dtype=float)
@@ -297,40 +429,33 @@ def fit(manifold_template: LineManifold, ens: EnsembleParams,
                      for k in range(n_ratio)])
     lo = np.array([1e-3, -1.0, 1e-3] + [1e-3] * n_ratio)
     hi = np.array([1e3, 1.0, 1e6] + [1e3] * n_ratio)
+    _require(bool(np.all((lo <= x0) & (x0 <= hi))), "initial",
+             f"initial guess {x0.tolist()} outside the fit bounds "
+             f"[{lo.tolist()}, {hi.tolist()}]")
 
     t_scale = max(np.max(np.abs(t_data)), 1e-12)
     gl_scale = max(np.max(np.abs(gl_data)), 1e-12)
 
-    @functools.lru_cache(maxsize=1)     # jac(x) reuses the poles of fun(x)
-    def evaluate(key: bytes):
-        return _fit_eval(manifold_template, ens, det_ghz, intensity_mw,
-                         np.frombuffer(key))
-
-    def residual(p):
-        t_mod, gl_mod, _, _ = evaluate(p.tobytes())
+    def evaluate(p):
+        evaluation = _fit_eval(manifold_template, ens, det_ghz, intensity_mw,
+                               p)
+        t_mod, gl_mod = evaluation[:2]
         return np.concatenate(((t_mod - t_data) / t_scale,
-                               (gl_mod - gl_data) / gl_scale))
+                               (gl_mod - gl_data) / gl_scale)), evaluation
 
-    def jacobian(p):
+    def jacobian(p, evaluation):
         d_t, d_gl = _fit_jacobian(ens, manifold_template.doppler_width,
-                                  intensity_mw, p, evaluate(p.tobytes()))
+                                  intensity_mw, p, evaluation)
         return np.concatenate((d_t / t_scale, d_gl / gl_scale))
 
-    res = least_squares(residual, x0, jac=jacobian, bounds=(lo, hi),
-                        method="trf", xtol=1e-14, ftol=1e-14, gtol=1e-14,
-                        max_nfev=400)
-    if not res.success and res.status <= 0:
-        raise NumericalError(f"fit did not converge: {res.message}",
-                             {"best": res.x.tolist()})
-    dof = max(res.fun.size - res.x.size, 1)
-    jtj = res.jac.T @ res.jac
+    x, r, jac, nfev = _bounded_lm(evaluate, jacobian, x0, lo, hi)
+    dof = max(r.size - x.size, 1)
     try:
-        cov = np.linalg.inv(jtj) * 2.0 * res.cost / dof
+        cov = np.linalg.inv(jac.T @ jac) * (r @ r) / dof
     except np.linalg.LinAlgError:
-        cov = np.full((res.x.size, res.x.size), np.nan)
-    rms = float(np.sqrt(np.mean(res.fun**2)))
-    return FitResult(density_scale=float(res.x[0]),
-                     freq_offset_ghz=float(res.x[1]),
-                     intensity_scale=float(res.x[2]),
-                     strength_ratios=tuple(float(v) for v in res.x[3:]),
-                     covariance=cov, rms_residual=rms, n_eval=res.nfev)
+        cov = np.full((x.size, x.size), np.nan)
+    rms = float(np.sqrt(np.mean(r**2)))
+    return FitResult(density_scale=float(x[0]), freq_offset_ghz=float(x[1]),
+                     intensity_scale=float(x[2]),
+                     strength_ratios=tuple(float(v) for v in x[3:]),
+                     covariance=cov, rms_residual=rms, n_eval=nfev)

@@ -15,10 +15,10 @@ from fractions import Fraction
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
 from scipy.integrate import solve_ivp
-from scipy.special import wofz
 
 from psrsim import bloch
 from psrsim.core import DriveParams, NumericalError, ValidationError
+from psrsim.ensemble import wofz
 from psrsim.matsko import min_variance_db
 
 
@@ -413,18 +413,22 @@ def two_wofz_composite_kappa(manifold, ens, detunings, intensity: float):
     The saturated single-line response (1 - i d) / (d^2 + 1 + s I) has
     simple poles at +-i a, a = sqrt(1 + s I); each pole's Gaussian
     average is its own Faddeeva evaluation (the lower one on the
-    conjugated argument).  Detunings and intensity in gamma units.
+    conjugated argument).  The residue sum r+ P(-) + r- P(+), with
+    r+- = -i (a +- 1) / (2 a) and P(-+) the averages of 1/(d -+ i a),
+    is -i (s + h / a) with s = (P(-) + P(+)) / 2 and h = (P(-) - P(+)) / 2,
+    written out in real arithmetic.  Detunings and intensity in gamma
+    units.
     """
     detunings = np.asarray(detunings, dtype=float)
     wd = manifold.doppler_width
     out = np.zeros(detunings.shape, dtype=complex)
     for centre, strength in manifold.lines:
         a = math.sqrt(1.0 + strength * intensity)
-        r_plus = (1.0 + a) / (2j * a)    # residue at +i a
-        r_minus = (a - 1.0) / (2j * a)   # residue at -i a
         d0 = detunings - centre
-        avg = (r_plus * _gaussian_pole_average(d0 - 1j * a, wd)
-               + r_minus * _gaussian_pole_average(d0 + 1j * a, wd))
+        lower = _gaussian_pole_average(d0 - 1j * a, wd)
+        upper = _gaussian_pole_average(d0 + 1j * a, wd)
+        s, h = (lower + upper) / 2.0, (lower - upper) / 2.0
+        avg = (s.imag + h.imag / a) - 1j * (s.real + h.real / a)
         out += strength * ens.cooperativity / 2.0 * avg
     return out
 

@@ -211,19 +211,32 @@ def test_noise_rejects_reinterpreted_values(tmp_path, override, field):
     assert field in res.stderr
 
 
-def test_only_sweep_and_fit_load_scipy(tmp_path):
-    """A fresh interpreter: import and noise runs, --deplete included,
-    stay scipy-free and load no process pool with one worker; sweep
-    loads scipy.special (so the probe can see it)."""
+def test_no_command_loads_scipy(tmp_path):
+    """A fresh interpreter runs noise (with and without --deplete), sweep,
+    a seeded fit, limits and matsko: no scipy module loads, and no process
+    pool with one worker."""
+    fit_cfg = write_fit_cfg(tmp_path)
+    limits_cfg = write_cfg(tmp_path, {
+        "ensemble": {"cooperativity": 100.0},
+        "limits": {"rows": [{"detuning": 50.0, "omega": 5.0,
+                             "saturation": 0.5}]}}, "limits.yaml")
+    matsko_cfg = write_cfg(tmp_path, {"matsko": {"rotation_strength": 1.5}},
+                           "matsko.yaml")
     runs = {"noise": ["noise", "--config", "hot-vapour-d2",
                       "--out", str(tmp_path / "d2.csv")],
             "deplete": ["noise", "--config", "hot-vapour-d1", "--deplete",
                         "--jobs", "1", "--out", str(tmp_path / "d1.csv")],
             "sweep": ["sweep", "--config", "d1-sweep",
-                      "--out", str(tmp_path / "maps")]}
+                      "--out", str(tmp_path / "maps")],
+            "fit": ["fit", "--config", str(fit_cfg),
+                    "--out", str(tmp_path / "fit.csv")],
+            "limits": ["limits", "--config", str(limits_cfg),
+                       "--out", str(tmp_path / "limits.csv")],
+            "matsko": ["matsko", "--config", str(matsko_cfg),
+                       "--out", str(tmp_path / "matsko.csv")]}
     probe = (
         "import json, sys\n"
-        "import psrsim.cli, psrsim.fluct\n"
+        "import psrsim.cli\n"
         "def loaded():\n"
         "    return sorted(m for m in sys.modules\n"
         "                  if m.split('.')[0] == 'scipy'\n"
@@ -238,13 +251,10 @@ def test_only_sweep_and_fit_load_scipy(tmp_path):
                          capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
     seen = json.loads(res.stdout.splitlines()[-1])
-    assert seen["import"] == []
-    assert seen["noise"] == []
-    assert seen["deplete"] == []
-    assert "scipy.special" in seen["sweep"]
-    assert "concurrent.futures.process" not in seen["sweep"]
-    assert (tmp_path / "d2.csv").exists()
-    assert (tmp_path / "d1.csv").exists()
+    assert seen == {name: [] for name in ["import", *runs]}
+    for out in ("d2.csv", "d1.csv", "maps/psr_gl.csv", "fit.csv",
+                "limits.csv", "matsko.csv"):
+        assert (tmp_path / out).exists()
 
 
 def test_missing_config_is_a_config_error(tmp_path):
@@ -316,9 +326,8 @@ def test_limits_table_flags(tmp_path):
     assert float(rows[2][idx["hsat_kappa_dev"]]) <= 0.05
 
 
-def test_fit_cli_round_trip(tmp_path):
-    import numpy as np
-
+def write_fit_cfg(tmp_path):
+    """A fit config on noise-free D1 traces of (1.1, 0.02 GHz, 350, 2.8)."""
     from psrsim import ensemble as ens_mod
     from psrsim.core import EnsembleParams
 
@@ -336,7 +345,7 @@ def test_fit_cli_round_trip(tmp_path):
         f"{d:.9f},{v:.9f}" for d, v in zip(det, t_mod)))
     g_csv.write_text("detuning_ghz,value\n" + "\n".join(
         f"{d:.9f},{v:.9f}" for d, v in zip(det, gl_mod)))
-    cfg = write_cfg(tmp_path, {
+    return write_cfg(tmp_path, {
         "ensemble": {"cooperativity": 2000.0, "gamma": gamma_raw},
         "fit": {"lines": [{"center_ghz": 0.0, "strength": 0.25},
                           {"center_ghz": 0.8145, "strength": 0.75}],
@@ -345,7 +354,11 @@ def test_fit_cli_round_trip(tmp_path):
                 "rotation_csv": str(g_csv),
                 "intensity_mw": 22.3,
                 "initial": {"intensity_scale": 300.0}},
-    })
+    }, "fit.yaml")
+
+
+def test_fit_cli_round_trip(tmp_path):
+    cfg = write_fit_cfg(tmp_path)
     out = tmp_path / "fit.json"
     res = run_cli("fit", "--config", str(cfg), "--out", str(out),
                   "--format", "json")
@@ -355,6 +368,23 @@ def test_fit_cli_round_trip(tmp_path):
     assert pars["density_scale"] == pytest.approx(1.1, rel=0.02)
     assert pars["intensity_scale"] == pytest.approx(350.0, rel=0.02)
     assert payload["data"]["rms_residual"] < 1e-6
+
+
+def test_fit_out_of_evaluations_exits_3_with_the_best_point(tmp_path,
+                                                            monkeypatch,
+                                                            capsys):
+    from psrsim import cli, ensemble
+
+    cfg = write_fit_cfg(tmp_path)
+    monkeypatch.setattr(ensemble, "_FIT_MAX_NFEV", 3)
+    monkeypatch.setattr(sys, "argv", ["psr-sim", "fit", "--config", str(cfg),
+                                      "--out", str(tmp_path / "fit.csv")])
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main()
+    assert exit_info.value.code == 3
+    err = capsys.readouterr().err
+    assert "did not converge in 3 evaluations" in err and "'best'" in err
+    assert not (tmp_path / "fit.csv").exists()
 
 
 def test_hot_preset_noise_magnitude(tmp_path):

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from conftest import (doppler_average, finite_difference_fit,
@@ -31,6 +32,43 @@ def d1_manifold(gamma_raw=GAMMA_D1, width_ghz=0.3232):
     return ensemble.LineManifold(
         lines=((0.0, 0.25), (conv(0.8145), 0.75)),
         doppler_width=conv(width_ghz))
+
+
+def _log_uniform(rng, lo, hi, n):
+    return 10.0 ** rng.uniform(math.log10(lo), math.log10(hi), n)
+
+
+def _wofz_points():
+    """Upper half-plane points: the maps' region, a wide region, Im z up
+    to 1e4 (width 0.5, I_x = 1e6) and |z| up to 1e8 (the asymptote
+    i / (sqrt(pi) z)); real parts of both signs."""
+    rng = np.random.default_rng(11)
+    sign = lambda n: rng.choice((-1.0, 1.0), n)
+    regions = [(rng.uniform(-10.0, 10.0, 400), _log_uniform(rng, 3e-3, 1.0,
+                                                            400)),
+               (sign(600) * _log_uniform(rng, 1e-3, 1e4, 600),
+                _log_uniform(rng, 1e-6, 1e3, 600)),
+               (sign(200) * _log_uniform(rng, 1e-3, 1e4, 200),
+                _log_uniform(rng, 1e3, 1e4, 200)),
+               (sign(200) * _log_uniform(rng, 1e4, 1e8, 200),
+                _log_uniform(rng, 1e-6, 1e8, 200)),
+               (np.zeros(3), np.array([0.0, 1e-3, 1.0])),
+               (np.array([-3.0, 5e3, 1e8]), np.zeros(3))]
+    return np.concatenate([re + 1j * im for re, im in regions])
+
+
+def test_wofz_matches_mpmath():
+    z = _wofz_points()
+    with mpmath.workdps(40):
+        ref = np.array([complex(mpmath.exp(-mpmath.mpc(v) ** 2)
+                                * mpmath.erfc(-1j * mpmath.mpc(v)))
+                        for v in z.tolist()])
+    got = ensemble.wofz(z)
+    assert (np.abs(got - ref) / np.abs(ref)).max() <= 4e-15
+    # in place over a 2-D array of more than one chunk: the same values
+    grid = np.resize(z, (z.size, 3))
+    assert ensemble.wofz(grid, out=grid) is grid
+    assert grid.tobytes() == np.resize(got, grid.shape).tobytes()
 
 
 def test_manifold_normalizes_strengths():
@@ -212,6 +250,60 @@ def test_fit_recovers_parameters_through_noise():
                        res.intensity_scale, res.strength_ratios[0]])
     rel = np.abs(fitted - truth) / np.maximum(np.abs(truth), 0.05)
     assert rel.max() < 0.05
+
+
+def test_fit_of_seed_one_preset_trace_takes_at_most_13_evaluations():
+    """The seeded D1 fit of the CLI benchmark (seed 1, 151 detunings, 1%
+    noise): the trace is made as the benchmark makes it (line centres
+    scaled by 2 pi 1e9 / gamma) and fitted as ``psr-sim fit`` fits it.
+    scipy's trust-region solver took 13 evaluations here."""
+    rng = np.random.default_rng(1)
+    truth = np.array([rng.uniform(0.85, 1.2), rng.uniform(-0.04, 0.04),
+                      rng.uniform(250.0, 450.0), rng.uniform(2.2, 3.6)])
+    gamma_raw = 1.8062e7
+    ens = EnsembleParams.from_cooperativity(2000.0, gamma_raw=gamma_raw,
+                                            temperature=345.0)
+    conv = 1e9 * 2.0 * math.pi / gamma_raw
+    bench_man = ensemble.LineManifold(
+        lines=((0.0, 0.25), (0.8145 * conv, 0.75)),
+        doppler_width=0.3232 * conv)
+    det = np.linspace(-0.8, 1.6, 151)
+    t, gl = ensemble._fit_model(bench_man, ens, det, 22.3, truth)
+    t = t * (1.0 + 0.01 * rng.standard_normal(det.size))
+    gl = gl * (1.0 + 0.01 * rng.standard_normal(det.size))
+    res = ensemble.fit(d1_manifold(gamma_raw=gamma_raw), ens, det, t, gl,
+                       22.3, {"intensity_scale": 300.0})
+    assert res.n_eval <= 13
+    fitted = np.array([res.density_scale, res.freq_offset_ghz,
+                       res.intensity_scale, res.strength_ratios[0]])
+    assert (np.abs(fitted - truth) / np.maximum(np.abs(truth), 0.05)).max() \
+        < 0.05
+
+
+@pytest.mark.parametrize("ratio,bound", [(1e-4, 1e-3), (5e3, 1e3)])
+def test_fit_stops_on_a_bound_the_truth_lies_beyond(ratio, bound):
+    ens = EnsembleParams.from_cooperativity(2000.0, gamma_raw=GAMMA_D1)
+    man = d1_manifold()
+    det = np.linspace(-0.7, 1.55, 140)
+    truth = np.array([1.18, 0.035, 320.0, ratio])
+    t_data, gl_data = ensemble._fit_model(man, ens, det, 22.3, truth)
+    res = ensemble.fit(man, ens, det, t_data, gl_data, 22.3,
+                       {"intensity_scale": 280.0})
+    assert res.strength_ratios == (bound,)
+    fitted = np.array([res.density_scale, res.freq_offset_ghz,
+                       res.intensity_scale])
+    assert (np.abs(fitted - truth[:3])
+            / np.maximum(np.abs(truth[:3]), 0.05)).max() < 0.02
+
+
+def test_fit_rejects_a_start_outside_the_bounds_and_non_finite_data():
+    man, ens, det, t_data, gl_data, _ = synthetic_traces(0.0)
+    with pytest.raises(ValidationError, match="outside the fit bounds"):
+        ensemble.fit(man, ens, det, t_data, gl_data, 22.3,
+                     {"density_scale": 2e3})
+    t_data[7] = np.nan
+    with pytest.raises(NumericalError, match="not finite"):
+        ensemble.fit(man, ens, det, t_data, gl_data, 22.3)
 
 
 def test_fit_requires_enough_points():
