@@ -9,10 +9,9 @@ fixed by the two complex Rabi-scale amplitudes Omega+- = g <a+-> and the
 common detuning Delta.
 
 This module provides the steady state of those equations in closed
-form, the jump operators and adjoint dissipator behind the noise
-correlators of :mod:`psrsim.fluct`, the Dormand-Prince integrator shared
-by the mean-field propagation through the cell and the depleted noise
-transport, and the single-velocity-class self-rotation parameter Gl.
+form, the Dormand-Prince integrator shared by the mean-field
+propagation through the cell and the depleted noise transport, and the
+single-velocity-class self-rotation parameter Gl.
 """
 
 from __future__ import annotations
@@ -29,27 +28,6 @@ from .core import DriveParams, EnsembleParams, NumericalError
 #: Im kappa(0) < 0 for Delta > 0; figures and fits use the convention
 #: that Gl is positive at positive detuning, hence the extra sign here.
 PSR_SIGN = +1.0
-
-
-def sigma_op(i: int, j: int) -> np.ndarray:
-    """|i><j| on the 4-level space, 1-based labels."""
-    m = np.zeros((4, 4), dtype=complex)
-    m[i - 1, j - 1] = 1.0
-    return m
-
-
-def jump_operators() -> list[np.ndarray]:
-    """Four independent decay channels, each at rate gamma = 1."""
-    return [sigma_op(g, e) for e in (3, 4) for g in (1, 2)]
-
-
-def adjoint_dissipator(x: np.ndarray) -> np.ndarray:
-    """Dissipative part of the Heisenberg-picture generator on operator x."""
-    out = np.zeros((4, 4), dtype=complex)
-    for j in jump_operators():
-        jd = j.conj().T
-        out += jd @ x @ j - 0.5 * (jd @ j @ x + x @ jd @ j)
-    return out
 
 
 @dataclass(frozen=True)

@@ -491,11 +491,15 @@ def _read_trace_csv(path: Path, expect_cols: int) -> list[list[float]]:
                 raise DataError(f"{path}:{lineno}: expected "
                                 f"{expect_cols} columns, got {len(row)}")
             try:
-                rows.append([float(v) for v in row[:expect_cols]])
+                vals = [float(v) for v in row[:expect_cols]]
             except ValueError:
                 if not rows:
                     continue  # header row
                 raise DataError(f"{path}:{lineno}: non-numeric row {row!r}")
+            if not all(map(math.isfinite, vals)):
+                raise DataError(f"{path}:{lineno}: non-finite value in row "
+                                f"{row!r}")
+            rows.append(vals)
     if not rows:
         raise DataError(f"{path}: no data rows")
     return rows

@@ -19,12 +19,12 @@ covariance obeys a linear equation with a source given by the atomic
 diffusion matrix (generalized Einstein relations evaluated in the
 steady state), scaled by the cooperativity.  Output quadrature spectra
 are QNL-normalized; commutator preservation ([da_y, da_y^dag] = 1 at
-the output) holds identically and is exposed as a diagnostic.
+the output) holds identically, is checked on every noisy spectrum and
+is exposed as a diagnostic.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -39,16 +39,10 @@ from .core import DriveParams, EnsembleParams, NumericalError, ValidationError
 # noise basis order used throughout: (f_y, f_y^dag, f_z, f_z')
 FY, FYD, FZ, FZP = 0, 1, 2, 3
 
-_SIGMA_BASIS = [(1, 4), (2, 3), (4, 1), (3, 2), (1, 1), (2, 2), (3, 3), (4, 4)]
-
-# rows: f_y, f_y^dag, f_z, f_z' as combinations of the sigma-basis noises
-_COMBINE = np.array([[1, 1, 0, 0, 0, 0, 0, 0],
-                     [0, 0, 1, 1, 0, 0, 0, 0],
-                     [0, 0, 0, 0, -1, 1, 0, 0],
-                     [0, 0, 0, 0, 0, 0, -1, 1]]) / math.sqrt(2.0)
-
-# input vacuum: <da da^dag> = 1, all other second moments zero
+# input vacuum: <da da^dag> = 1, all other second moments zero; its
+# commutator matrix S(w) - S(-w)^T
 _VACUUM = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+_COMMUTATOR = _VACUUM - _VACUUM.T
 
 
 class _Kernel(NamedTuple):
@@ -244,24 +238,17 @@ def langevin_coeffs(ens: EnsembleParams, drive: DriveParams,
 class DiffusionMatrix:
     """Atomic noise correlators in the basis (f_y, f_y^dag, f_z, f_z').
 
-    ``gram[i, j]`` is the spectral density of <f_i f_j^dag> (Hermitian,
-    positive semidefinite); ``ordered[i, j]`` the density of the plain
-    ordered product <f_i f_j>, which is what the covariance transport
-    consumes.  Per-atom normalization, gamma = 1 units.
+    ``ordered[i, j]`` is the spectral density of the plain ordered
+    product <f_i f_j>, which is what the covariance transport consumes;
+    ``gram[i, j]`` the density of <f_i f_j^dag> (Hermitian, positive
+    semidefinite).  Per-atom normalization, gamma = 1 units.
     """
 
-    gram: np.ndarray
     ordered: np.ndarray
 
-    def __post_init__(self):
-        herm = np.abs(self.gram - self.gram.conj().T).max()
-        if herm > 1e-10:
-            raise NumericalError(f"diffusion table not Hermitian ({herm:.2e})")
-        eigs = np.linalg.eigvalsh(0.5 * (self.gram + self.gram.conj().T))
-        if eigs.min() < -1e-10:
-            raise NumericalError(
-                f"diffusion table not positive semidefinite "
-                f"(min eigenvalue {eigs.min():.2e})")
+    @property
+    def gram(self) -> np.ndarray:
+        return self.ordered[:, [FYD, FY, FZ, FZP]]
 
     def excess(self) -> np.ndarray:
         """Ordered table with creation noises moved left (normal order).
@@ -275,25 +262,6 @@ class DiffusionMatrix:
         return out
 
 
-@functools.cache
-def _einstein_tensor() -> tuple[np.ndarray, np.ndarray]:
-    """Operators D+(P_a P_b) - D+(P_a) P_b - P_a D+(P_b), non-zero ones.
-
-    P runs over the sigma basis and D+ is the dissipative part of the
-    Heisenberg generator.  Returns the flat indices a * 8 + b of the
-    26 non-zero operators among the 64 and their (26, 4, 4) stack.
-    Built on first use, not at import.
-    """
-    ops = [bloch.sigma_op(i, j) for (i, j) in _SIGMA_BASIS]
-    diss = [bloch.adjoint_dissipator(p) for p in ops]
-    t = np.array([bloch.adjoint_dissipator(pa @ pb) - da @ pb - pa @ db
-                  for pa, da in zip(ops, diss) for pb, db in zip(ops, diss)])
-    idx = np.flatnonzero(t.any(axis=(1, 2)))
-    t_nz = t[idx]
-    idx.flags.writeable = t_nz.flags.writeable = False  # shared by callers
-    return idx, t_nz
-
-
 def diffusion(ens: EnsembleParams, drive: DriveParams) -> DiffusionMatrix:
     """Diffusion matrix from generalized Einstein relations.
 
@@ -301,16 +269,36 @@ def diffusion(ens: EnsembleParams, drive: DriveParams) -> DiffusionMatrix:
     <D+(PQ) - D+(P)Q - P D+(Q)> in the steady state, with D+ the
     dissipative part of the Heisenberg generator (the Hamiltonian part
     cancels identically).  Evaluated at the symmetric working point of
-    the fluctuation analysis.  Only the non-zero operators are traced.
+    the fluctuation analysis, whose density matrix holds only the
+    populations p_k and the coherences <sigma_14>, <sigma_23>, the
+    relations leave five non-zero entries:
+
+        <f_y f_y^dag> = p1 + p2 + p3 + p4 = t,
+        <f_z f_z> = <f_z' f_z'> = p3 + p4 = p_e,
+        <f_y f_z'> = <sigma_14> - <sigma_23> = c,  <f_z' f_y^dag> = c*.
+
+    The Gram table is then Hermitian by construction and block diagonal:
+    [[t, c], [c*, p_e]] on (f_y, f_z'), p_e on f_z and 0 on f_y^dag.
+    It is positive semidefinite when the smaller eigenvalue of the 2x2
+    block is; below -1e-10, or NaN, raises NumericalError.
     """
-    rho = bloch.symmetric_steady_state(ens, drive).density_matrix()
-    idx, t_nz = _einstein_tensor()
-    d8 = np.zeros(64, dtype=complex)
-    d8[idx] = np.trace(rho @ t_nz, axis1=-2, axis2=-1)
-    d8 = d8.reshape(8, 8)
-    ordered = _COMBINE @ d8 @ _COMBINE.T
-    return DiffusionMatrix(gram=ordered[:, [FYD, FY, FZ, FZP]],
-                           ordered=ordered)
+    st = bloch.symmetric_steady_state(ens, drive)
+    p1, p2, p3, p4 = st.populations
+    t = p1 + p2 + p3 + p4
+    p_e = p3 + p4
+    c = st.coh_14 - st.coh_23
+    lam_min = 0.5 * (t + p_e) - math.hypot(0.5 * (t - p_e), abs(c))
+    if not lam_min >= -1e-10:
+        raise NumericalError(
+            f"diffusion table not positive semidefinite "
+            f"(min eigenvalue {lam_min:.2e})",
+            {"intensity": drive.intensity, "detuning": drive.detuning})
+    ordered = np.zeros((4, 4), dtype=complex)
+    ordered[FY, FYD] = t
+    ordered[FZ, FZ] = ordered[FZP, FZP] = p_e
+    ordered[FY, FZP] = c
+    ordered[FZP, FYD] = c.conjugate()
+    return DiffusionMatrix(ordered)
 
 
 def _inflow(ens: EnsembleParams, k: _Kernel,
@@ -540,28 +528,47 @@ def propagate_noise(ens: EnsembleParams, drive: DriveParams,
                 f"uncertainty product below 1 "
                 f"({spec.s_min[i] * spec.s_max[i]:.6g})",
                 {"detuning": drive.detuning, "omega": float(omegas[i])})
+        # commutator preservation, relative to the covariances' size
+        # (1e2 absolute but 4e-16 relative at C = 1e7, I_x = 1e6)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            scale = np.maximum(np.abs(sig_p).max(axis=(1, 2)),
+                               np.abs(sig_m).max(axis=(1, 2)))
+            rel = _commutator_excess(sig_p, sig_m) / scale
+        bad = ~(rel <= 1e-8)
+        if bad.any():
+            i = np.flatnonzero(bad)[0]
+            raise NumericalError(
+                f"output commutator not preserved ({rel[i]:.2e} relative)",
+                {"detuning": drive.detuning, "omega": float(omegas[i])})
     return spec
+
+
+def _commutator_excess(sig_p: np.ndarray, sig_m: np.ndarray) -> np.ndarray:
+    """|S(w) - S(-w)^T - C0|_max of covariance stacks at +w and -w.
+
+    The -w sideband is transported with the drift pair (M(-w), M(w)), so
+    S(-w)^T obeys the +w equation with source N(-w)^T; by linearity
+    S(w) - S(-w)^T is the transported commutator matrix, which starts
+    at C0 = [[0, 1], [-1, 0]].
+    """
+    return np.abs(sig_p - sig_m.transpose(0, 2, 1)
+                  - _COMMUTATOR).max(axis=(1, 2))
 
 
 def commutator_residual(ens: EnsembleParams, drive: DriveParams,
                         omega: float) -> float:
     """Max deviation of the output commutator matrix from its vacuum value.
 
-    Transports the commutators of (da_y, da_y^dag) through the cell
-    with the full diffusion; absorption loss is exactly compensated by
-    the noise inflow, so the result is zero up to roundoff (amplified
-    at strongly amplifying parameter points).
+    Read off the +-omega covariances with the full diffusion; absorption
+    loss is exactly compensated by the noise inflow, so the result is
+    zero up to roundoff (amplified at strongly amplifying parameter
+    points).
     """
-    noisy = ens.cooperativity > 0.0
     k = _kernel(ens, drive, [omega, -omega])
-    if noisy:
-        n_pm = _inflow(ens, k, diffusion(ens, drive))
-        src = n_pm[0] - n_pm[1].T
-    else:
-        src = np.zeros((2, 2), dtype=complex)
-    c0 = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex)
-    out = _transport(k.m_w[:1], k.m_mw[:1], src[None], c0)[0]
-    return float(np.abs(out - c0).max())
+    src = (_inflow(ens, k, diffusion(ens, drive)) if ens.cooperativity > 0.0
+           else np.zeros_like(k.m_w))
+    sig = _transport(k.m_w, k.m_mw, src, _VACUUM)
+    return float(_commutator_excess(sig[:1], sig[1:])[0])
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ rotation model's inverse."""
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -22,14 +23,34 @@ from psrsim.ensemble import wofz
 from psrsim.matsko import min_variance_db
 
 
+def sigma_op(i: int, j: int) -> np.ndarray:
+    """|i><j| on the 4-level space, 1-based labels."""
+    m = np.zeros((4, 4), dtype=complex)
+    m[i - 1, j - 1] = 1.0
+    return m
+
+
+def jump_operators() -> list[np.ndarray]:
+    """Four independent decay channels, each at rate gamma = 1."""
+    return [sigma_op(g, e) for e in (3, 4) for g in (1, 2)]
+
+
+def adjoint_dissipator(x: np.ndarray) -> np.ndarray:
+    """Dissipative part of the Heisenberg-picture generator on operator x."""
+    out = np.zeros((4, 4), dtype=complex)
+    for j in jump_operators():
+        jd = j.conj().T
+        out += jd @ x @ j - 0.5 * (jd @ j @ x + x @ jd @ j)
+    return out
+
+
 def hamiltonian(omega_plus: complex, omega_minus: complex,
                 detuning: float) -> np.ndarray:
     """Rotating-frame Hamiltonian (units of hbar*gamma)."""
-    h = detuning * (bloch.sigma_op(3, 3) + bloch.sigma_op(4, 4))
-    h -= (omega_plus * bloch.sigma_op(4, 1)
-          + np.conj(omega_plus) * bloch.sigma_op(1, 4))
-    h -= (omega_minus * bloch.sigma_op(3, 2)
-          + np.conj(omega_minus) * bloch.sigma_op(2, 3))
+    h = detuning * (sigma_op(3, 3) + sigma_op(4, 4))
+    h -= (omega_plus * sigma_op(4, 1) + np.conj(omega_plus) * sigma_op(1, 4))
+    h -= (omega_minus * sigma_op(3, 2)
+          + np.conj(omega_minus) * sigma_op(2, 3))
     return h
 
 
@@ -39,7 +60,7 @@ def liouvillian(omega_plus: complex, omega_minus: complex,
     h = hamiltonian(omega_plus, omega_minus, detuning)
     eye = np.eye(4)
     L = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
-    for j in bloch.jump_operators():
+    for j in jump_operators():
         jdj = j.conj().T @ j
         L += np.kron(j, j.conj()) - 0.5 * (np.kron(jdj, eye)
                                            + np.kron(eye, jdj.T))
@@ -239,19 +260,63 @@ def scalar_inflow(ens, drive, w, ordered):
                                 @ scalar_source_rows_pair(ix, de, -w).T)
 
 
+# the Einstein relations: operators P of the sigma basis, and the rows
+# f_y, f_y^dag, f_z, f_z' as combinations of their noises
+SIGMA_BASIS = [(1, 4), (2, 3), (4, 1), (3, 2), (1, 1), (2, 2), (3, 3), (4, 4)]
+COMBINE_SQRT2 = np.array([[1, 1, 0, 0, 0, 0, 0, 0],
+                          [0, 0, 1, 1, 0, 0, 0, 0],
+                          [0, 0, 0, 0, -1, 1, 0, 0],
+                          [0, 0, 0, 0, 0, 0, -1, 1]])
+COMBINE = COMBINE_SQRT2 / math.sqrt(2.0)
+
+
+def einstein_operator(a: int, b: int) -> np.ndarray:
+    """D+(P_a P_b) - D+(P_a) P_b - P_a D+(P_b) of sigma-basis operators."""
+    pa, pb = (sigma_op(*SIGMA_BASIS[k]) for k in (a, b))
+    return (adjoint_dissipator(pa @ pb) - adjoint_dissipator(pa) @ pb
+            - pa @ adjoint_dissipator(pb))
+
+
+@functools.cache
+def einstein_tensor() -> tuple[np.ndarray, np.ndarray]:
+    """The flat indices a * 8 + b of the 26 non-zero Einstein operators
+    among the 64, and their (26, 4, 4) stack."""
+    t = np.array([einstein_operator(a, b)
+                  for a in range(8) for b in range(8)])
+    idx = np.flatnonzero(t.any(axis=(1, 2)))
+    return idx, t[idx]
+
+
 def brute_force_diffusion(ens, drive):
-    """Ordered diffusion table, one Einstein relation at a time."""
-    from psrsim import fluct
+    """Ordered diffusion table, one Einstein relation at a time, in
+    double precision."""
     rho = bloch.symmetric_steady_state(ens, drive).density_matrix()
-    ops = [bloch.sigma_op(i, j) for (i, j) in fluct._SIGMA_BASIS]
-    diss = [bloch.adjoint_dissipator(p) for p in ops]
     d8 = np.empty((8, 8), dtype=complex)
     for a in range(8):
         for b in range(8):
-            term = (bloch.adjoint_dissipator(ops[a] @ ops[b])
-                    - diss[a] @ ops[b] - ops[a] @ diss[b])
-            d8[a, b] = np.trace(rho @ term)
-    return fluct._COMBINE @ d8 @ fluct._COMBINE.T
+            d8[a, b] = np.trace(rho @ einstein_operator(a, b))
+    return COMBINE @ d8 @ COMBINE.T
+
+
+def mpmath_diffusion(ens, drive, dps=50):
+    """Ordered diffusion table at ``dps`` digits, as a 4x4 mpmath matrix.
+
+    The Einstein operators have dyadic entries (0, +-1/2, +-1, ...), so
+    their double-precision values are exact; the double-precision
+    steady state is taken as it is, and the traces and the
+    combinations, (1/sqrt(2))^2 = 1/2, are done at ``dps`` digits.
+    """
+    import mpmath
+    rho = bloch.symmetric_steady_state(ens, drive).density_matrix()
+    idx, t_nz = einstein_tensor()
+    with mpmath.workdps(dps):
+        d8 = mpmath.matrix(8, 8)
+        for k, t in zip(idx, t_nz):
+            d8[k // 8, k % 8] = mpmath.fsum(
+                mpmath.mpc(rho[i, j]) * mpmath.mpc(t[j, i])
+                for i, j in zip(*np.nonzero(t.T)))
+        comb = mpmath.matrix(COMBINE_SQRT2.tolist())
+        return comb * d8 * comb.T / 2
 
 
 # ---------------------------------------------------------------------------

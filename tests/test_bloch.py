@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 from conftest import (evolve_density_matrix, liouvillian,
-                      oracle_steady_values)
+                      oracle_steady_values, sigma_op)
 
 from psrsim import bloch
 from psrsim.core import DriveParams, EnsembleParams
@@ -26,10 +26,10 @@ def test_liouvillian_reproduces_bloch_drift():
     drho = (liou @ rho.reshape(-1)).reshape(4, 4)
 
     def ev(i, j):
-        return np.trace(rho @ bloch.sigma_op(i, j))
+        return np.trace(rho @ sigma_op(i, j))
 
     def dev(i, j):
-        return np.trace(drho @ bloch.sigma_op(i, j))
+        return np.trace(drho @ sigma_op(i, j))
 
     assert dev(1, 4) == pytest.approx(
         -(1 + 1j * de) * ev(1, 4) + 1j * om_p * (ev(1, 1) - ev(4, 4)),

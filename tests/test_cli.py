@@ -180,10 +180,45 @@ def test_sub_qnl_uncertainty_product_is_a_numerical_error(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("deplete", [False, True])
+def test_corrupted_output_commutator_is_a_numerical_error(tmp_path, capsys,
+                                                          deplete):
+    """<da da> at omega = 1 moved by 1e-6 of the covariances' size: no
+    spectrum reads that entry, but S(w) - S(-w)^T no longer equals the
+    vacuum commutator, so the command exits 3 naming the point."""
+    from psrsim import cli, fluct
+    cfg = write_cfg(tmp_path, {**NOISE_CFG,
+                               "ensemble": {"cooperativity": 15.0}})
+    out = tmp_path / "x.csv"
+
+    name = "solve_ivp" if deplete else "_transport"
+    real = getattr(fluct, name)
+
+    def corrupted(*args):
+        res = real(*args)
+        sig = res.y[2:].reshape(-1, 2, 2) if deplete else res
+        sig[1, 0, 0] += 1e-6 * np.abs(sig[1]).max()   # omega = +1
+        return res
+
+    argv = ["psr-sim", "noise", "--config", str(cfg), "--out", str(out)]
+    argv += ["--deplete"] if deplete else []
+    with mock.patch.object(fluct, name, corrupted), \
+            mock.patch.object(sys, "argv", argv), \
+            pytest.raises(SystemExit) as exc:
+        cli.main()
+    assert exc.value.code == 3
+    err = capsys.readouterr().err
+    assert "output commutator not preserved" in err
+    assert "'detuning': 1.0" in err and "'omega': 1.0" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("c", [1e7, 1e8])
 def test_strongly_amplifying_cell_passes_the_uncertainty_gate(tmp_path, c):
-    """S_min S_max reaches 1e34 at C = 1e7 and 1e269 at C = 1e8: exit 0,
-    and no floating-point warning from the gate."""
+    """S_min S_max reaches 1e34 at C = 1e7 and 1e269 at C = 1e8, and the
+    commutator residual 1e2 and 4e119 in absolute terms (4e-16 of the
+    covariances' size): exit 0, and no floating-point warning from
+    either gate."""
     cfg = write_cfg(tmp_path, {"ensemble": {"cooperativity": c},
                                "drive": {"intensity": 1e6, "detuning": 3.0},
                                "noise": {"omegas": [0.5, 1.0],
@@ -384,6 +419,25 @@ def test_fit_out_of_evaluations_exits_3_with_the_best_point(tmp_path,
     assert exit_info.value.code == 3
     err = capsys.readouterr().err
     assert "did not converge in 3 evaluations" in err and "'best'" in err
+    assert not (tmp_path / "fit.csv").exists()
+
+
+@pytest.mark.parametrize("name, line, column, cell", [
+    ("t.csv", 6, 1, "nan"), ("gl.csv", 40, 0, "inf")])
+def test_fit_rejects_a_non_finite_trace_cell(tmp_path, name, line, column,
+                                             cell):
+    """A nan or inf cell is a data error (exit 4) naming path:line."""
+    cfg = write_fit_cfg(tmp_path)
+    path = tmp_path / name
+    lines = path.read_text().splitlines()
+    row = lines[line - 1].split(",")
+    row[column] = cell
+    lines[line - 1] = ",".join(row)
+    path.write_text("\n".join(lines))
+    res = run_cli("fit", "--config", str(cfg), "--out",
+                  str(tmp_path / "fit.csv"))
+    assert res.returncode == 4, res.stderr
+    assert f"{path}:{line}: non-finite value" in res.stderr
     assert not (tmp_path / "fit.csv").exists()
 
 

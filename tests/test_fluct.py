@@ -99,8 +99,10 @@ def test_diffusion_table_is_hermitian_psd():
         s = 10.0 ** rng.uniform(-2, 2)
         de = rng.uniform(-30.0, 30.0)
         d = DriveParams(intensity=s * (1 + de * de), detuning=de)
-        diff = fluct.diffusion(ENS, d)  # constructor validates
-        assert diff.gram.shape == (4, 4)
+        gram = fluct.diffusion(ENS, d).gram
+        assert gram.shape == (4, 4)
+        assert np.array_equal(gram, gram.conj().T)
+        assert np.linalg.eigvalsh(gram).min() >= -1e-15
 
 
 def test_diffusion_zero_drive_has_no_excess_noise():

@@ -1,9 +1,11 @@
-"""The array fluctuation kernel against the scalar chain, the 2x2
-covariance transport against 5x5 exponentials (scipy, and mpmath at 50
-digits), and --deplete, bit for bit against a right-hand side that
-rebuilds the whole kernel at every evaluation."""
+"""The array fluctuation kernel against the scalar chain, the closed-form
+diffusion table against the Einstein relations (traced in double
+precision, and at 50 digits), the 2x2 covariance transport against 5x5
+exponentials (scipy, and mpmath at 50 digits), and --deplete, bit for
+bit against a right-hand side that rebuilds the whole kernel at every
+evaluation."""
 
-import functools
+import math
 import subprocess
 import sys
 from unittest import mock
@@ -12,14 +14,15 @@ import mpmath
 import numpy as np
 import pytest
 import yaml
-from conftest import (brute_force_diffusion, mpmath_extrema,
+from conftest import (brute_force_diffusion, einstein_operator,
+                      einstein_tensor, mpmath_diffusion, mpmath_extrema,
                       per_evaluation_depleted, scalar_drift, scalar_inflow,
                       scalar_source_rows_pair, scipy_transport)
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from psrsim import bloch, cli, fluct
-from psrsim.core import DriveParams, EnsembleParams
+from psrsim.core import DriveParams, EnsembleParams, NumericalError
 
 THETAS = np.linspace(0.0, np.pi, 31, endpoint=False)
 HOT = EnsembleParams.from_cooperativity(15.0, gamma_raw=1.9058e7,
@@ -64,13 +67,24 @@ def test_inflow_and_truncated_drift_match_scalar_chain(c, ix, de, w):
                  scalar_drift(ens, drive, w, truncate_dephasing=True))
 
 
+# the five entries the Einstein relations leave in the steady state
+NON_ZERO = [(fluct.FY, fluct.FYD), (fluct.FZ, fluct.FZ),
+            (fluct.FZP, fluct.FZP), (fluct.FY, fluct.FZP),
+            (fluct.FZP, fluct.FYD)]
+ZERO = np.ones((4, 4), dtype=bool)
+ZERO[tuple(zip(*NON_ZERO))] = False
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(st.floats(0.0, 1e6), detuning)
-def test_diffusion_equals_brute_force_loop(ix, de):
+def test_diffusion_matches_brute_force_loop(ix, de):
+    """Within 5e-16 of the largest entry; the entries that the double
+    precision loop leaves at ~1e-35 ((1/sqrt(2))^2 != 1/2) are 0."""
     ens = EnsembleParams.from_cooperativity(100.0)
     drive = DriveParams(intensity=ix, detuning=de)
-    assert np.array_equal(fluct.diffusion(ens, drive).ordered,
-                          brute_force_diffusion(ens, drive))
+    got = fluct.diffusion(ens, drive).ordered
+    assert_close(got, brute_force_diffusion(ens, drive), rtol=5e-16)
+    assert not got[ZERO].any()
 
 
 @KERNEL
@@ -96,19 +110,10 @@ def test_intensity_part_equals_a_fresh_kernel(c, intensities, de, omegas,
     assert [f.tobytes() for f in sb if isinstance(f, np.ndarray)] == built
 
 
-@functools.cache
-def full_einstein_tensor():
-    """All 64 Einstein operators of the sigma basis, (8, 8, 4, 4)."""
-    ops = [bloch.sigma_op(i, j) for (i, j) in fluct._SIGMA_BASIS]
-    diss = [bloch.adjoint_dissipator(p) for p in ops]
-    return np.array([[bloch.adjoint_dissipator(pa @ pb) - da @ pb - pa @ db
-                      for pb, db in zip(ops, diss)]
-                     for pa, da in zip(ops, diss)])
-
-
 def test_einstein_tensor_keeps_every_non_zero_operator():
-    full = full_einstein_tensor().reshape(64, 4, 4)
-    idx, t_nz = fluct._einstein_tensor()
+    full = np.array([einstein_operator(a, b)
+                     for a in range(8) for b in range(8)])
+    idx, t_nz = einstein_tensor()
     assert idx.size == 26
     assert np.array_equal(full[idx], t_nz)
     assert not np.delete(full, idx, axis=0).any()
@@ -116,14 +121,55 @@ def test_einstein_tensor_keeps_every_non_zero_operator():
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(st.floats(1.0, 1e7), st.floats(0.0, 1e6), st.floats(-1e3, 1e3))
-def test_sparse_einstein_contraction_equals_the_full_one(c, ix, de):
-    """Bit for bit, the sign of zero included."""
+@example(15.0, 1000.0, 0.5)        # hot vapour: p3 = p4 = 0.25
+@example(1600.0, 8e4, 400.0)       # cold atoms: p3 = p4 = 0.083
+def test_closed_form_diffusion_matches_50_digit_einstein_loop(c, ix, de):
+    """Every entry matches the Einstein relations traced at 50 digits on
+    the same steady state within 2 ulp of the table's largest entry,
+    and the eleven entries outside the five are exactly zero."""
     ens = EnsembleParams.from_cooperativity(c)
     drive = DriveParams(intensity=ix, detuning=de)
-    rho = bloch.symmetric_steady_state(ens, drive).density_matrix()
-    d8 = np.trace(rho @ full_einstein_tensor(), axis1=-2, axis2=-1)
-    ref = fluct._COMBINE @ d8 @ fluct._COMBINE.T
-    assert fluct.diffusion(ens, drive).ordered.tobytes() == ref.tobytes()
+    got = fluct.diffusion(ens, drive).ordered
+    ref = mpmath_diffusion(ens, drive)
+    tol = 2.0 * np.spacing(np.abs(got).max())
+    for i in range(4):
+        for j in range(4):
+            assert abs(mpmath.mpc(got[i, j]) - ref[i, j]) <= tol, (i, j)
+    assert not got[ZERO].any()
+
+
+def psd_edge(lam, t=1.0, p_e=0.1):
+    """|c| at which [[t, c], [c*, p_e]] has smallest eigenvalue ``lam``."""
+    return math.sqrt(t * p_e - lam * (t + p_e) + lam * lam)
+
+
+@pytest.mark.parametrize("pops, coh_14, coh_23, admissible", [
+    ((0.45, 0.45, 0.05, 0.05), 0.1 + 0.1j, -0.1, True),    # |c|^2 = 0.05
+    ((0.45, 0.45, 0.05, 0.05), psd_edge(0.0), 0.0, True),
+    ((0.45, 0.45, 0.05, 0.05), psd_edge(-5e-11), 0.0, True),
+    ((0.45, 0.45, 0.05, 0.05), psd_edge(-2e-10), 0.0, False),
+    ((0.45, 0.45, 0.05, 0.05), 0.3 + 0.2j, 0.0, False),     # |c|^2 = 0.13 > 0.1
+    ((0.55, 0.55, -0.05, -0.05), 0.0, 0.0, False),          # p_e < 0
+    ((0.45, 0.45, 0.05, 0.05), complex("nan"), 0.0, False),
+    ((0.45, 0.45, float("nan"), 0.05), 0.0, 0.0, False),
+    ((float("inf"), 0.45, 0.05, 0.05), 0.0, 0.0, False),
+], ids=["inside", "on-the-edge", "within-tolerance", "beyond-tolerance",
+        "coherence-too-large", "negative-excited-population", "nan-coherence",
+        "nan-population", "inf-population"])
+def test_diffusion_rejects_an_inadmissible_steady_state(pops, coh_14, coh_23,
+                                                        admissible):
+    """The Gram table's 2x2 block [[t, c], [c*, p_e]] must be PSD to
+    -1e-10; a NaN anywhere fails the test."""
+    st_bad = bloch.SteadyState(pops, coh_14, coh_23)
+    drive = DriveParams(intensity=4.0, detuning=1.0)
+    with mock.patch.object(bloch, "symmetric_steady_state",
+                           return_value=st_bad):
+        if admissible:
+            fluct.diffusion(HOT, drive)
+        else:
+            with pytest.raises(NumericalError,
+                               match="not positive semidefinite"):
+                fluct.diffusion(HOT, drive)
 
 
 def transport_inputs(ens, drive, omegas):
