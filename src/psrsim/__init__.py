@@ -7,7 +7,7 @@ traversing a driven 4-level atomic ensemble:
   hyperfine-line averaging (:mod:`psrsim.ensemble`),
 * the phenomenological cross-phase rotation/squeezing model
   (:mod:`psrsim.matsko`),
-* semi-classical steady states and mean-field propagation
+* semi-classical steady states and the mean-field integrator
   (:mod:`psrsim.bloch`),
 * quadrature noise spectra of the orthogonally polarized vacuum mode,
   with atomic Langevin sources (:mod:`psrsim.fluct`).
@@ -21,38 +21,31 @@ __version__ = "0.1.0"
 
 import os
 
-# psrsim's matrices are small (4x4 Einstein operators, 8x8 diffusion
-# tables, 2x2 sideband stacks, fit Jacobians of a few columns).  OpenBLAS
-# would still run them on a pool of one thread per core, whose workers
-# busy-wait after every call (the Einstein contraction, the inflow and
-# covariance-derivative matmuls of the noise kernel, and the fit's SVD
-# and Jacobian products all go through OpenBLAS): twice the CPU time for
-# no speed-up, and run times that follow the load of other processes.
-# This only takes effect for BLAS libraries loaded after psrsim is
-# imported; a value already in the environment is kept.
+# psrsim's matrices are small (2x2 sideband stacks, 4x4 diffusion
+# tables, fit Jacobians of a few columns).  OpenBLAS would still run them
+# on a pool of one thread per core, whose workers busy-wait after every
+# call (the inflow and covariance-derivative matmuls of the noise kernel,
+# and the fit's SVD and Jacobian products all go through OpenBLAS): twice
+# the CPU time for no speed-up, and run times that follow the load of
+# other processes.  This only takes effect for BLAS libraries loaded
+# after psrsim is imported; a value already in the environment is kept.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .core import (
     DataError,
     DriveParams,
     EnsembleParams,
-    LabParams,
     NumericalError,
     SidebandGrid,
     ValidationError,
-    denormalize_units,
-    normalize_units,
 )
 
 __all__ = [
     "DataError",
     "DriveParams",
     "EnsembleParams",
-    "LabParams",
     "NumericalError",
     "SidebandGrid",
     "ValidationError",
-    "denormalize_units",
-    "normalize_units",
     "__version__",
 ]

@@ -9,9 +9,9 @@ fixed by the two complex Rabi-scale amplitudes Omega+- = g <a+-> and the
 common detuning Delta.
 
 This module provides the steady state of those equations in closed
-form, the Dormand-Prince integrator shared by the mean-field
-propagation through the cell and the depleted noise transport, and the
-single-velocity-class self-rotation parameter Gl.
+form, the mean-field derivative d<a+->/dz, the Dormand-Prince
+integrator of the depleted noise transport, and the zero-sideband
+response kappa(0).
 """
 
 from __future__ import annotations
@@ -23,11 +23,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import DriveParams, EnsembleParams, NumericalError
-
-#: Sign convention for Gl.  The medium's linear response kappa(0) has
-#: Im kappa(0) < 0 for Delta > 0; figures and fits use the convention
-#: that Gl is positive at positive detuning, hence the extra sign here.
-PSR_SIGN = +1.0
 
 
 @dataclass(frozen=True)
@@ -41,16 +36,6 @@ class SteadyState:
     populations: tuple[float, float, float, float]
     coh_14: complex
     coh_23: complex
-
-    def density_matrix(self) -> np.ndarray:
-        rho = np.zeros((4, 4), dtype=complex)
-        rho.flat[::5] = self.populations        # the diagonal
-        # rho_ij = <sigma_ji>
-        rho[3, 0] = self.coh_14
-        rho[0, 3] = np.conj(self.coh_14)
-        rho[2, 1] = self.coh_23
-        rho[1, 2] = np.conj(self.coh_23)
-        return rho
 
 
 def steady_state(ens: EnsembleParams, drive_plus: complex,
@@ -161,19 +146,26 @@ class OdeResult(NamedTuple):
     nfev: int                  # right-hand-side evaluations
 
 
+_ODE_MAX_NFEV = 100_000
+
+
 def solve_ivp(fun, y0, rtol: float, atol: float, point: dict) -> OdeResult:
     """Integrate dy/dz = fun(z, y), y complex, from z = 0 to z = 1.
 
     Dormand-Prince 5(4) that repeats scipy.integrate.RK45 operation for
     operation (initial step, RMS error norm, step controller), so its
     steps, final state and ``nfev`` equal scipy's bit for bit.  A
-    non-finite right-hand side or a step below 10 ulp(z) raises
-    NumericalError at ``point``.
+    non-finite right-hand side, a step below 10 ulp(z) or more than
+    ``_ODE_MAX_NFEV`` right-hand-side evaluations raise NumericalError
+    at ``point``.
     """
     nfev = 0
 
     def f(z, y):
         nonlocal nfev
+        if nfev >= _ODE_MAX_NFEV:
+            raise NumericalError(
+                f"ODE evaluation limit ({_ODE_MAX_NFEV}) reached", point)
         nfev += 1
         out = np.asarray(fun(z, y), dtype=complex)
         if not np.isfinite(out).all():
@@ -216,41 +208,7 @@ def solve_ivp(fun, y0, rtol: float, atol: float, point: dict) -> OdeResult:
     return OdeResult(y, nfev)
 
 
-def propagate_mean_field(ens: EnsembleParams, field: FieldState,
-                         detuning: float, rtol: float = 1e-8
-                         ) -> tuple[FieldState, float]:
-    """Adiabatic mean-field propagation through the cell.
-
-    Integrates :func:`field_derivative` over the cell.  Returns the
-    output field and the transmission T in [0, 1].
-    """
-    if not (np.isfinite(field.amp_plus) and np.isfinite(field.amp_minus)):
-        raise NumericalError("non-finite input field",
-                             {"a_plus": field.amp_plus,
-                              "a_minus": field.amp_minus})
-    y0 = np.array([field.amp_plus, field.amp_minus], dtype=complex)
-    p_in = abs(y0[0]) ** 2 + abs(y0[1]) ** 2
-    if p_in == 0.0 or ens.cooperativity == 0.0:
-        return field, 1.0
-    sol = solve_ivp(lambda _z, y: field_derivative(ens, y[0], y[1], detuning),
-                    y0, rtol, rtol * math.sqrt(p_in) * 1e-3,
-                    {"detuning": detuning, "cooperativity": ens.cooperativity})
-    out = FieldState(amp_plus=sol.y[0], amp_minus=sol.y[1])
-    t = (abs(out.amp_plus) ** 2 + abs(out.amp_minus) ** 2) / p_in
-    return out, float(min(max(t, 0.0), 1.0))
-
-
 def kappa_zero(ens: EnsembleParams, drive: DriveParams) -> complex:
     """Zero-sideband response kappa(0) = C/(2(1 + i Delta)(1 + s))."""
     s = drive.saturation
     return ens.cooperativity / (2.0 * (1.0 + 1j * drive.detuning)) / (1.0 + s)
-
-
-def psr_gl_single_class(ens: EnsembleParams, drive: DriveParams) -> float:
-    """Self-rotation parameter Gl of one velocity class.
-
-    Gl is the imaginary part of kappa(0) with the sign fixed by
-    :data:`PSR_SIGN` so that Gl > 0 at positive detuning.  Its maximum
-    over detuning at fixed intensity sits at Delta^2 = gamma^2 + I_x.
-    """
-    return -PSR_SIGN * kappa_zero(ens, drive).imag

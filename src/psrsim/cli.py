@@ -5,7 +5,7 @@ preset), writes machine-readable output (CSV with ``#`` metadata lines,
 or JSON with ``meta``/``data`` keys) and returns exit code 0 on
 success, 2 on config errors, 3 on numerical failures and 4 on
 data-ingestion errors.  Outputs are byte-identical for identical
-configs and tool version regardless of the worker count.
+configs and tool version regardless of ``noise --jobs``.
 """
 
 from __future__ import annotations
@@ -129,8 +129,7 @@ def build_ensemble(cfg: dict) -> EnsembleParams:
             cell_length=_num(sec, "ensemble", "cell_length", 0.075),
             density=_num(sec, "ensemble", "density", 1.0e17),
             temperature=_num(sec, "ensemble", "temperature", 300.0),
-            beam_area=math.pi * _num(sec, "ensemble", "beam_waist",
-                                     425e-6) ** 2)
+            beam_waist=_num(sec, "ensemble", "beam_waist", 425e-6))
     except ValidationError as exc:
         raise ConfigError(f"ensemble.{exc.field_name}", str(exc))
 
@@ -231,8 +230,6 @@ _OUT_OPT = click.option("--out", "out_path", required=True,
 _FORMAT_OPT = click.option("--format", "fmt",
                            type=click.Choice(["csv", "json"]),
                            default="csv", show_default=True)
-_JOBS_OPT = click.option("--jobs", type=int, default=1, show_default=True,
-                         help="Worker processes (results stay ordered).")
 
 
 def _check_jobs(jobs: int) -> int:
@@ -255,11 +252,9 @@ def _map_ordered(worker, arg_list, jobs: int):
 @_CONFIG_OPT
 @_OUT_OPT
 @_FORMAT_OPT
-@_JOBS_OPT
-def sweep(config_path: str, out_path: Path, fmt: str, jobs: int) -> None:
+def sweep(config_path: str, out_path: Path, fmt: str) -> None:
     """Transmission and rotation maps over a detuning/intensity grid."""
     cfg, cfg_hash = load_config(config_path)
-    jobs = _check_jobs(jobs)
     sec = _section(cfg, "sweep")
     ens = build_ensemble(cfg)
     man = build_manifold(sec, "sweep", ens)
@@ -269,15 +264,8 @@ def sweep(config_path: str, out_path: Path, fmt: str, jobs: int) -> None:
     scale = _num(sec, "sweep", "intensity_scale")
     if scale <= 0:
         raise ConfigError("sweep.intensity_scale", "must be > 0")
-
-    # one composite_spectrum per worker, on its slice of the intensities
-    slices = np.array_split(grid.intensities_mw,
-                            min(jobs, len(grid.intensities_mw)))
-    args = [(man, ens, ensemble.SweepGrid(grid.detunings_ghz, tuple(mws)),
-             scale) for mws in slices]
-    maps = _map_ordered(ensemble.composite_spectrum, args, jobs)
-    t_map = np.hstack([m.transmission for m in maps])
-    gl_map = np.hstack([m.psr_gl for m in maps])
+    maps = ensemble.composite_spectrum(man, ens, grid, scale)
+    t_map, gl_map = maps.transmission, maps.psr_gl
 
     header = ["detuning_ghz"] + [f"{mw:.12g}mW" for mw in grid.intensities_mw]
     meta = [f"intensity_scale={scale:.12g}"]
@@ -301,7 +289,8 @@ def sweep(config_path: str, out_path: Path, fmt: str, jobs: int) -> None:
 @_CONFIG_OPT
 @_OUT_OPT
 @_FORMAT_OPT
-@_JOBS_OPT
+@click.option("--jobs", type=int, default=1, show_default=True,
+              help="Worker processes (results stay ordered).")
 @click.option("--deplete", is_flag=True,
               help="Deplete the mean drive along the cell.")
 @click.option("--theta-scan", is_flag=True,

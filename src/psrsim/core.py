@@ -6,10 +6,9 @@ sideband frequencies) are expressed in units of gamma, and positions
 along the cell are measured in units of the cell length.  The quantum
 noise limit is 1.
 
-Laboratory quantities enter only through :func:`normalize_units`,
-which converts a :class:`LabParams` record (SI units) into the
-dimensionless :class:`EnsembleParams` / :class:`DriveParams` pair used
-by every solver.
+Laboratory quantities enter through :meth:`EnsembleParams.from_cooperativity`
+(gamma in rad/s, cell length, density and beam waist in SI units) and
+:func:`ghz_to_gamma`; drive intensities are given in gamma^2 units.
 """
 
 from __future__ import annotations
@@ -18,9 +17,6 @@ import math
 from dataclasses import dataclass
 
 C_LIGHT = 299_792_458.0          # m/s
-HBAR = 1.054_571_817e-34         # J s
-KB = 1.380_649e-23               # J/K
-MASS_RB87 = 1.443_160_6e-25      # kg
 
 
 class ValidationError(ValueError):
@@ -90,16 +86,19 @@ class EnsembleParams:
     def from_cooperativity(cls, cooperativity: float, *, gamma_raw: float = 1.0,
                            cell_length: float = 0.075, density: float = 1.0e17,
                            temperature: float = 300.0,
-                           beam_area: float | None = None) -> "EnsembleParams":
+                           beam_waist: float = 425e-6) -> "EnsembleParams":
         """Build a consistent record from C alone.
 
-        The atom number follows from density, cell length and beam
-        area; the coupling g is then fixed by the cooperativity
-        identity.  Convenient for theory work where only C matters.
+        The atom number N = n pi w0^2 l follows from density, beam
+        waist and cell length; the coupling g is then fixed by the
+        cooperativity identity.  Convenient for theory work where only
+        C matters.
         """
-        if beam_area is None:
-            beam_area = math.pi * (425e-6) ** 2
-        n_atoms = density * beam_area * cell_length
+        for name, value in (("gamma_raw", gamma_raw),
+                            ("cell_length", cell_length),
+                            ("density", density), ("beam_waist", beam_waist)):
+            _require(value > 0, name, "must be > 0")
+        n_atoms = density * (math.pi * beam_waist**2) * cell_length
         if cooperativity > 0:
             g = math.sqrt(cooperativity * gamma_raw * C_LIGHT /
                           (n_atoms * cell_length))
@@ -169,110 +168,6 @@ class SidebandGrid:
                  "frequencies", "must be strictly increasing")
 
 
-@dataclass(frozen=True)
-class LabParams:
-    """Raw laboratory parameters (SI units throughout)."""
-
-    gamma: float                       # coherence decay rate, rad/s
-    cell_length: float                 # m
-    density: float                     # atoms / m^3
-    temperature: float                 # K
-    beam_waist: float = 425e-6         # m
-    power: float = 0.0                 # W
-    wavelength: float = 780.241e-9     # m
-    detuning: float = 0.0              # rad/s
-    ellipticity: float = 0.0           # rad
-    cooperativity: float | None = None
-    coupling: float | None = None      # rad/s
-
-
 def ghz_to_gamma(x, gamma_raw: float):
     """Frequency in GHz (float or array) in units of gamma_raw (rad/s)."""
     return x * 1e9 * 2.0 * math.pi / gamma_raw
-
-
-def beam_area(waist: float) -> float:
-    """Effective beam cross-section pi w0^2 used for the atom number."""
-    return math.pi * waist**2
-
-
-def intensity_from_power(power: float, coupling: float, cell_length: float,
-                         wavelength: float) -> float:
-    """Convert beam power to the drive intensity I_x = |g <a_x>|^2 (rad^2/s^2).
-
-    The coherent amplitude is referred to the photon number in the
-    quantization volume (beam area x cell length), so
-    I_x = g^2 P l / (hbar omega_L c).  The power-to-intensity map is a
-    documented modelling assumption; fits treat its scale as a free
-    parameter.
-    """
-    omega_l = 2.0 * math.pi * C_LIGHT / wavelength
-    n_photon = power * cell_length / (HBAR * omega_l * C_LIGHT)
-    return coupling**2 * n_photon
-
-
-def doppler_width(temperature: float, wavelength: float, gamma: float,
-                  mass: float = MASS_RB87) -> float:
-    """1/e half-width of the Doppler detuning distribution, in gamma units."""
-    _require(temperature > 0, "temperature", "must be > 0")
-    u = math.sqrt(2.0 * KB * temperature / mass)
-    return (2.0 * math.pi / wavelength) * u / gamma
-
-
-def normalize_units(raw: LabParams) -> tuple[EnsembleParams, DriveParams]:
-    """Scale a laboratory parameter set to gamma = 1 working units.
-
-    Exactly one of ``cooperativity`` and ``coupling`` may be omitted;
-    the other is derived from C = g^2 N l / (gamma c).
-    """
-    _require(raw.gamma > 0, "gamma", "must be > 0")
-    _require(raw.cell_length > 0, "cell_length", "must be > 0")
-    _require(raw.temperature > 0, "temperature", "must be > 0")
-    _require(raw.density > 0, "density", "must be > 0")
-    _require(raw.beam_waist > 0, "beam_waist", "must be > 0")
-    _require(raw.power >= 0, "power", "must be >= 0")
-
-    n_atoms = raw.density * beam_area(raw.beam_waist) * raw.cell_length
-    if raw.coupling is not None:
-        g = raw.coupling
-        coop = g**2 * n_atoms * raw.cell_length / (raw.gamma * C_LIGHT)
-        if raw.cooperativity is not None:
-            _require(abs(coop - raw.cooperativity) <= 1e-9 * max(coop, 1e-300),
-                     "cooperativity", "inconsistent with given coupling")
-    elif raw.cooperativity is not None:
-        coop = raw.cooperativity
-        g = math.sqrt(coop * raw.gamma * C_LIGHT /
-                      (n_atoms * raw.cell_length)) if coop > 0 else 0.0
-    else:
-        raise ValidationError("cooperativity",
-                              "give either cooperativity or coupling")
-
-    ens = EnsembleParams(gamma=1.0, cooperativity=coop,
-                         cell_length=raw.cell_length, density=raw.density,
-                         temperature=raw.temperature, coupling=g,
-                         atom_number=n_atoms, gamma_raw=raw.gamma)
-    intensity = intensity_from_power(raw.power, g, raw.cell_length,
-                                     raw.wavelength) / raw.gamma**2
-    drive = DriveParams(intensity=intensity, detuning=raw.detuning / raw.gamma,
-                        ellipticity=raw.ellipticity)
-    return ens, drive
-
-
-def denormalize_units(ens: EnsembleParams, drive: DriveParams,
-                      wavelength: float = 780.241e-9) -> LabParams:
-    """Invert :func:`normalize_units` (round-trips to 1e-12 relative)."""
-    omega_l = 2.0 * math.pi * C_LIGHT / wavelength
-    intensity_si = drive.intensity * ens.gamma_raw**2
-    if ens.coupling > 0:
-        power = intensity_si * HBAR * omega_l * C_LIGHT / (
-            ens.coupling**2 * ens.cell_length)
-    else:
-        power = 0.0
-    waist = math.sqrt(ens.atom_number /
-                      (ens.density * ens.cell_length) / math.pi)
-    return LabParams(gamma=ens.gamma_raw, cell_length=ens.cell_length,
-                     density=ens.density, temperature=ens.temperature,
-                     beam_waist=waist, power=power, wavelength=wavelength,
-                     detuning=drive.detuning * ens.gamma_raw,
-                     ellipticity=drive.ellipticity,
-                     cooperativity=ens.cooperativity, coupling=ens.coupling)

@@ -228,27 +228,22 @@ class CompositeMaps:
 
 
 def composite_spectrum(manifold: LineManifold, ens: EnsembleParams,
-                       grid: SweepGrid, intensity_scale: float,
-                       transmission_weighted: bool = True) -> CompositeMaps:
+                       grid: SweepGrid, intensity_scale: float) -> CompositeMaps:
     """T and Gl maps over the sweep grid.
 
     ``intensity_scale`` converts mW to I_x in gamma^2 (the documented
     power-to-intensity assumption).  T = exp(-2 Re kappa_comp); the
-    rotation map is -Im kappa_comp, weighted by T when
-    ``transmission_weighted`` (the polarimeter sees only transmitted
-    light).
+    rotation map is -Im kappa_comp weighted by T (the polarimeter sees
+    only transmitted light).
     """
     _require(intensity_scale > 0, "intensity_scale", "must be > 0")
     det_gamma = ghz_to_gamma(np.asarray(grid.detunings_ghz), ens.gamma_raw)
     kap = composite_kappa(manifold, ens, det_gamma[:, None],
                           intensity_scale * np.asarray(grid.intensities_mw))
     t_map = np.exp(-2.0 * kap.real)
-    gl_map = -kap.imag
-    if transmission_weighted:
-        gl_map = gl_map * t_map
     return CompositeMaps(detunings_ghz=np.asarray(grid.detunings_ghz),
                          intensities_mw=np.asarray(grid.intensities_mw),
-                         transmission=t_map, psr_gl=gl_map)
+                         transmission=t_map, psr_gl=-kap.imag * t_map)
 
 
 @dataclass(frozen=True)

@@ -56,7 +56,6 @@ class _Kernel(NamedTuple):
     lam_prime: np.ndarray      # (n,) Lambda'(w)
     a_coef: np.ndarray         # (n,) A(w)
     b_coef: np.ndarray         # (n,) B(w)
-    d_denom: np.ndarray        # (n,) D(w)
 
 
 class _Sidebands(NamedTuple):
@@ -148,7 +147,7 @@ def _kernel_at(sb: _Sidebands, drive: DriveParams) -> _Kernel:
     np.conjugate(p.reshape(-1)[sb.flip_p], out=p[:, 1])
     n = size // 2
     return _Kernel(m[:n], m[n:], p[:n], p[n:],
-                   lam[:n], lamp[:n], a[:n], b[:n], d[:n])
+                   lam[:n], lamp[:n], a[:n], b[:n])
 
 
 def _kernel(ens: EnsembleParams, drive: DriveParams, omegas,
@@ -205,33 +204,6 @@ def response(ens: EnsembleParams, drive: DriveParams,
     gam = -1j * omega * ens.transit_time + kap + np.conj(k0) * k.lam_prime[0]
     return ComplexResponse(omega=omega, kappa=kap, gamma_prop=gam,
                            lam=k.lam[0], lam_prime=k.lam_prime[0], kappa0=k0)
-
-
-@dataclass(frozen=True)
-class LangevinCoeffs:
-    """Rational coefficients A, B and their common denominator D."""
-
-    a_coef: complex
-    b_coef: complex
-    d_denom: complex
-
-
-def langevin_coeffs(ens: EnsembleParams, drive: DriveParams,
-                    omega: float) -> LangevinCoeffs:
-    """A(w), B(w), D(w) of the Langevin source decomposition.
-
-    A multiplies the coherence noise together with B; B alone couples
-    the adjoint coherence noise.  A(0) = 0 and B(0) = 1/(2 gamma).
-    At I_x = 0 and w = 0, where D = 0, A and B tend to different values
-    as w -> 0 and as I_x -> 0, so that point raises.
-    """
-    k = _kernel(ens, drive, [omega])
-    if k.d_denom[0] == 0.0:
-        raise NumericalError("response pole: D(omega) = 0",
-                             {"intensity": drive.intensity,
-                              "detuning": drive.detuning, "omega": omega})
-    return LangevinCoeffs(a_coef=k.a_coef[0], b_coef=k.b_coef[0],
-                          d_denom=k.d_denom[0])
 
 
 @dataclass(frozen=True)
@@ -306,22 +278,6 @@ def _inflow(ens: EnsembleParams, k: _Kernel,
     """Stacked 2x2 source densities N(w) of the kernel's sidebands."""
     return ens.cooperativity * (k.p_w @ diff.ordered
                                 @ k.p_mw.transpose(0, 2, 1))
-
-
-def noise_inflow(ens: EnsembleParams, drive: DriveParams, omega: float,
-                 diff: DiffusionMatrix | None = None) -> np.ndarray:
-    """2x2 source density N_ij(w) feeding the sideband covariance."""
-    if ens.cooperativity == 0.0:
-        return np.zeros((2, 2), dtype=complex)
-    if diff is None:
-        diff = diffusion(ens, drive)
-    return _inflow(ens, _kernel(ens, drive, [omega]), diff)[0]
-
-
-def _drift(ens: EnsembleParams, drive: DriveParams, omega: float,
-           truncate_dephasing: bool = False) -> np.ndarray:
-    """2x2 drift matrix M(w) for (da_y, da_y^dag)."""
-    return _kernel(ens, drive, [omega], truncate_dephasing).m_w[0]
 
 
 # theta_m: the largest scaled norm at which the degree-m Taylor series of

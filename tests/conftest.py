@@ -1,10 +1,11 @@
 """Shared test oracles: the Liouvillian and brute-force time
-integration, scipy's RK45, exact arithmetic, the scalar (one sideband
-at a time) fluctuation chain, the covariance transport by 5x5
+integration, scipy's RK45 and the mean-field problem it is checked on,
+exact arithmetic, the scalar (one sideband at a time) fluctuation
+chain, the Einstein relations, the covariance transport by 5x5
 exponentials (scipy and 50-digit mpmath), the depleted transport with
 the whole kernel rebuilt at every step, Doppler quadrature, the
-two-wofz composite kappa, the low-sideband limit and the phenomenological
-rotation model's inverse."""
+two-wofz composite kappa, the low-sideband limit and the
+phenomenological rotation model's inverse."""
 
 from __future__ import annotations
 
@@ -18,7 +19,8 @@ from numpy.polynomial.hermite import hermgauss
 from scipy.integrate import solve_ivp
 
 from psrsim import bloch
-from psrsim.core import DriveParams, NumericalError, ValidationError
+from psrsim.core import (DriveParams, EnsembleParams, NumericalError,
+                         ValidationError)
 from psrsim.ensemble import wofz
 from psrsim.matsko import min_variance_db
 
@@ -73,6 +75,18 @@ def scipy_rk45(fun, y0, rtol, atol, point):
     if not sol.success:
         raise NumericalError(f"RK45 failed: {sol.message}", point)
     return bloch.OdeResult(sol.y[:, -1], sol.nfev)
+
+
+def mean_field_problem(c, ix, de, eps):
+    """(rhs, y0, atol) of the mean field through a cell of cooperativity
+    ``c``, at rtol 1e-8: d<a+->/dz of ``bloch.field_derivative`` from an
+    input of intensity ``ix`` and ellipticity ``eps``."""
+    ens = EnsembleParams.from_cooperativity(c)
+    field = bloch.FieldState.from_intensity(ens, ix, eps)
+    y0 = np.array([field.amp_plus, field.amp_minus], dtype=complex)
+    p_in = abs(y0[0]) ** 2 + abs(y0[1]) ** 2
+    return (lambda _z, y: bloch.field_derivative(ens, y[0], y[1], de),
+            y0, 1e-8 * math.sqrt(p_in) * 1e-3)
 
 
 def evolve_density_matrix(ens, a_plus, a_minus, detuning,
@@ -287,10 +301,21 @@ def einstein_tensor() -> tuple[np.ndarray, np.ndarray]:
     return idx, t[idx]
 
 
+def density_matrix(st) -> np.ndarray:
+    """rho of a ``bloch.SteadyState``, rho_ij = <sigma_ji>."""
+    rho = np.zeros((4, 4), dtype=complex)
+    rho.flat[::5] = st.populations        # the diagonal
+    rho[3, 0] = st.coh_14
+    rho[0, 3] = np.conj(st.coh_14)
+    rho[2, 1] = st.coh_23
+    rho[1, 2] = np.conj(st.coh_23)
+    return rho
+
+
 def brute_force_diffusion(ens, drive):
     """Ordered diffusion table, one Einstein relation at a time, in
     double precision."""
-    rho = bloch.symmetric_steady_state(ens, drive).density_matrix()
+    rho = density_matrix(bloch.symmetric_steady_state(ens, drive))
     d8 = np.empty((8, 8), dtype=complex)
     for a in range(8):
         for b in range(8):
@@ -307,7 +332,7 @@ def mpmath_diffusion(ens, drive, dps=50):
     combinations, (1/sqrt(2))^2 = 1/2, are done at ``dps`` digits.
     """
     import mpmath
-    rho = bloch.symmetric_steady_state(ens, drive).density_matrix()
+    rho = density_matrix(bloch.symmetric_steady_state(ens, drive))
     idx, t_nz = einstein_tensor()
     with mpmath.workdps(dps):
         d8 = mpmath.matrix(8, 8)
@@ -470,6 +495,13 @@ def _gaussian_pole_average(z0, width):
     low = ~upper
     out[low] = np.conj(-1j * root_pi * wofz(np.conj(z[low]))) / width
     return out
+
+
+def thermal_doppler_width_ghz(temperature: float, wavelength: float) -> float:
+    """1/e half-width sqrt(2 k T / m)/lambda of the 87Rb Doppler profile,
+    in GHz."""
+    k_b, mass_rb87 = 1.380_649e-23, 1.443_160_6e-25     # J/K, kg
+    return math.sqrt(2.0 * k_b * temperature / mass_rb87) / wavelength / 1e9
 
 
 def two_wofz_composite_kappa(manifold, ens, detunings, intensity: float):

@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -70,17 +71,14 @@ def test_undriven_noise_is_at_the_qnl_down_to_zero_omega(tmp_path):
         assert abs(float(row[3])) <= 1e-12
 
 
-def test_sweep_outputs_do_not_depend_on_workers(tmp_path):
-    outs = {}
-    for fmt in ("csv", "json"):
-        for jobs in ("1", "2"):
-            out = tmp_path / f"{fmt}{jobs}"
-            res = run_cli("sweep", "--config", "d2-sweep", "--out", str(out),
-                          "--format", fmt, "--jobs", jobs)
-            assert res.returncode == 0, res.stderr
-            outs[fmt, jobs] = [f.read_bytes() for f in sorted(out.iterdir())]
-    assert outs["csv", "1"] == outs["csv", "2"]
-    assert outs["json", "1"] == outs["json", "2"]
+def test_sweep_has_no_jobs_option(tmp_path):
+    """A sweep is one composite_spectrum call; --jobs is for noise only."""
+    out = tmp_path / "maps"
+    res = run_cli("sweep", "--config", "d2-sweep", "--out", str(out),
+                  "--jobs", "2")
+    assert res.returncode == 2
+    assert "--jobs" in res.stderr
+    assert not out.exists()
 
 
 def test_outputs_are_deterministic_across_workers(tmp_path):
@@ -122,7 +120,7 @@ def test_sweep_preset_runs_and_matches_json(tmp_path):
     out_json = tmp_path / "d1json"
     r1 = run_cli("sweep", "--config", "d1-sweep", "--out", str(out_csv))
     r2 = run_cli("sweep", "--config", "d1-sweep", "--out", str(out_json),
-                 "--format", "json", "--jobs", "2")
+                 "--format", "json")
     assert r1.returncode == 0 and r2.returncode == 0
     payload = json.loads((out_json / "sweep.json").read_text())
     assert set(payload) == {"meta", "data"}
@@ -143,6 +141,43 @@ def test_config_error_exit_code_names_field(tmp_path):
                   str(tmp_path / "x.csv"))
     assert res.returncode == 2
     assert "cooperativity" in res.stderr
+
+
+def test_config_beam_waist_sets_the_atom_number(tmp_path):
+    from psrsim import cli
+    cfg = write_cfg(tmp_path, {"ensemble": {"cooperativity": 15.0,
+                                            "beam_waist": 300e-6,
+                                            "density": 2.0e17,
+                                            "cell_length": 0.05}})
+    ens = cli.build_ensemble(cli.load_config(str(cfg))[0])
+    assert ens.atom_number == pytest.approx(
+        2.0e17 * math.pi * 300e-6 ** 2 * 0.05, rel=1e-15)
+    default = cli.build_ensemble({"ensemble": {"cooperativity": 15.0}})
+    assert default.atom_number == pytest.approx(
+        1.0e17 * math.pi * 425e-6 ** 2 * 0.075, rel=1e-15)
+
+
+@pytest.mark.parametrize("key, value", [("gamma", -1.0),
+                                        ("cell_length", 0.0),
+                                        ("density", 0.0),
+                                        ("beam_waist", 0.0),
+                                        ("beam_waist", -425e-6)])
+def test_non_positive_cell_geometry_is_a_config_error(tmp_path, capsys,
+                                                      key, value):
+    """Used to divide by zero, take the root of a negative number, or
+    (a negative waist) pass unnoticed."""
+    from psrsim import cli
+    cfg = write_cfg(tmp_path, {"ensemble": {"cooperativity": 15.0,
+                                            key: value},
+                               "drive": {"intensity": 1000.0},
+                               "noise": {"omegas": [0.5]}})
+    argv = ["psr-sim", "noise", "--config", str(cfg),
+            "--out", str(tmp_path / "x.csv")]
+    with mock.patch.object(sys, "argv", argv), \
+            pytest.raises(SystemExit) as exc:
+        cli.main()
+    assert exc.value.code == 2
+    assert f"ensemble.{key}" in capsys.readouterr().err
 
 
 def test_non_finite_spectrum_is_a_numerical_error(tmp_path):

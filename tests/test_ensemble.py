@@ -4,13 +4,12 @@ import mpmath
 import numpy as np
 import pytest
 from conftest import (doppler_average, finite_difference_fit,
-                      two_wofz_composite_kappa)
+                      thermal_doppler_width_ghz, two_wofz_composite_kappa)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from psrsim import ensemble
-from psrsim.core import (EnsembleParams, NumericalError, ValidationError,
-                         doppler_width)
+from psrsim.core import EnsembleParams, NumericalError, ValidationError
 
 GAMMA_D2 = 2 * math.pi * 3.033e6
 GAMMA_D1 = 2 * math.pi * 2.875e6
@@ -398,5 +397,6 @@ def test_fit_matches_finite_difference_oracle(noise, seed):
 
 
 def test_doppler_width_helper_matches_manifold_inputs():
-    w = doppler_width(345.0, 794.979e-9, GAMMA_D1)
-    assert ghz_to_gamma(0.3232, GAMMA_D1) == pytest.approx(w, rel=0.02)
+    # the D1 presets' doppler_width_ghz: 87Rb at 345 K, 795 nm
+    width_ghz = thermal_doppler_width_ghz(345.0, 794.979e-9)
+    assert 0.3232 == pytest.approx(width_ghz, rel=0.02)

@@ -1,12 +1,12 @@
 """The numpy Dormand-Prince integrator against scipy's RK45: the mean
 field, the depleted noise transport, and its failures."""
 
-import math
+import sys
 from unittest import mock
 
 import numpy as np
 import pytest
-from conftest import scipy_rk45
+from conftest import mean_field_problem, scipy_rk45
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -16,16 +16,6 @@ from psrsim.core import DriveParams, EnsembleParams, NumericalError
 THETAS = np.linspace(0.0, np.pi, 31, endpoint=False)
 HOT = EnsembleParams.from_cooperativity(15.0, gamma_raw=1.9058e7,
                                         temperature=345.0)
-
-
-def mean_field_problem(c, ix, de, eps):
-    """(rhs, y0, atol) of ``bloch.propagate_mean_field`` at rtol 1e-8."""
-    ens = EnsembleParams.from_cooperativity(c)
-    field = bloch.FieldState.from_intensity(ens, ix, eps)
-    y0 = np.array([field.amp_plus, field.amp_minus], dtype=complex)
-    p_in = abs(y0[0]) ** 2 + abs(y0[1]) ** 2
-    return (lambda _z, y: bloch.field_derivative(ens, y[0], y[1], de),
-            y0, 1e-8 * math.sqrt(p_in) * 1e-3)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -100,11 +90,6 @@ def test_non_finite_rhs_is_a_numerical_error_naming_the_detuning():
                                                    detuning=1.5),
                                   [0.5], THETAS, deplete=True)
         assert exc.value.point == {"detuning": 1.5}
-        ens = EnsembleParams.from_cooperativity(100.0)
-        with pytest.raises(NumericalError, match="non-finite") as exc:
-            bloch.propagate_mean_field(
-                ens, bloch.FieldState.from_intensity(ens, 5.0), 2.5)
-        assert exc.value.point["detuning"] == 2.5
 
 
 def test_step_size_underflow_is_a_numerical_error():
@@ -117,3 +102,29 @@ def test_step_size_underflow_is_a_numerical_error():
         with pytest.raises(NumericalError, match="step size") as exc:
             solver(jump, y0, 1e-8, 1e-10, {"detuning": 7.0})
         assert exc.value.point == {"detuning": 7.0}
+
+
+def test_ode_evaluation_limit_is_a_numerical_error(tmp_path, capsys):
+    """A strongly amplifying cell (C = 1e7) takes the depleted ODE past
+    any step budget; past ``_ODE_MAX_NFEV`` evaluations it raises, naming
+    the detuning, and the command exits 3."""
+    ens = EnsembleParams.from_cooperativity(1e7)
+    drive = DriveParams(intensity=1e6, detuning=3.0)
+    with mock.patch.object(bloch, "_ODE_MAX_NFEV", 500):
+        with pytest.raises(NumericalError, match="evaluation limit") as exc:
+            fluct.propagate_noise(ens, drive, [0.5, 1.0], THETAS,
+                                  deplete=True)
+        assert exc.value.point == {"detuning": 3.0}
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text("ensemble: {cooperativity: 1.0e7}\n"
+                       "drive: {intensity: 1.0e6, detuning: 3.0}\n"
+                       "noise: {omegas: [0.5, 1.0], theta_points: 16}\n",
+                       encoding="utf-8")
+        argv = ["psr-sim", "noise", "--config", str(cfg), "--deplete",
+                "--out", str(tmp_path / "x.csv")]
+        with mock.patch.object(sys, "argv", argv), \
+                pytest.raises(SystemExit) as code:
+            cli.main()
+    assert code.value.code == 3
+    assert "evaluation limit" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()

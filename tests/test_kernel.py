@@ -61,10 +61,10 @@ def test_inflow_and_truncated_drift_match_scalar_chain(c, ix, de, w):
     ens = EnsembleParams.from_cooperativity(c)
     drive = DriveParams(intensity=ix, detuning=de)
     diff = fluct.diffusion(ens, drive)
-    assert_close(fluct.noise_inflow(ens, drive, w, diff),
+    assert_close(fluct._inflow(ens, fluct._kernel(ens, drive, [w]), diff)[0],
                  scalar_inflow(ens, drive, w, diff.ordered))
-    assert_close(fluct._drift(ens, drive, w, truncate_dephasing=True),
-                 scalar_drift(ens, drive, w, truncate_dephasing=True))
+    drift = fluct._kernel(ens, drive, [w], truncate_dephasing=True).m_w[0]
+    assert_close(drift, scalar_drift(ens, drive, w, truncate_dephasing=True))
 
 
 # the five entries the Einstein relations leave in the steady state
@@ -298,6 +298,29 @@ def test_spectrum_extrema_match_a_50_digit_transport(ens, drive, omegas):
     s_min, s_max = mpmath_extrema(*transport_inputs(ens, drive, omegas))
     assert np.abs(spec.s_min / s_min - 1.0).max() <= 1e-11
     assert np.abs(spec.s_max / s_max - 1.0).max() <= 1e-11
+
+
+def decades(lo, hi):
+    """Floats spread evenly over the decades from 10**lo to 10**hi."""
+    return st.floats(lo, hi).map(lambda e: 10.0 ** e)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(decades(1, 7), decades(0, 6),
+       decades(0, 3).flatmap(lambda d: st.sampled_from([d, -d])),
+       decades(-1, math.log10(300.0)))
+def test_random_points_exit_3_or_match_a_50_digit_transport(c, ix, de, w):
+    """Over C 10..1e7, I_x 1..1e6, |Delta| 1..1e3 and omega 0.1..300, a
+    spectrum that passes every gate has the 50-digit extrema."""
+    ens = EnsembleParams.from_cooperativity(c)
+    drive = DriveParams(intensity=ix, detuning=de)
+    try:
+        spec = fluct.propagate_noise(ens, drive, [w], THETAS)
+    except NumericalError:
+        return
+    s_min, s_max = mpmath_extrema(*transport_inputs(ens, drive, [w]))
+    assert abs(spec.s_min[0] / s_min[0] - 1.0) <= 1e-6
+    assert abs(spec.s_max[0] / s_max[0] - 1.0) <= 1e-6
 
 
 def test_deplete_without_atoms_is_at_the_qnl():
