@@ -1,7 +1,7 @@
 """Polarization self-rotation and vacuum-noise simulator for driven 4-level vapours.
 
-The package computes, for an elliptically or linearly polarized beam
-traversing a driven 4-level atomic ensemble:
+The package computes, for a linearly polarized beam traversing a driven
+4-level atomic ensemble:
 
 * classical transmission and self-rotation spectra, with Doppler and
   hyperfine-line averaging (:mod:`psrsim.ensemble`),
@@ -36,7 +36,6 @@ from .core import (
     DriveParams,
     EnsembleParams,
     NumericalError,
-    SidebandGrid,
     ValidationError,
 )
 
@@ -45,7 +44,6 @@ __all__ = [
     "DriveParams",
     "EnsembleParams",
     "NumericalError",
-    "SidebandGrid",
     "ValidationError",
     "__version__",
 ]

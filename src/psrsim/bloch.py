@@ -92,31 +92,6 @@ def symmetric_steady_state(ens: EnsembleParams,
     return steady_state(ens, om / g, -om / g, drive.detuning)
 
 
-@dataclass(frozen=True)
-class FieldState:
-    """Mean circular field amplitudes <a+>, <a-> at one position."""
-
-    amp_plus: complex
-    amp_minus: complex
-
-    @classmethod
-    def from_intensity(cls, ens: EnsembleParams, intensity: float,
-                       ellipticity: float = 0.0) -> "FieldState":
-        """Elliptical input with I_x = |g a_x|^2 split over sigma+-.
-
-        The circular intensities are I_x (1 -+ sin 2eps)/2; the
-        relative sign between the amplitudes matches the convention of
-        the fluctuation analysis.
-        """
-        g = ens.coupling_normalized
-        if g == 0.0:
-            raise NumericalError("coupling g = 0", {})
-        i_plus = intensity * (1.0 - math.sin(2.0 * ellipticity)) / 2.0
-        i_minus = intensity * (1.0 + math.sin(2.0 * ellipticity)) / 2.0
-        return cls(amp_plus=math.sqrt(i_plus) / g,
-                   amp_minus=-math.sqrt(i_minus) / g)
-
-
 def field_derivative(ens: EnsembleParams, drive_plus: complex,
                      drive_minus: complex, detuning: float) -> np.ndarray:
     """d<a+->/dz = i (g N l / c) (<sigma_14>, <sigma_23>), z in cell lengths.

@@ -50,14 +50,13 @@ def _require(cond: bool, field_name: str, message: str) -> None:
 class EnsembleParams:
     """Atomic-ensemble parameters.
 
-    ``gamma`` is the working decay rate (1.0 after normalization);
-    ``gamma_raw`` keeps the laboratory value in rad/s so lab-unit
-    conversions (GHz detunings, transit phases) stay available.  The
-    cooperativity is tied to the microscopic parameters through
+    The model works in units of the coherence decay rate (gamma = 1);
+    ``gamma_raw`` is that rate in rad/s, kept for the lab-unit
+    conversions (GHz detunings, transit phases).  The cooperativity is
+    tied to the microscopic parameters through
     C = g^2 N l / (gamma_raw c), enforced at construction.
     """
 
-    gamma: float = 1.0                 # working units (normalized to 1)
     cooperativity: float = 0.0         # C, dimensionless
     cell_length: float = 0.075         # l, metres
     density: float = 1.0e17            # n, atoms / m^3
@@ -69,7 +68,6 @@ class EnsembleParams:
     _REL_TOL = 1e-9
 
     def __post_init__(self):
-        _require(self.gamma > 0, "gamma", "must be > 0")
         _require(self.cooperativity >= 0, "cooperativity", "must be >= 0")
         _require(self.cell_length > 0, "cell_length", "must be > 0")
         _require(self.density > 0, "density", "must be > 0")
@@ -104,7 +102,7 @@ class EnsembleParams:
                           (n_atoms * cell_length))
         else:
             g = 0.0
-        return cls(gamma=1.0, cooperativity=cooperativity,
+        return cls(cooperativity=cooperativity,
                    cell_length=cell_length, density=density,
                    temperature=temperature, coupling=g,
                    atom_number=n_atoms, gamma_raw=gamma_raw)
@@ -122,7 +120,7 @@ class EnsembleParams:
 
 @dataclass(frozen=True)
 class DriveParams:
-    """Drive-field parameters in gamma units.
+    """The linearly polarized drive, in gamma units.
 
     ``intensity`` is the mean-field intensity I_x = |g <a_x>|^2 in
     units of gamma^2.  The saturation s and the linear dephasing
@@ -131,13 +129,10 @@ class DriveParams:
 
     intensity: float                   # I_x, units of gamma^2
     detuning: float                    # Delta, units of gamma
-    ellipticity: float = 0.0           # radians
 
     def __post_init__(self):
         _require(self.intensity >= 0, "intensity", "must be >= 0")
         _require(math.isfinite(self.detuning), "detuning", "must be finite")
-        _require(-math.pi / 4 < self.ellipticity < math.pi / 4,
-                 "ellipticity", "must lie in (-pi/4, pi/4)")
 
     @property
     def saturation(self) -> float:
@@ -150,22 +145,6 @@ class DriveParams:
             raise ValidationError("detuning",
                                   "linear dephasing undefined at Delta = 0")
         return ens.cooperativity / (2.0 * self.detuning)
-
-
-@dataclass(frozen=True)
-class SidebandGrid:
-    """Ordered grid of sideband frequencies (units of gamma)."""
-
-    frequencies: tuple[float, ...]
-
-    def __post_init__(self):
-        freqs = tuple(float(f) for f in self.frequencies)
-        object.__setattr__(self, "frequencies", freqs)
-        _require(len(freqs) > 0, "frequencies", "must be non-empty")
-        _require(all(f >= 0 for f in freqs), "frequencies",
-                 "must be >= 0")
-        _require(all(b > a for a, b in zip(freqs, freqs[1:])),
-                 "frequencies", "must be strictly increasing")
 
 
 def ghz_to_gamma(x, gamma_raw: float):

@@ -221,8 +221,6 @@ def composite_kappa(manifold: LineManifold, ens: EnsembleParams,
 class CompositeMaps:
     """Transmission and rotation maps over a (detuning, intensity) grid."""
 
-    detunings_ghz: np.ndarray
-    intensities_mw: np.ndarray
     transmission: np.ndarray     # shape (n_det, n_int)
     psr_gl: np.ndarray           # same shape
 
@@ -241,9 +239,7 @@ def composite_spectrum(manifold: LineManifold, ens: EnsembleParams,
     kap = composite_kappa(manifold, ens, det_gamma[:, None],
                           intensity_scale * np.asarray(grid.intensities_mw))
     t_map = np.exp(-2.0 * kap.real)
-    return CompositeMaps(detunings_ghz=np.asarray(grid.detunings_ghz),
-                         intensities_mw=np.asarray(grid.intensities_mw),
-                         transmission=t_map, psr_gl=-kap.imag * t_map)
+    return CompositeMaps(transmission=t_map, psr_gl=-kap.imag * t_map)
 
 
 @dataclass(frozen=True)

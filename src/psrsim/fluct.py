@@ -177,11 +177,12 @@ def _kernel(ens: EnsembleParams, drive: DriveParams, omegas,
 
 @dataclass(frozen=True)
 class ComplexResponse:
-    """Propagation coefficients at one sideband frequency."""
+    """Propagation coefficients at one sideband frequency, without the
+    transit phase -i w gamma l / c (which the limit regimes leave out)."""
 
-    omega: float
-    kappa: complex
-    gamma_prop: complex
+    kappa: complex             # kappa(w) = kappa(0) Lambda(w)
+    gamma: complex             # Gamma(w) = kappa(w) + kappa(0)* Lambda'(w)
+    drift: complex             # -kappa(0)* Lambda'(w), the drift on da_y
     lam: complex
     lam_prime: complex
     kappa0: complex
@@ -191,56 +192,31 @@ def response(ens: EnsembleParams, drive: DriveParams,
              omega: float) -> ComplexResponse:
     """kappa(0), Lambda, Lambda', kappa(w), Gamma(w) at sideband w >= 0.
 
-    Gamma includes the pure transit phase -i w gamma l / c.  At w = 0
-    the continuity values Lambda = 1, Lambda' = 0 are used (they are
-    forced by the formulas whenever I_x > 0; with no drive the limits
-    are Lambda = 0 and Lambda' = (1 - i Delta)^2 / (1 + Delta^2)).
+    At w = 0 the continuity values Lambda = 1, Lambda' = 0 are used
+    (they are forced by the formulas whenever I_x > 0; with no drive
+    the limits are Lambda = 0 and Lambda' = (1 - i Delta)^2 / (1 + Delta^2)).
     """
     if omega < 0:
         raise ValidationError("omega", "must be >= 0")
     k0 = bloch.kappa_zero(ens, drive)
     k = _kernel(ens, drive, [omega])
     kap = k0 * k.lam[0]
-    gam = -1j * omega * ens.transit_time + kap + np.conj(k0) * k.lam_prime[0]
-    return ComplexResponse(omega=omega, kappa=kap, gamma_prop=gam,
+    return ComplexResponse(kappa=kap,
+                           gamma=kap + np.conj(k0) * k.lam_prime[0],
+                           drift=-np.conj(k0) * k.lam_prime[0],
                            lam=k.lam[0], lam_prime=k.lam_prime[0], kappa0=k0)
 
 
-@dataclass(frozen=True)
-class DiffusionMatrix:
-    """Atomic noise correlators in the basis (f_y, f_y^dag, f_z, f_z').
+def diffusion(ens: EnsembleParams, drive: DriveParams) -> np.ndarray:
+    """Atomic diffusion table from generalized Einstein relations.
 
-    ``ordered[i, j]`` is the spectral density of the plain ordered
-    product <f_i f_j>, which is what the covariance transport consumes;
-    ``gram[i, j]`` the density of <f_i f_j^dag> (Hermitian, positive
-    semidefinite).  Per-atom normalization, gamma = 1 units.
-    """
-
-    ordered: np.ndarray
-
-    @property
-    def gram(self) -> np.ndarray:
-        return self.ordered[:, [FYD, FY, FZ, FZP]]
-
-    def excess(self) -> np.ndarray:
-        """Ordered table with creation noises moved left (normal order).
-
-        Only the <f_y f_y^dag> entry is anti-normal; swapping it leaves
-        the excess (fluorescence-fed) correlators, which all vanish
-        when the excited states are empty.
-        """
-        out = self.ordered.copy()
-        out[FY, FYD] = self.ordered[FYD, FY]
-        return out
-
-
-def diffusion(ens: EnsembleParams, drive: DriveParams) -> DiffusionMatrix:
-    """Diffusion matrix from generalized Einstein relations.
-
-    For operator pairs (P, Q) the white-noise density of <F_P F_Q> is
-    <D+(PQ) - D+(P)Q - P D+(Q)> in the steady state, with D+ the
-    dissipative part of the Heisenberg generator (the Hamiltonian part
-    cancels identically).  Evaluated at the symmetric working point of
+    Returns the (4, 4) array whose [i, j] entry is the white-noise
+    density of the ordered product <f_i f_j> in the basis
+    (f_y, f_y^dag, f_z, f_z'), per atom, gamma = 1 units; this is what
+    the covariance transport consumes.  For operator pairs (P, Q) the
+    density of <F_P F_Q> is <D+(PQ) - D+(P)Q - P D+(Q)> in the steady
+    state, with D+ the dissipative part of the Heisenberg generator (the
+    Hamiltonian part cancels identically).  Evaluated at the symmetric working point of
     the fluctuation analysis, whose density matrix holds only the
     populations p_k and the coherences <sigma_14>, <sigma_23>, the
     relations leave five non-zero entries:
@@ -249,10 +225,11 @@ def diffusion(ens: EnsembleParams, drive: DriveParams) -> DiffusionMatrix:
         <f_z f_z> = <f_z' f_z'> = p3 + p4 = p_e,
         <f_y f_z'> = <sigma_14> - <sigma_23> = c,  <f_z' f_y^dag> = c*.
 
-    The Gram table is then Hermitian by construction and block diagonal:
-    [[t, c], [c*, p_e]] on (f_y, f_z'), p_e on f_z and 0 on f_y^dag.
-    It is positive semidefinite when the smaller eigenvalue of the 2x2
-    block is; below -1e-10, or NaN, raises NumericalError.
+    The Gram table <f_i f_j^dag> (the ordered one with the f_y and
+    f_y^dag columns swapped) is then Hermitian by construction and block
+    diagonal: [[t, c], [c*, p_e]] on (f_y, f_z'), p_e on f_z and 0 on
+    f_y^dag.  It is positive semidefinite when the smaller eigenvalue of
+    the 2x2 block is; below -1e-10, or NaN, raises NumericalError.
     """
     st = bloch.symmetric_steady_state(ens, drive)
     p1, p2, p3, p4 = st.populations
@@ -270,14 +247,13 @@ def diffusion(ens: EnsembleParams, drive: DriveParams) -> DiffusionMatrix:
     ordered[FZ, FZ] = ordered[FZP, FZP] = p_e
     ordered[FY, FZP] = c
     ordered[FZP, FYD] = c.conjugate()
-    return DiffusionMatrix(ordered)
+    return ordered
 
 
 def _inflow(ens: EnsembleParams, k: _Kernel,
-            diff: DiffusionMatrix) -> np.ndarray:
+            diff: np.ndarray) -> np.ndarray:
     """Stacked 2x2 source densities N(w) of the kernel's sidebands."""
-    return ens.cooperativity * (k.p_w @ diff.ordered
-                                @ k.p_mw.transpose(0, 2, 1))
+    return ens.cooperativity * (k.p_w @ diff @ k.p_mw.transpose(0, 2, 1))
 
 
 # theta_m: the largest scaled norm at which the degree-m Taylor series of
@@ -355,7 +331,8 @@ def _sigma_out_depleted(ens: EnsembleParams, drive: DriveParams,
     One ODE carries the mean field <a+->(z) and the covariances of all
     sidebands, so each right-hand side evaluates the local steady state,
     the diffusion table and the kernel once; the kernel's intensity-free
-    factors are built once per solve.
+    factors are built once per solve.  The input is linearly polarized,
+    <a+-> = +-sqrt(I_x/2)/g, as in ``bloch.symmetric_steady_state``.
     """
     g = ens.coupling_normalized
     n = w.size
@@ -364,7 +341,7 @@ def _sigma_out_depleted(ens: EnsembleParams, drive: DriveParams,
     def rhs(_z, y):
         d_loc = DriveParams(
             intensity=g * g * (abs(y[0]) ** 2 + abs(y[1]) ** 2),
-            detuning=drive.detuning, ellipticity=drive.ellipticity)
+            detuning=drive.detuning)
         k = _kernel_at(sb, d_loc)
         sig = y[2:].reshape(n, 2, 2)
         dsig = k.m_w @ sig + sig @ k.m_mw.transpose(0, 2, 1)
@@ -374,9 +351,8 @@ def _sigma_out_depleted(ens: EnsembleParams, drive: DriveParams,
             bloch.field_derivative(ens, y[0], y[1], drive.detuning),
             dsig.reshape(-1)))
 
-    field0 = bloch.FieldState.from_intensity(ens, drive.intensity,
-                                             drive.ellipticity)
-    y0 = np.concatenate(([field0.amp_plus, field0.amp_minus],
+    a = math.sqrt(drive.intensity / 2.0) / g
+    y0 = np.concatenate(([a, -a],
                          np.tile(_VACUUM.reshape(-1), n))).astype(complex)
     sol = solve_ivp(rhs, y0, 1e-8, 1e-10, {"detuning": drive.detuning})
     return sol.y[2:].reshape(n, 2, 2)
@@ -403,14 +379,11 @@ class QuadratureSpectrum:
     def __post_init__(self):
         finite = (np.isfinite(self.values).all(axis=1)
                   & np.isfinite(self.s_min) & np.isfinite(self.s_max))
-        if not finite.all():
-            raise NumericalError(
-                "non-finite quadrature variance",
-                {"detuning": self.detuning,
-                 "omega": float(self.omegas[~finite][0])})
-        if (self.values < -1e-9).any():
-            raise NumericalError(
-                f"negative quadrature variance ({self.values.min():.3e})")
+        _check(~finite, self.detuning, self.omegas,
+               lambda i: "non-finite quadrature variance")
+        lowest = np.minimum(self.values.min(axis=1), self.s_min)
+        _check(lowest < -1e-9, self.detuning, self.omegas,
+               lambda i: f"negative quadrature variance ({lowest[i]:.3e})")
 
     def to_db(self) -> np.ndarray:
         return 10.0 * np.log10(np.maximum(self.values, 1e-300))
@@ -455,21 +428,22 @@ def propagate_noise(ens: EnsembleParams, drive: DriveParams,
                else np.zeros_like(k.m_w))
         sig = _transport(k.m_w, k.m_mw, src, _VACUUM)
     sig_p, sig_m = sig[:n], sig[n:]
+    # before any arithmetic on them: an overflowed transport would warn
+    finite = np.isfinite(sig_p).all(axis=(1, 2)) & np.isfinite(sig_m).all(
+        axis=(1, 2))
+    _check(~finite, drive.detuning, omegas,
+           lambda i: "non-finite quadrature variance")
     iso = 0.5 * (sig_p[:, 0, 1] + sig_p[:, 1, 0]
                  + sig_m[:, 0, 1] + sig_m[:, 1, 0])
     anom = 0.5 * (sig_p[:, 1, 1] + sig_m[:, 1, 1])
-    non_real = np.abs(iso.imag) > 1e-8 * np.maximum(1.0, np.abs(iso.real))
-    if non_real.any():
-        i = np.flatnonzero(non_real)[0]
-        raise NumericalError(
-            f"non-real quadrature variance (imag {iso.imag[i]:.2e})",
-            {"detuning": drive.detuning, "omega": float(omegas[i])})
+    _check(np.abs(iso.imag) > 1e-8 * np.maximum(1.0, np.abs(iso.real)),
+           drive.detuning, omegas, lambda i: f"non-real quadrature variance "
+           f"(imag {iso.imag[i]:.2e})")
     s_theta = iso.real[:, None] + 2.0 * np.real(np.exp(2j * thetas)
                                                 * anom[:, None])
     spread = 2.0 * np.abs(anom)
-    spec = QuadratureSpectrum(omegas=omegas, thetas=thetas,
-                              values=np.maximum(s_theta, 0.0),
-                              s_min=np.maximum(iso.real - spread, 0.0),
+    spec = QuadratureSpectrum(omegas=omegas, thetas=thetas, values=s_theta,
+                              s_min=iso.real - spread,
                               s_max=iso.real + spread,
                               low_omega=omegas < omega_floor,
                               detuning=drive.detuning)
@@ -478,25 +452,29 @@ def propagate_noise(ens: EnsembleParams, drive: DriveParams,
         # cannot overflow (S_max reaches 3e135 at C = 1e8, I_x = 1e6)
         with np.errstate(divide="ignore"):
             below = spec.s_min < (1.0 - 1e-6) / spec.s_max
-        if below.any():
-            i = np.flatnonzero(below)[0]
-            raise NumericalError(
-                f"uncertainty product below 1 "
-                f"({spec.s_min[i] * spec.s_max[i]:.6g})",
-                {"detuning": drive.detuning, "omega": float(omegas[i])})
+        _check(below, drive.detuning, omegas,
+               lambda i: f"uncertainty product below 1 "
+               f"({spec.s_min[i] * spec.s_max[i]:.6g})")
         # commutator preservation, relative to the covariances' size
         # (1e2 absolute but 4e-16 relative at C = 1e7, I_x = 1e6)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             scale = np.maximum(np.abs(sig_p).max(axis=(1, 2)),
                                np.abs(sig_m).max(axis=(1, 2)))
             rel = _commutator_excess(sig_p, sig_m) / scale
-        bad = ~(rel <= 1e-8)
-        if bad.any():
-            i = np.flatnonzero(bad)[0]
-            raise NumericalError(
-                f"output commutator not preserved ({rel[i]:.2e} relative)",
-                {"detuning": drive.detuning, "omega": float(omegas[i])})
+        _check(~(rel <= 1e-8), drive.detuning, omegas,
+               lambda i: f"output commutator not preserved "
+               f"({rel[i]:.2e} relative)")
     return spec
+
+
+def _check(bad: np.ndarray, detuning: float, omegas: np.ndarray,
+           message) -> None:
+    """Raise NumericalError naming (Delta, omega) of the first flagged
+    sideband; ``message`` maps its index to the text."""
+    if bad.any():
+        i = int(np.flatnonzero(bad)[0])
+        raise NumericalError(message(i), {"detuning": detuning,
+                                          "omega": float(omegas[i])})
 
 
 def _commutator_excess(sig_p: np.ndarray, sig_m: np.ndarray) -> np.ndarray:
@@ -536,9 +514,8 @@ class HighSidebandLimit:
     """w >= gamma, Delta >> gamma response pair (kappa, Gamma)."""
 
     kappa: complex
-    gamma_prop: complex
+    gamma: complex
     kappa_compact: complex     # deep-limit form, w >> gamma
-    gamma_compact: complex
 
 
 def limit_high_sideband(ens: EnsembleParams, drive: DriveParams,
@@ -548,7 +525,7 @@ def limit_high_sideband(ens: EnsembleParams, drive: DriveParams,
     ``kappa`` keeps the finite-w/gamma structure
     kappa(0) * s (1-iw)(2-iw) / (2 s (1-iw)^2 - iw(2-iw)); for
     w >> gamma it contracts to the compact
-    -i delta0 s/((1+s)(1+2s)).  ``gamma_prop`` is exactly
+    -i delta0 s/((1+s)(1+2s)).  ``gamma`` is exactly
     -i delta0/(1+s): the finite-w corrections cancel in Gamma.
     """
     d0 = drive.linear_dephasing(ens)
@@ -559,9 +536,8 @@ def limit_high_sideband(ens: EnsembleParams, drive: DriveParams,
     kap = k0 * s * (1.0 - 1j * w) * (2.0 - 1j * w) / e
     return HighSidebandLimit(
         kappa=kap,
-        gamma_prop=-1j * d0 / (1.0 + s),
-        kappa_compact=-1j * d0 * s / ((1.0 + s) * (1.0 + 2.0 * s)),
-        gamma_compact=-1j * d0 / (1.0 + s))
+        gamma=-1j * d0 / (1.0 + s),
+        kappa_compact=-1j * d0 * s / ((1.0 + s) * (1.0 + 2.0 * s)))
 
 
 @dataclass(frozen=True)

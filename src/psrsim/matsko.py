@@ -1,9 +1,10 @@
 """Phenomenological cross-phase rotation model of the orthogonal vacuum mode.
 
 The medium is reduced to two numbers: a rotation strength Gl (the
-self-rotation per unit ellipticity accumulated over the cell) and an
-intensity absorption alpha*l.  The output variance of the orthogonally
-polarized mode as a function of the homodyne phase chi is
+self-rotation angle per radian of input polarization-ellipse angle,
+accumulated over the cell) and an intensity absorption alpha*l.  The
+output variance of the orthogonally polarized mode as a function of
+the homodyne phase chi is
 
     V(chi) = (1 - 2 Gl sin(chi) cos(chi) + Gl^2 cos^2(chi)) e^{-alpha l}
              + (1 - e^{-alpha l})
@@ -11,34 +12,22 @@ polarized mode as a function of the homodyne phase chi is
 with the quantum noise limit at 1.  For suitable chi this dips below 1,
 which is the squeezing this model predicts; the full Langevin treatment
 in :mod:`psrsim.fluct` shows what atomic noise does to that prediction.
+The functions take (Gl, alpha*l[, chi]) as plain floats.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .core import ValidationError, _require
 
 
-@dataclass(frozen=True)
-class PhenomenologicalParams:
-    """Rotation strength Gl, intensity absorption alpha*l and phase chi."""
-
-    rotation_strength: float
-    absorption: float = 0.0
-    phase: float = 0.0
-
-    def __post_init__(self):
-        _require(self.absorption >= 0, "absorption", "must be >= 0")
-
-
-def variance(params: PhenomenologicalParams) -> float:
+def variance(g_l: float, alpha_l: float, chi: float) -> float:
     """Output quadrature variance at phase chi, QNL = 1."""
-    g, chi, al = params.rotation_strength, params.phase, params.absorption
-    bare = 1.0 - 2.0 * g * math.sin(chi) * math.cos(chi) \
-        + g * g * math.cos(chi) ** 2
-    return bare * math.exp(-al) + (1.0 - math.exp(-al))
+    _require(alpha_l >= 0, "absorption", "must be >= 0")
+    bare = 1.0 - 2.0 * g_l * math.sin(chi) * math.cos(chi) \
+        + g_l * g_l * math.cos(chi) ** 2
+    return bare * math.exp(-alpha_l) + (1.0 - math.exp(-alpha_l))
 
 
 def variance_extrema(g_l: float, alpha_l: float = 0.0) -> tuple[float, float]:

@@ -80,10 +80,13 @@ def scipy_rk45(fun, y0, rtol, atol, point):
 def mean_field_problem(c, ix, de, eps):
     """(rhs, y0, atol) of the mean field through a cell of cooperativity
     ``c``, at rtol 1e-8: d<a+->/dz of ``bloch.field_derivative`` from an
-    input of intensity ``ix`` and ellipticity ``eps``."""
+    input of intensity ``ix`` and ellipticity ``eps``: circular
+    intensities I_x (1 -+ sin 2 eps)/2, the sigma- amplitude negative."""
     ens = EnsembleParams.from_cooperativity(c)
-    field = bloch.FieldState.from_intensity(ens, ix, eps)
-    y0 = np.array([field.amp_plus, field.amp_minus], dtype=complex)
+    g = ens.coupling_normalized
+    y0 = np.array([math.sqrt(ix * (1.0 - math.sin(2.0 * eps)) / 2.0) / g,
+                   -math.sqrt(ix * (1.0 + math.sin(2.0 * eps)) / 2.0) / g],
+                  dtype=complex)
     p_in = abs(y0[0]) ** 2 + abs(y0[1]) ** 2
     return (lambda _z, y: bloch.field_derivative(ens, y[0], y[1], de),
             y0, 1e-8 * math.sqrt(p_in) * 1e-3)
@@ -312,6 +315,24 @@ def density_matrix(st) -> np.ndarray:
     return rho
 
 
+def gram(ordered: np.ndarray) -> np.ndarray:
+    """<f_i f_j^dag> of an ordered diffusion table <f_i f_j> (Hermitian,
+    positive semidefinite): the f_y and f_y^dag columns swapped."""
+    return ordered[:, [1, 0, 2, 3]]
+
+
+def excess(ordered: np.ndarray) -> np.ndarray:
+    """Ordered table with creation noises moved left (normal order).
+
+    Only the <f_y f_y^dag> entry is anti-normal; swapping it leaves the
+    excess (fluorescence-fed) correlators, which all vanish when the
+    excited states are empty.
+    """
+    out = ordered.copy()
+    out[0, 1] = ordered[1, 0]
+    return out
+
+
 def brute_force_diffusion(ens, drive):
     """Ordered diffusion table, one Einstein relation at a time, in
     double precision."""
@@ -410,7 +431,7 @@ def per_evaluation_depleted(ens, drive, w, noisy, truncate_dephasing):
     def rhs(_z, y):
         d_loc = DriveParams(
             intensity=g * g * (abs(y[0]) ** 2 + abs(y[1]) ** 2),
-            detuning=drive.detuning, ellipticity=drive.ellipticity)
+            detuning=drive.detuning)
         k = fluct._kernel(ens, d_loc, w, truncate_dephasing)
         sig = y[2:].reshape(n, 2, 2)
         dsig = k.m_w @ sig + sig @ k.m_mw.transpose(0, 2, 1)
@@ -420,11 +441,9 @@ def per_evaluation_depleted(ens, drive, w, noisy, truncate_dephasing):
             bloch.field_derivative(ens, y[0], y[1], drive.detuning),
             dsig.reshape(-1)))
 
-    field0 = bloch.FieldState.from_intensity(ens, drive.intensity,
-                                             drive.ellipticity)
+    amp = math.sqrt(drive.intensity / 2.0) / g      # linear input
     vacua = np.tile(fluct._VACUUM.reshape(-1), n)
-    y0 = np.concatenate(([field0.amp_plus, field0.amp_minus],
-                         vacua)).astype(complex)
+    y0 = np.concatenate(([amp, -amp], vacua)).astype(complex)
     return bloch.solve_ivp(rhs, y0, 1e-8, 1e-10, {"detuning": drive.detuning})
 
 

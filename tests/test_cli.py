@@ -265,6 +265,27 @@ def test_strongly_amplifying_cell_passes_the_uncertainty_gate(tmp_path, c):
     assert res.returncode == 0, res.stderr
 
 
+def test_overflowing_spectrum_exits_3_without_a_warning(tmp_path):
+    """The transport overflows at C = 3.28e5, I_x = 2980, Delta = -7.93,
+    omega = 0.186.  Its non-finite covariances are caught before any
+    arithmetic on them, so with RuntimeWarning raised as an error the
+    command still exits 3 and names the point."""
+    cfg = write_cfg(tmp_path, {"ensemble": {"cooperativity": 3.28e5},
+                               "drive": {"intensity": 2980.0,
+                                         "detuning": -7.93},
+                               "noise": {"omegas": [0.186],
+                                         "theta_points": 16}})
+    res = subprocess.run([sys.executable, "-W", "error::RuntimeWarning",
+                          "-m", "psrsim.cli", "noise", "--config", str(cfg),
+                          "--out", str(tmp_path / "x.csv")],
+                         capture_output=True, text=True)
+    assert res.returncode == 3, res.stderr
+    assert "RuntimeWarning" not in res.stderr
+    assert "non-finite quadrature variance" in res.stderr
+    assert "'detuning': -7.93" in res.stderr
+    assert "'omega': 0.186" in res.stderr
+
+
 @pytest.mark.parametrize("override, field", [
     ({"noise": {"omegas": [1.0], "theta_points": 2.9}}, "noise.theta_points"),
     ({"drive": {"intensity": 4.0, "ellipticity": 0.3}}, "drive.ellipticity"),
@@ -272,6 +293,9 @@ def test_strongly_amplifying_cell_passes_the_uncertainty_gate(tmp_path, c):
     ({"noise": {"omegas": [1.0], "omega_floor": float("nan")}},
      "noise.omega_floor"),
     ({"noise": {"omegas": ["abc"]}}, "noise.omegas"),
+    ({"noise": {"omegas": []}}, "noise.omegas"),
+    ({"noise": {"omegas": [0.5, 0.5]}}, "noise.omegas"),
+    ({"noise": {"omegas": [-1.0, 0.5]}}, "noise.omegas"),
 ])
 def test_noise_rejects_reinterpreted_values(tmp_path, override, field):
     cfg = write_cfg(tmp_path, {**NOISE_CFG, **override})

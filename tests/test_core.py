@@ -6,8 +6,8 @@ import sys
 import pytest
 from conftest import thermal_doppler_width_ghz
 
-from psrsim.core import (DriveParams, EnsembleParams, SidebandGrid,
-                         ValidationError, ghz_to_gamma)
+from psrsim.core import (DriveParams, EnsembleParams, ValidationError,
+                         ghz_to_gamma)
 
 GAMMA_D2 = 2 * math.pi * 3.033e6
 
@@ -22,7 +22,7 @@ def test_cooperativity_consistency_enforced():
     ens = EnsembleParams.from_cooperativity(800.0, gamma_raw=GAMMA_D2)
     # direct construction with a mismatched coupling must fail
     with pytest.raises(ValidationError):
-        EnsembleParams(gamma=1.0, cooperativity=800.0,
+        EnsembleParams(cooperativity=800.0,
                        cell_length=ens.cell_length, density=ens.density,
                        temperature=ens.temperature,
                        coupling=2.0 * ens.coupling,
@@ -35,21 +35,6 @@ def test_linear_dephasing():
     assert d.linear_dephasing(ens) == pytest.approx(10.0, rel=1e-15)
     with pytest.raises(ValidationError):
         DriveParams(intensity=10.0, detuning=0.0).linear_dephasing(ens)
-
-
-def test_ellipticity_bounds():
-    with pytest.raises(ValidationError):
-        DriveParams(intensity=1.0, detuning=0.0, ellipticity=math.pi / 3)
-
-
-def test_sideband_grid_validation():
-    SidebandGrid(frequencies=(0.0, 0.5, 1.0))
-    with pytest.raises(ValidationError):
-        SidebandGrid(frequencies=())
-    with pytest.raises(ValidationError):
-        SidebandGrid(frequencies=(0.5, 0.5))
-    with pytest.raises(ValidationError):
-        SidebandGrid(frequencies=(-1.0, 0.5))
 
 
 def test_doppler_width_matches_cell_conditions():

@@ -177,12 +177,10 @@ def test_broadening_never_raises_single_line_peak():
 def test_d1_composite_has_two_comparable_psr_bands():
     ens = EnsembleParams.from_cooperativity(2000.0, gamma_raw=GAMMA_D1)
     man = d1_manifold()
-    grid = ensemble.SweepGrid(
-        detunings_ghz=tuple(np.linspace(-0.8, 1.6, 151)),
-        intensities_mw=(22.3,))
+    det = np.linspace(-0.8, 1.6, 151)
+    grid = ensemble.SweepGrid(detunings_ghz=tuple(det), intensities_mw=(22.3,))
     maps = ensemble.composite_spectrum(man, ens, grid, intensity_scale=400.0)
     gl = maps.psr_gl[:, 0]
-    det = maps.detunings_ghz
     band1 = np.abs(gl[det < 0.4]).max()
     band2 = np.abs(gl[det >= 0.4]).max()
     assert 0.8 <= band1 / band2 <= 1.25
@@ -196,12 +194,10 @@ def test_d1_composite_has_two_comparable_psr_bands():
 def test_d2_composite_suppresses_negative_detuning_psr():
     ens = EnsembleParams.from_cooperativity(6000.0, gamma_raw=GAMMA_D2)
     man = d2_manifold()
-    grid = ensemble.SweepGrid(
-        detunings_ghz=tuple(np.linspace(-1.5, 1.5, 151)),
-        intensities_mw=(30.0,))
+    det = np.linspace(-1.5, 1.5, 151)
+    grid = ensemble.SweepGrid(detunings_ghz=tuple(det), intensities_mw=(30.0,))
     maps = ensemble.composite_spectrum(man, ens, grid, intensity_scale=160.0)
     gl = maps.psr_gl[:, 0]
-    det = maps.detunings_ghz
     pos = np.abs(gl[det > 0]).max()
     neg = np.abs(gl[det < 0]).max()
     assert pos > 1.05 * neg

@@ -1,12 +1,14 @@
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from conftest import (exact_a_coef, exact_b_coef, exact_lambda,
-                      exact_lambda_prime, limit_low_sideband)
+                      exact_lambda_prime, excess, gram, limit_low_sideband)
 
 from psrsim import bloch, fluct
-from psrsim.core import DriveParams, EnsembleParams, ValidationError
+from psrsim.core import (DriveParams, EnsembleParams, NumericalError,
+                         ValidationError)
 
 ENS = EnsembleParams.from_cooperativity(100.0)
 THETAS = np.linspace(0.0, np.pi, 61)
@@ -14,7 +16,7 @@ THETAS = np.linspace(0.0, np.pi, 61)
 
 def drift_no_transit(ens, drive, omega):
     r = fluct.response(ens, drive, omega)
-    return -np.conj(r.kappa0) * r.lam_prime, -r.kappa
+    return r.drift, -r.kappa
 
 
 def test_response_identities_at_zero_sideband():
@@ -23,7 +25,8 @@ def test_response_identities_at_zero_sideband():
     assert r.lam == 1.0
     assert r.lam_prime == 0.0
     assert r.kappa == r.kappa0
-    assert r.gamma_prop == r.kappa0
+    assert r.drift == 0.0
+    assert r.gamma == r.kappa0
 
 
 def test_response_vanishing_drive_kills_cross_kerr():
@@ -39,8 +42,8 @@ def test_response_structure_identities():
     for w in (0.1, 1.0, 10.0):
         r = fluct.response(ENS, d, w)
         assert r.kappa == r.kappa0 * r.lam
-        assert r.gamma_prop == (-1j * w * ENS.transit_time + r.kappa
-                                + np.conj(r.kappa0) * r.lam_prime)
+        assert r.drift == -np.conj(r.kappa0) * r.lam_prime
+        assert r.gamma == r.kappa - r.drift
 
 
 def test_response_rejects_negative_sideband():
@@ -98,19 +101,19 @@ def test_diffusion_table_is_hermitian_psd():
         s = 10.0 ** rng.uniform(-2, 2)
         de = rng.uniform(-30.0, 30.0)
         d = DriveParams(intensity=s * (1 + de * de), detuning=de)
-        gram = fluct.diffusion(ENS, d).gram
-        assert gram.shape == (4, 4)
-        assert np.array_equal(gram, gram.conj().T)
-        assert np.linalg.eigvalsh(gram).min() >= -1e-15
+        g = gram(fluct.diffusion(ENS, d))
+        assert g.shape == (4, 4)
+        assert np.array_equal(g, g.conj().T)
+        assert np.linalg.eigvalsh(g).min() >= -1e-15
 
 
 def test_diffusion_zero_drive_has_no_excess_noise():
     d = DriveParams(intensity=0.0, detuning=2.0)
     diff = fluct.diffusion(ENS, d)
     # no excitation: normally ordered (excess) correlators all vanish
-    assert np.abs(diff.excess()).max() < 1e-13
+    assert np.abs(excess(diff)).max() < 1e-13
     # the ordered table keeps the vacuum inflow that balances absorption
-    assert diff.gram[fluct.FY, fluct.FY].real > 0.4
+    assert gram(diff)[fluct.FY, fluct.FY].real > 0.4
 
 
 def test_spectrum_identity_without_atoms():
@@ -127,6 +130,26 @@ def test_spectrum_identity_with_undriven_atoms():
                                                   detuning=1.5),
                                  [0.2, 1.0, 5.0], THETAS)
     assert np.abs(spec.values - 1.0).max() < 1e-9
+
+
+@pytest.mark.parametrize("kw", [{"include_noise": False},
+                                {"truncate_dephasing": True}])
+def test_negative_variance_raises_without_the_uncertainty_gate(kw):
+    """An inadmissible covariance (iso 0.1, |anom| 0.5: S_min = -0.9) is
+    an error, not a spectrum clamped to 0, when the uncertainty gate
+    is off."""
+    def inadmissible(m_w, _m_mw, _src, _sigma0):
+        sig = np.zeros((len(m_w), 2, 2), dtype=complex)
+        sig[:, 0, 1] = sig[:, 1, 0] = 0.05
+        sig[:, 1, 1] = 0.5
+        return sig
+
+    with mock.patch.object(fluct, "_transport", inadmissible), \
+            pytest.raises(NumericalError,
+                          match="negative quadrature variance") as exc:
+        fluct.propagate_noise(ENS, DriveParams(intensity=3.0, detuning=2.0),
+                              [0.5, 1.0], THETAS, **kw)
+    assert exc.value.point == {"detuning": 2.0, "omega": 0.5}
 
 
 def test_commutator_preserved_at_random_points():
@@ -229,10 +252,9 @@ def test_high_sideband_limit_deep_grid():
             for s in (0.2, 1.0, 5.0):
                 d = DriveParams(intensity=s * (1 + de * de), detuning=de)
                 r = fluct.response(ENS, d, w)
-                gamma_nt = r.kappa + np.conj(r.kappa0) * r.lam_prime
                 lim = fluct.limit_high_sideband(ENS, d, w)
                 assert abs(lim.kappa - r.kappa) / abs(r.kappa) < 0.02
-                assert abs(lim.gamma_prop - gamma_nt) / abs(gamma_nt) < 0.02
+                assert abs(lim.gamma - r.gamma) / abs(r.gamma) < 0.02
 
 
 def test_high_sideband_compact_forms():
@@ -242,12 +264,12 @@ def test_high_sideband_compact_forms():
     s = d.saturation
     assert lim.kappa_compact == pytest.approx(-1j * d0 * s / ((1 + s)
                                                               * (1 + 2 * s)))
-    assert lim.gamma_compact == pytest.approx(-1j * d0 / (1 + s))
+    assert lim.gamma == pytest.approx(-1j * d0 / (1 + s))
     # s -> 0: kappa -> 0, Gamma -> -i delta0
     d_weak = DriveParams(intensity=1e-6 * (1 + 1e5**2), detuning=1e5)
     lw = fluct.limit_high_sideband(ENS, d_weak, 1000.0)
     assert abs(lw.kappa_compact) < 1e-5 * d_weak.linear_dephasing(ENS)
-    assert lw.gamma_compact == pytest.approx(
+    assert lw.gamma == pytest.approx(
         -1j * d_weak.linear_dephasing(ENS), rel=1e-5)
     # s = 1: kappa = -i delta0 / 6
     d_one = DriveParams(intensity=1.0 * (1 + 1e5**2), detuning=1e5)

@@ -62,7 +62,7 @@ def test_inflow_and_truncated_drift_match_scalar_chain(c, ix, de, w):
     drive = DriveParams(intensity=ix, detuning=de)
     diff = fluct.diffusion(ens, drive)
     assert_close(fluct._inflow(ens, fluct._kernel(ens, drive, [w]), diff)[0],
-                 scalar_inflow(ens, drive, w, diff.ordered))
+                 scalar_inflow(ens, drive, w, diff))
     drift = fluct._kernel(ens, drive, [w], truncate_dephasing=True).m_w[0]
     assert_close(drift, scalar_drift(ens, drive, w, truncate_dephasing=True))
 
@@ -82,7 +82,7 @@ def test_diffusion_matches_brute_force_loop(ix, de):
     precision loop leaves at ~1e-35 ((1/sqrt(2))^2 != 1/2) are 0."""
     ens = EnsembleParams.from_cooperativity(100.0)
     drive = DriveParams(intensity=ix, detuning=de)
-    got = fluct.diffusion(ens, drive).ordered
+    got = fluct.diffusion(ens, drive)
     assert_close(got, brute_force_diffusion(ens, drive), rtol=5e-16)
     assert not got[ZERO].any()
 
@@ -129,7 +129,7 @@ def test_closed_form_diffusion_matches_50_digit_einstein_loop(c, ix, de):
     and the eleven entries outside the five are exactly zero."""
     ens = EnsembleParams.from_cooperativity(c)
     drive = DriveParams(intensity=ix, detuning=de)
-    got = fluct.diffusion(ens, drive).ordered
+    got = fluct.diffusion(ens, drive)
     ref = mpmath_diffusion(ens, drive)
     tol = 2.0 * np.spacing(np.abs(got).max())
     for i in range(4):
@@ -420,6 +420,33 @@ def test_depleted_presets_equal_per_evaluation_kernel(preset):
         assert_depleted_equals_per_evaluation(
             ens, DriveParams(intensity=ix, detuning=de), sec["omegas"],
             thetas)
+
+
+@pytest.mark.parametrize("preset", ["hot-vapour-d2", "hot-vapour-d1",
+                                    "cold-atom-kerr"])
+def test_depleted_mean_field_stays_linear(preset):
+    """<a-> = -<a+> bit for bit, and so is its derivative, at every
+    right-hand side of the depleted solve: a linearly polarized input
+    stays linear along the cell, which is why the drive needs no
+    ellipticity."""
+    cfg, _ = cli.load_config(preset)
+    ens = cli.build_ensemble(cfg)
+    sec = cfg["noise"]
+    ix = float(cfg["drive"]["intensity"])   # YAML reads 8.0e4 as a string
+    seen = []
+
+    def solve(fun, y0, *args):
+        def rhs(z, y):
+            dy = fun(z, y)
+            seen.append(y[1] == -y[0] and dy[1] == -dy[0])
+            return dy
+        return bloch.solve_ivp(rhs, y0, *args)
+
+    with mock.patch.object(fluct, "solve_ivp", solve):
+        for de in sec["detunings"]:
+            fluct.propagate_noise(ens, DriveParams(intensity=ix, detuning=de),
+                                  sec["omegas"], THETAS, deplete=True)
+    assert len(seen) > 100 and all(seen)
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)

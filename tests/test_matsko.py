@@ -5,8 +5,8 @@ import pytest
 from conftest import psr_angle, rotation_strength_for_db
 
 from psrsim.core import ValidationError
-from psrsim.matsko import (PhenomenologicalParams, min_variance_db,
-                           optimal_phase, variance, variance_extrema)
+from psrsim.matsko import (min_variance_db, optimal_phase, variance,
+                           variance_extrema)
 
 
 def scan_variance(g_l, alpha_l, n=1_000_000):
@@ -25,15 +25,11 @@ def test_rotation_angle_is_a_product():
 def test_variance_reduces_to_qnl_without_interaction():
     for chi in (0.0, 0.7, 3.0):
         for al in (0.0, 1.0, 5.0):
-            p = PhenomenologicalParams(rotation_strength=0.0, absorption=al,
-                                       phase=chi)
-            assert variance(p) == pytest.approx(1.0, abs=1e-15)
+            assert variance(0.0, al, chi) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_total_absorption_returns_vacuum():
-    p = PhenomenologicalParams(rotation_strength=3.0, absorption=800.0,
-                               phase=0.3)
-    assert variance(p) == pytest.approx(1.0, abs=1e-12)
+    assert variance(3.0, 800.0, 0.3) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_minimum_matches_dense_scan():
@@ -51,8 +47,7 @@ def test_optimal_phase_against_scan():
     chi_grid = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
     best = chi_grid[np.argmin(scan)] % math.pi
     assert abs(best - chi_star % math.pi) < 2.0 * math.pi / n * 2
-    assert variance(PhenomenologicalParams(2.0, 0.0, chi_star)) == \
-        pytest.approx(v_min, abs=1e-12)
+    assert variance(2.0, 0.0, chi_star) == pytest.approx(v_min, abs=1e-12)
 
 
 def test_weak_rotation_first_order():
@@ -75,9 +70,8 @@ def test_absorption_degrades_monotonically():
 
 
 def test_periodicity_and_max_above_qnl():
-    p0 = PhenomenologicalParams(1.3, 0.4, 0.9)
-    p1 = PhenomenologicalParams(1.3, 0.4, 0.9 + 2.0 * math.pi)
-    assert variance(p0) == pytest.approx(variance(p1), rel=1e-12)
+    assert variance(1.3, 0.4, 0.9) == pytest.approx(
+        variance(1.3, 0.4, 0.9 + 2.0 * math.pi), rel=1e-12)
     _, v_max = variance_extrema(1.3, 0.4)
     assert v_max >= 1.0
 
@@ -86,9 +80,14 @@ def test_variance_lower_bound():
     rng = np.random.default_rng(7)
     for _ in range(200):
         g, al, chi = rng.uniform(-4, 4), rng.uniform(0, 5), rng.uniform(0, 7)
-        v = variance(PhenomenologicalParams(g, al, chi))
+        v = variance(g, al, chi)
         assert v >= (1.0 - math.exp(-al)) - 1e-12
         assert v >= 0.0
+
+
+def test_negative_absorption_rejected():
+    with pytest.raises(ValidationError, match="absorption"):
+        variance(1.0, -0.1, 0.3)
 
 
 def test_flat_variance_error():
