@@ -21,14 +21,15 @@ __version__ = "0.1.0"
 
 import os
 
-# psrsim's matrices are small (2x2 sideband stacks, 4x4 diffusion
-# tables, fit Jacobians of a few columns).  OpenBLAS would still run them
-# on a pool of one thread per core, whose workers busy-wait after every
-# call (the inflow and covariance-derivative matmuls of the noise kernel,
-# and the fit's SVD and Jacobian products all go through OpenBLAS): twice
-# the CPU time for no speed-up, and run times that follow the load of
-# other processes.  This only takes effect for BLAS libraries loaded
-# after psrsim is imported; a value already in the environment is kept.
+# psrsim's matrices are small (2x2 sideband stacks, the noise kernel's
+# product coefficients, fit Jacobians of a few columns).  OpenBLAS would
+# still run them on a pool of one thread per core, whose workers
+# busy-wait after every call (the inflow and covariance-derivative
+# contractions of the noise kernel, and the fit's SVD and Jacobian
+# products all go through OpenBLAS): twice the CPU time for no
+# speed-up, and run times that follow the load of other processes.
+# This only takes effect for BLAS libraries loaded after psrsim is
+# imported; a value already in the environment is kept.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .core import (

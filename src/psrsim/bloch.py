@@ -8,16 +8,15 @@ relax at gamma.  With gamma = 1 the coherent part of the dynamics is
 fixed by the two complex Rabi-scale amplitudes Omega+- = g <a+-> and the
 common detuning Delta.
 
-This module provides the steady state of those equations in closed
-form, the mean-field derivative d<a+->/dz, the Dormand-Prince
-integrator of the depleted noise transport, and the zero-sideband
-response kappa(0).
+This module provides the steady state of those equations for the
+linearly polarized drive in closed form, the zero-sideband response
+kappa(0), which is also the mean-field attenuation d<a+->/dz =
+-kappa(0) <a+->, and the Dormand-Prince integrator of the depleted
+noise transport.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -25,83 +24,23 @@ import numpy as np
 from .core import DriveParams, EnsembleParams, NumericalError
 
 
-@dataclass(frozen=True)
-class SteadyState:
-    """Stationary populations and optical coherences.
+def linear_steady_state(intensity: float,
+                        detuning: float) -> tuple[float, float, complex]:
+    """Stationary state of the linearly polarized drive of intensity I_x.
 
-    ``coh_14`` is <sigma_14> (ground-excited coherence of the sigma+
-    transition), ``coh_23`` the sigma- one.  Populations sum to 1.
+    The circular Rabi scales are Omega+- = +-Omega e^(i phi) with
+    Omega = sqrt(I_x/2), so each transition sees the saturation
+    q = s/2 = Omega^2/(1 + Delta^2).  Returns (p_g, p_e, r): the
+    population of each ground state (|1>, |2>) and of each excited
+    state (|3>, |4>), and r = <sigma_14>/Omega+ = <sigma_23>/Omega-.
+    The excited populations are equal in steady state, and the ground
+    populations balance the pump rates, p_g/p_e = (1 + q)/q; the
+    optical coherences are i Omega+- (p_g - p_e)/(1 + i Delta).  With
+    no drive the unpolarized state p_g = 1/2 is returned.
     """
-
-    populations: tuple[float, float, float, float]
-    coh_14: complex
-    coh_23: complex
-
-
-def steady_state(ens: EnsembleParams, drive_plus: complex,
-                 drive_minus: complex, detuning: float) -> SteadyState:
-    """Stationary solution of the optical Bloch equations.
-
-    ``drive_plus``/``drive_minus`` are the mean circular amplitudes
-    <a+->; the Rabi scales are Omega+- = g <a+-> with g from ``ens``.
-    With both drives off the stationary manifold is degenerate and the
-    unpolarized convention pop1 = pop2 = 1/2 is returned.  With only
-    one drive on, optical pumping empties the driven ground state into
-    the undriven one.
-    """
-    if not (np.isfinite(drive_plus) and np.isfinite(drive_minus)
-            and math.isfinite(detuning)):
-        raise NumericalError("non-finite steady-state inputs",
-                             {"a_plus": drive_plus, "a_minus": drive_minus,
-                              "detuning": detuning})
-    g = ens.coupling_normalized
-    om_p = g * complex(drive_plus)
-    om_m = g * complex(drive_minus)
-    den = 1.0 + detuning**2
-    sp = abs(om_p) ** 2 / den
-    sm = abs(om_m) ** 2 / den
-    if sp == 0.0 and sm == 0.0:
-        pops = (0.5, 0.5, 0.0, 0.0)
-    elif sm == 0.0:
-        pops = (0.0, 1.0, 0.0, 0.0)
-    elif sp == 0.0:
-        pops = (1.0, 0.0, 0.0, 0.0)
-    else:
-        # excited populations are equal in steady state; the ground
-        # populations balance the per-transition pump rates
-        t = 1.0 / ((1.0 + sp) / sp + (1.0 + sm) / sm + 2.0)
-        pops = (t * (1.0 + sp) / sp, t * (1.0 + sm) / sm, t, t)
-    coh_14 = 1j * om_p * (pops[0] - pops[3]) / (1.0 + 1j * detuning)
-    coh_23 = 1j * om_m * (pops[1] - pops[2]) / (1.0 + 1j * detuning)
-    return SteadyState(populations=pops, coh_14=coh_14, coh_23=coh_23)
-
-
-def symmetric_steady_state(ens: EnsembleParams,
-                           drive: DriveParams) -> SteadyState:
-    """Steady state for the linearly polarized drive of intensity I_x.
-
-    The two circular Rabi scales are Omega and -Omega with
-    Omega = sqrt(I_x/2); this is the stationary point the fluctuation
-    analysis linearizes around.
-    """
-    g = ens.coupling_normalized
-    if g == 0.0:
-        raise NumericalError("coupling g = 0: cannot form drive amplitudes",
-                             {"cooperativity": ens.cooperativity})
-    om = math.sqrt(drive.intensity / 2.0)
-    return steady_state(ens, om / g, -om / g, drive.detuning)
-
-
-def field_derivative(ens: EnsembleParams, drive_plus: complex,
-                     drive_minus: complex, detuning: float) -> np.ndarray:
-    """d<a+->/dz = i (g N l / c) (<sigma_14>, <sigma_23>), z in cell lengths.
-
-    The atoms are taken in the steady state of the local field.
-    """
-    g = ens.coupling_normalized
-    pref = 1j * ens.cooperativity / g if g > 0 else 0.0
-    st = steady_state(ens, drive_plus, drive_minus, detuning)
-    return np.array([pref * st.coh_14, pref * st.coh_23])
+    q = 0.5 * intensity / (1.0 + detuning * detuning)
+    den = 2.0 + 4.0 * q                 # 2 (1 + s) = 1/(p_g - p_e)
+    return (1.0 + q) / den, q / den, 1j / ((1.0 + 1j * detuning) * den)
 
 
 # Dormand-Prince 5(4) as in scipy's RK45: nodes, stage weights, 5th-order
@@ -184,6 +123,10 @@ def solve_ivp(fun, y0, rtol: float, atol: float, point: dict) -> OdeResult:
 
 
 def kappa_zero(ens: EnsembleParams, drive: DriveParams) -> complex:
-    """Zero-sideband response kappa(0) = C/(2(1 + i Delta)(1 + s))."""
-    s = drive.saturation
-    return ens.cooperativity / (2.0 * (1.0 + 1j * drive.detuning)) / (1.0 + s)
+    """Zero-sideband response kappa(0) = C/(2(1 + i Delta)(1 + s)).
+
+    It is -i C r of ``linear_steady_state``: the mean field obeys
+    d<a+->/dz = i C <sigma_14>/Omega+ <a+-> = -kappa(0) <a+->.
+    """
+    r = linear_steady_state(drive.intensity, drive.detuning)[2]
+    return -1j * ens.cooperativity * r

@@ -18,15 +18,20 @@ import math
 import sys
 from importlib import resources
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import click
 import numpy as np
 import yaml
 
-# every model module needs numpy alone, so no command loads scipy
-from . import __version__, ensemble, fluct, matsko
+# every model module needs numpy alone, so no command loads scipy;
+# ``ensemble`` (8-11 ms of import) is loaded by sweep and fit only
+from . import __version__, fluct, matsko
 from .core import (DataError, DriveParams, EnsembleParams, NumericalError,
                    ValidationError, ghz_to_gamma)
+
+if TYPE_CHECKING:
+    from . import ensemble
 
 _EXIT_CONFIG = 2
 _EXIT_NUMERIC = 3
@@ -136,6 +141,7 @@ def build_ensemble(cfg: dict) -> EnsembleParams:
 
 def build_manifold(sec: dict, section: str,
                    ens: EnsembleParams) -> ensemble.LineManifold:
+    from . import ensemble
     raw_lines = sec.get("lines")
     if not isinstance(raw_lines, list) or not raw_lines:
         raise ConfigError(f"{section}.lines", "must be a non-empty list")
@@ -254,6 +260,7 @@ def _map_ordered(worker, arg_list, jobs: int):
 @_FORMAT_OPT
 def sweep(config_path: str, out_path: Path, fmt: str) -> None:
     """Transmission and rotation maps over a detuning/intensity grid."""
+    from . import ensemble
     cfg, cfg_hash = load_config(config_path)
     sec = _section(cfg, "sweep")
     ens = build_ensemble(cfg)
@@ -370,13 +377,16 @@ def limits(config_path: str, out_path: Path, fmt: str) -> None:
     for k, row in enumerate(raw_rows):
         if not isinstance(row, dict):
             raise ConfigError(f"limits.rows[{k}]", "must be a mapping")
-        det = _num(row, f"limits.rows[{k}]", "detuning")
-        w = _num(row, f"limits.rows[{k}]", "omega")
-        if "intensity" in row:
-            ix = _num(row, f"limits.rows[{k}]", "intensity")
-        else:
-            s_req = _num(row, f"limits.rows[{k}]", "saturation")
-            ix = s_req * (1.0 + det * det)
+        name = f"limits.rows[{k}]"
+        det = _num(row, name, "detuning")
+        w = _num(row, name, "omega")
+        if w < 0:
+            raise ConfigError(f"{name}.omega", "must be >= 0")
+        key = "intensity" if "intensity" in row else "saturation"
+        value = _num(row, name, key)
+        if value < 0:
+            raise ConfigError(f"{name}.{key}", "must be >= 0")
+        ix = value if key == "intensity" else value * (1.0 + det * det)
         drive = DriveParams(intensity=ix, detuning=det)
         resp = fluct.response(ens, drive, w)
         sq_ix = math.sqrt(ix)
@@ -497,6 +507,7 @@ def _read_trace_csv(path: Path, expect_cols: int) -> list[list[float]]:
 @_FORMAT_OPT
 def fit(config_path: str, out_path: Path, fmt: str) -> None:
     """Fit the composite model to measured transmission/rotation traces."""
+    from . import ensemble
     cfg, cfg_hash = load_config(config_path)
     sec = _section(cfg, "fit")
     ens = build_ensemble(cfg)

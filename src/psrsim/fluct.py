@@ -21,6 +21,18 @@ steady state), scaled by the cooperativity.  Output quadrature spectra
 are QNL-normalized; commutator preservation ([da_y, da_y^dag] = 1 at
 the output) holds identically, is checked on every noisy spectrum and
 is exposed as a diagnostic.
+
+Every coefficient is a rational function of (I_x, Delta, w) over one
+denominator D(w), with numerators linear in I_x.  ``_sidebands``
+stores their I_x-free parts and I_x coefficients once per sideband
+grid; an evaluation at one intensity forms num + I_x num_ix, divides by
+D and scales the rows by kappa(0), its conjugate and sqrt(I_x/2), all
+from one closed-form steady state.  The covariance derivative
+M S + S M_-^T + C P D P_-^T of the depleted drive is then one set of
+pairwise products of those rows and the state, contracted by a small
+coefficient matrix whose five diffusion weights are written on each
+evaluation; the undepleted inflow is the same contraction without the
+drift products.
 """
 
 from __future__ import annotations
@@ -45,45 +57,29 @@ _VACUUM = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
 _COMMUTATOR = _VACUUM - _VACUUM.T
 
 
-class _Kernel(NamedTuple):
-    """Sideband coefficients at signed frequencies w (first axis)."""
-
-    m_w: np.ndarray            # (n, 2, 2) drift M(w) of (da_y, da_y^dag)
-    m_mw: np.ndarray           # (n, 2, 2) drift M(-w)
-    p_w: np.ndarray            # (n, 2, 4) rows of (F_y, F_y^dag) at w
-    p_mw: np.ndarray           # (n, 2, 4) the same at -w
-    lam: np.ndarray            # (n,) Lambda(w)
-    lam_prime: np.ndarray      # (n,) Lambda'(w)
-    a_coef: np.ndarray         # (n,) A(w)
-    b_coef: np.ndarray         # (n,) B(w)
-
-
 class _Sidebands(NamedTuple):
-    """The intensity-free factors of the kernel at u = (w, -w)."""
+    """The intensity-free factors of the kernel at u = (w, -w).
 
-    ens: EnsembleParams
+    Each row holds, over the common denominator D(u), the numerators of
+    Lambda, Lambda', A + B, B, A/(-iu) and A/(2-iu), then D itself:
+    ``num + I_x num_ix`` at I_x > 0 and ``free`` at I_x = 0.
+    """
+
     detuning: float
     truncate_dephasing: bool
     u: np.ndarray              # (2n,) signed sidebands
-    iu: np.ndarray             # i u
-    p1: np.ndarray             # 1 - iu
-    p2: np.ndarray             # 2 - iu
-    p1_sq: np.ndarray          # (1 - iu)^2
-    d_free: np.ndarray         # iu (2-iu) ((1-iu)^2 + Delta^2), -D at I_x = 0
-    c1: np.ndarray             # 1 - i Delta - iu
-    num_free: np.ndarray       # (1 - i Delta) c1 (2-iu)
-    a_num: np.ndarray          # c1 (-iu) (2-iu)
-    c1_p2: np.ndarray          # c1 (2-iu)
-    zero: np.ndarray           # u == 0
-    flip_m: np.ndarray         # (2n, 2) flat index of M(-u)[0, ::-1]
-    flip_p: np.ndarray         # (2n, 4) flat index of the F_y row at -u,
-                               # f_y and f_y^dag swapped
+    flip: np.ndarray           # (2n,) index of -u
+    num: np.ndarray            # (2n, 7) the I_x-free parts
+    num_ix: np.ndarray         # (2n, 7) the coefficients of I_x
+    free: np.ndarray           # (2n, 7) I_x = 0, -iu (2-iu) cancelled
+    lam_at_zero: np.ndarray    # flat indices of Lambda at u = 0
     transit: np.ndarray        # iu gamma l / c, the transit phase
 
 
 def _sidebands(ens: EnsembleParams, detuning: float, omegas,
                truncate_dephasing: bool) -> _Sidebands:
-    """Everything of the kernel that does not depend on I_x."""
+    """Everything of the kernel at u = (omegas, -omegas) that does not
+    depend on I_x."""
     w = np.asarray(omegas, dtype=float)
     n = w.size
     u = np.concatenate([w, -w])
@@ -93,86 +89,202 @@ def _sidebands(ens: EnsembleParams, detuning: float, omegas,
     p2 = 2.0 - iu
     p1_sq = p1 ** 2
     c1 = 1.0 - 1j * de - iu
-    flip = np.r_[n:2 * n, 0:n]          # index of -u
+    a_red = c1 * -iu                    # A D / (2-iu)
+    zero = np.zeros_like(iu)
     return _Sidebands(
-        ens=ens, detuning=de, truncate_dephasing=truncate_dephasing,
-        u=u, iu=iu, p1=p1, p2=p2, p1_sq=p1_sq,
-        d_free=iu * p2 * (p1_sq + de * de), c1=c1,
-        num_free=(1.0 - 1j * de) * c1 * p2, a_num=c1 * (-1j * u) * p2,
-        c1_p2=c1 * p2, zero=u == 0.0,
-        flip_m=4 * flip[:, None] + [1, 0],
-        flip_p=8 * flip[:, None] + [FYD, FY, FZ, FZP],
+        detuning=de, truncate_dephasing=truncate_dephasing, u=u,
+        flip=np.r_[n:2 * n, 0:n],
+        num=np.stack([zero, -iu * (1.0 - 1j * de) * c1 * p2, a_red * p2,
+                      zero, c1 * p2, a_red,
+                      -iu * p2 * (p1_sq + de * de)], axis=1),
+        num_ix=np.stack([p1 * p2, iu * p1, p1, p1, zero, zero,
+                         2.0 * p1_sq], axis=1),
+        free=np.stack([zero, (1.0 - 1j * de) * c1, c1, zero, zero, zero,
+                       p1_sq + de * de], axis=1),
+        lam_at_zero=6 * np.flatnonzero(u == 0.0),
         transit=iu * ens.transit_time)
 
 
-def _kernel_at(sb: _Sidebands, drive: DriveParams) -> _Kernel:
-    """The kernel of ``sb``'s sidebands at the drive's intensity.
+def _ratios(sb: _Sidebands, ix: float) -> np.ndarray:
+    """Lambda, Lambda', A + B, B, A/(-iu) and A/(2-iu) at ``sb``'s
+    sidebands and intensity I_x, shape (2n, 6).
 
-    ``drive.detuning`` must be the one ``sb`` was built for.
-    """
-    ix, de = drive.intensity, sb.detuning
-    iu, p1, p2, c1 = sb.iu, sb.p1, sb.p2, sb.c1
-    d = 2.0 * ix * sb.p1_sq - sb.d_free
-    if ix == 0.0:       # -iu (2-iu) cancelled from D and the numerators
-        lam = b = np.zeros_like(c1)
-        a = c1 / (sb.p1_sq + de * de)
-        lamp = (1.0 - 1j * de) * a
-        row = (a, b, b, b)
-    else:               # D(0) = 2 I_x: a pole needs D(u) = 0 at real u != 0
-        pole = d == 0.0
-        if pole.any():
-            raise NumericalError("response pole: D(omega) = 0",
-                                 {"intensity": ix, "detuning": de,
-                                  "omega": float(sb.u[pole][0])})
-        ix_p1 = ix * p1
-        lam = np.where(sb.zero, 1.0, ix_p1 * p2 / d)
-        lamp = np.where(sb.zero, 0.0, iu * (ix_p1 - sb.num_free) / d)
-        a = sb.a_num / d
-        b = ix_p1 / d
-        om = math.sqrt(ix / 2.0)
-        row = (a + b, b, -1j * om * (sb.c1_p2 / d), -1j * om * a / p2)
-
-    k0 = bloch.kappa_zero(sb.ens, drive)
-    m11 = sb.transit
-    if not sb.truncate_dephasing:
-        m11 = m11 - np.conj(k0) * lamp
-    m12 = -k0 * lam
-    # the second rows (da_y^dag, F_y^dag) at u conjugate the first at -u
-    size = sb.u.size
-    m = np.empty((size, 2, 2), dtype=complex)
-    m[:, 0, 0], m[:, 0, 1] = m11, m12
-    np.conjugate(m.reshape(-1)[sb.flip_m], out=m[:, 1])
-    p = np.empty((size, 2, 4), dtype=complex)
-    p[:, 0, 0], p[:, 0, 1], p[:, 0, 2], p[:, 0, 3] = row
-    np.conjugate(p.reshape(-1)[sb.flip_p], out=p[:, 1])
-    n = size // 2
-    return _Kernel(m[:n], m[n:], p[:n], p[n:],
-                   lam[:n], lamp[:n], a[:n], b[:n])
-
-
-def _kernel(ens: EnsembleParams, drive: DriveParams, omegas,
-            truncate_dephasing: bool = False) -> _Kernel:
-    """Drift matrices and Langevin source rows at signed sidebands w.
-
-    The rational functions of (I_x, Delta, u) are evaluated once on
-    u = (w, -w) over the common denominator
     D(u) = 2 I_x (1-iu)^2 - iu (2-iu) ((1-iu)^2 + Delta^2).  At u = 0
     the continuity values Lambda = 1, Lambda' = 0 are used.  With no
     drive (I_x = 0) the factor -iu (2-iu) common to D and every
-    numerator is cancelled, so all limits at u = 0 are finite.
-
-    The source row of F_y over (f_y, f_y^dag, f_z, f_z') follows from
-    eliminating the atomic fluctuations; the population-noise weights
-    are finite at u = 0 because A carries a factor of u.  (The f_z
-    weight is -i sqrt(I_x/2) A/(-iu): commutator preservation of the
-    propagated field pins both its sign and its magnitude.)
-
-    The factors that do not involve I_x come from ``_sidebands``, so a
-    caller that varies only the intensity builds them once and calls
-    ``_kernel_at``.
+    numerator is cancelled, so all limits at u = 0 are finite; the
+    f_z weights, which carry sqrt(I_x), are then 0.
     """
-    return _kernel_at(_sidebands(ens, drive.detuning, omegas,
-                                 truncate_dephasing), drive)
+    rows = sb.free if ix == 0.0 else sb.num + ix * sb.num_ix
+    d = rows[:, 6:]
+    # D(0) = 2 I_x: a pole needs D(u) = 0 at real u != 0
+    if np.count_nonzero(d) < sb.u.size:
+        raise NumericalError("response pole: D(omega) = 0",
+                             {"intensity": ix, "detuning": sb.detuning,
+                              "omega": float(sb.u[d[:, 0] == 0.0][0])})
+    q = rows[:, :6] / d
+    if ix != 0.0 and sb.lam_at_zero.size:
+        np.put(q, sb.lam_at_zero, 1.0)
+    return q
+
+
+def _rows(sb: _Sidebands, ix: float, k0: complex) -> np.ndarray:
+    """The first rows of the drift M(u) and of the Langevin source P(u)
+    at ``sb``'s sidebands, shape (2n, 6): M_12 = -kappa(0) Lambda,
+    M_11 = -kappa(0)* Lambda' without the transit phase, then the F_y
+    weights of (f_y, f_y^dag, f_z, f_z'),
+    (A + B, B, -i sqrt(I_x/2) A/(-iu), -i sqrt(I_x/2) A/(2-iu)).
+
+    The source row follows from eliminating the atomic fluctuations;
+    the population-noise weights are finite at u = 0 because A carries
+    a factor of u.  (Commutator preservation of the propagated field
+    pins both the sign and the magnitude of the f_z weight.)  The second
+    rows at u, of da_y^dag and F_y^dag, are the first rows at -u
+    conjugated, with (M_11, M_12) and (f_y, f_y^dag) swapped.
+    """
+    om = -1j * math.sqrt(0.5 * ix)
+    return _ratios(sb, ix) * (
+        -k0, 0.0 if sb.truncate_dephasing else -k0.conjugate(), 1.0, 1.0,
+        om, om)
+
+
+def _steady_state(ens: EnsembleParams, ix: float, detuning: float,
+                  noisy: bool):
+    """kappa(0) and, if ``noisy``, C times the non-zero entries of the
+    ordered atomic diffusion table, both from the steady state of the
+    linear drive of intensity I_x.
+
+    The table's [i, j] entry is the white-noise density of <f_i f_j> in
+    the basis (f_y, f_y^dag, f_z, f_z'), per atom, from the generalized
+    Einstein relations: for operator pairs (P, Q) the density of
+    <F_P F_Q> is <D+(PQ) - D+(P)Q - P D+(Q)> in the steady state, with
+    D+ the dissipative part of the Heisenberg generator (the Hamiltonian
+    part cancels).  That state holds the populations p_k and the
+    coherences <sigma_14> = -<sigma_23> only, and the relations leave
+    five entries, returned in the order of ``_DIFFUSION``:
+
+        <f_y f_y^dag> = p1 + p2 + p3 + p4 = t,
+        <f_z f_z> = <f_z' f_z'> = p3 + p4 = p_e,
+        <f_y f_z'> = <sigma_14> - <sigma_23> = c,  <f_z' f_y^dag> = c*.
+
+    The Gram table <f_i f_j^dag> (the ordered one with the f_y and
+    f_y^dag columns swapped) is then Hermitian and block diagonal:
+    [[t, c], [c*, p_e]] on (f_y, f_z'), p_e on f_z and 0 on f_y^dag.  It
+    is positive semidefinite when the smaller eigenvalue of the 2x2
+    block is; below -1e-10, or NaN, raises NumericalError.
+    """
+    p_g, p_e, coh = bloch.linear_steady_state(ix, detuning)
+    cc = ens.cooperativity
+    k0 = -1j * cc * coh
+    if not noisy:
+        return k0, ()
+    t = 2.0 * (p_g + p_e)
+    p_e = 2.0 * p_e
+    c = 2.0 * math.sqrt(0.5 * ix) * coh
+    lam_min = 0.5 * (t + p_e) - math.hypot(0.5 * (t - p_e), abs(c))
+    if not lam_min >= -1e-10:
+        raise NumericalError(
+            f"diffusion table not positive semidefinite "
+            f"(min eigenvalue {lam_min:.2e})",
+            {"intensity": ix, "detuning": detuning})
+    return k0, (cc * t, cc * p_e, cc * p_e, cc * c, cc * c.conjugate())
+
+
+# dS/dz = M S + S M_-^T + C P D P_-^T at each sideband u is a sum of
+# products of two factors from one flat stack: the rows of ``_rows`` at
+# every u, their conjugates, then the ODE state (the mean field and the
+# covariances S(u), 2x2 row-major).  A factor is (column, taken at -u);
+# columns 0-5 are ``_rows``', 6-11 their conjugates, 12-15 S_00..S_11.
+_M = (((1, 0), (0, 0)), ((6, 1), (7, 1)))           # M(u)[i][k]
+_P = (((2, 0), (3, 0), (4, 0), (5, 0)),              # P(u)[i][a]
+      ((9, 1), (8, 1), (10, 1), (11, 1)))
+# the (a, b) of D's non-zero entries, in _steady_state's order
+_DIFFUSION = ((FY, FYD), (FZ, FZ), (FZP, FZP), (FY, FZP), (FZP, FYD))
+
+
+def _at_minus(f):
+    return f[0], 1 - f[1]
+
+
+class _Pairs(NamedTuple):
+    """The products that make dS/dz (or the inflow alone) at every u."""
+
+    first: np.ndarray          # (2n, p) flat stack index of each factor
+    second: np.ndarray
+    coef: np.ndarray           # (p, 4) weight of each product in dS_ij
+    diffusion: np.ndarray      # flat indices into ``coef`` of the inflow
+                               # weights, _DIFFUSION's order repeating
+
+
+def _pairs(sb: _Sidebands, drift: bool, inflow: bool) -> _Pairs:
+    """The drift products M S + S M_-^T if ``drift``, and the inflow
+    products P D P_-^T if ``inflow``, whose weights are written on each
+    evaluation."""
+    terms = []                  # (index 2 i + j of dS_ij, factor, factor)
+    if drift:
+        terms += [(2 * i + j, _M[i][k], (12 + 2 * k + j, 0))
+                  for i, j, k in np.ndindex(2, 2, 2)]
+        terms += [(2 * i + j, (12 + 2 * i + k, 0), _at_minus(_M[j][k]))
+                  for i, j, k in np.ndindex(2, 2, 2)]
+    fixed = len(terms)
+    if inflow:
+        terms += [(2 * i + j, _P[i][a], _at_minus(_P[j][b]))
+                  for i, j in np.ndindex(2, 2) for a, b in _DIFFUSION]
+    out = np.array([t[0] for t in terms], dtype=np.intp)
+    col, neg = np.array([t[1:] for t in terms], dtype=np.intp).T
+    size = sb.u.size
+    # stack index = offset + stride * (row of u, or of -u)
+    offset = np.where(col < 12, col // 6 * 6 * size + col % 6,
+                      12 * size + 2 + col - 12)
+    stride = np.where(col < 12, 6, 4)
+    row = np.arange(size)[:, None]
+    first, second = (offset[k] + stride[k] * np.where(neg[k], sb.flip[:, None],
+                                                      row)
+                     for k in range(2))
+    flat = 4 * np.arange(len(terms)) + out
+    coef = np.zeros((len(terms), 4), dtype=complex)
+    coef.flat[flat[:fixed]] = 1.0
+    return _Pairs(first, second, coef, flat[fixed:])
+
+
+def _contract(pairs: _Pairs, weights, rows: np.ndarray,
+              *state: np.ndarray) -> np.ndarray:
+    """The (2n, 4) sums of ``pairs``' products over the stack of
+    ``rows``, their conjugates and ``state``."""
+    if weights:
+        np.put(pairs.coef, pairs.diffusion, weights)
+    z = np.concatenate((rows, rows.conj(), *state), axis=None)
+    return (z[pairs.first] * z[pairs.second]) @ pairs.coef
+
+
+class _Kernel(NamedTuple):
+    """The undepleted transport's coefficients at u = (w, -w)."""
+
+    m_w: np.ndarray            # (2n, 2, 2) drift M(u) of (da_y, da_y^dag)
+    m_mw: np.ndarray           # (2n, 2, 2) drift M(-u)
+    src: np.ndarray            # (2n, 2, 2) source density N(u)
+
+
+def _kernel(ens: EnsembleParams, drive: DriveParams, omegas,
+            noisy: bool = True, truncate_dephasing: bool = False) -> _Kernel:
+    """Drifts and Langevin source densities at u = (omegas, -omegas).
+
+    N(u) = C P(u) D P(-u)^T with D the ordered diffusion table; without
+    ``noisy`` it is 0.
+    """
+    ix = drive.intensity
+    sb = _sidebands(ens, drive.detuning, omegas, truncate_dephasing)
+    k0, weights = _steady_state(ens, ix, drive.detuning, noisy)
+    rows = _rows(sb, ix, k0)
+    m = np.empty((sb.u.size, 2, 2), dtype=complex)
+    m[:, 0, 0] = sb.transit + rows[:, 1]
+    m[:, 0, 1] = rows[:, 0]
+    m[:, 1, ::-1] = m[sb.flip, 0].conj()
+    if noisy:
+        src = _contract(_pairs(sb, False, True), weights, rows)
+    else:
+        src = np.zeros((sb.u.size, 4), dtype=complex)
+    return _Kernel(m, m[sb.flip], src.reshape(-1, 2, 2))
 
 
 @dataclass(frozen=True)
@@ -199,61 +311,13 @@ def response(ens: EnsembleParams, drive: DriveParams,
     if omega < 0:
         raise ValidationError("omega", "must be >= 0")
     k0 = bloch.kappa_zero(ens, drive)
-    k = _kernel(ens, drive, [omega])
-    kap = k0 * k.lam[0]
+    lam, lamp = _ratios(_sidebands(ens, drive.detuning, [omega], False),
+                        drive.intensity)[0, :2]
+    kap = k0 * lam
     return ComplexResponse(kappa=kap,
-                           gamma=kap + np.conj(k0) * k.lam_prime[0],
-                           drift=-np.conj(k0) * k.lam_prime[0],
-                           lam=k.lam[0], lam_prime=k.lam_prime[0], kappa0=k0)
-
-
-def diffusion(ens: EnsembleParams, drive: DriveParams) -> np.ndarray:
-    """Atomic diffusion table from generalized Einstein relations.
-
-    Returns the (4, 4) array whose [i, j] entry is the white-noise
-    density of the ordered product <f_i f_j> in the basis
-    (f_y, f_y^dag, f_z, f_z'), per atom, gamma = 1 units; this is what
-    the covariance transport consumes.  For operator pairs (P, Q) the
-    density of <F_P F_Q> is <D+(PQ) - D+(P)Q - P D+(Q)> in the steady
-    state, with D+ the dissipative part of the Heisenberg generator (the
-    Hamiltonian part cancels identically).  Evaluated at the symmetric working point of
-    the fluctuation analysis, whose density matrix holds only the
-    populations p_k and the coherences <sigma_14>, <sigma_23>, the
-    relations leave five non-zero entries:
-
-        <f_y f_y^dag> = p1 + p2 + p3 + p4 = t,
-        <f_z f_z> = <f_z' f_z'> = p3 + p4 = p_e,
-        <f_y f_z'> = <sigma_14> - <sigma_23> = c,  <f_z' f_y^dag> = c*.
-
-    The Gram table <f_i f_j^dag> (the ordered one with the f_y and
-    f_y^dag columns swapped) is then Hermitian by construction and block
-    diagonal: [[t, c], [c*, p_e]] on (f_y, f_z'), p_e on f_z and 0 on
-    f_y^dag.  It is positive semidefinite when the smaller eigenvalue of
-    the 2x2 block is; below -1e-10, or NaN, raises NumericalError.
-    """
-    st = bloch.symmetric_steady_state(ens, drive)
-    p1, p2, p3, p4 = st.populations
-    t = p1 + p2 + p3 + p4
-    p_e = p3 + p4
-    c = st.coh_14 - st.coh_23
-    lam_min = 0.5 * (t + p_e) - math.hypot(0.5 * (t - p_e), abs(c))
-    if not lam_min >= -1e-10:
-        raise NumericalError(
-            f"diffusion table not positive semidefinite "
-            f"(min eigenvalue {lam_min:.2e})",
-            {"intensity": drive.intensity, "detuning": drive.detuning})
-    ordered = np.zeros((4, 4), dtype=complex)
-    ordered[FY, FYD] = t
-    ordered[FZ, FZ] = ordered[FZP, FZP] = p_e
-    ordered[FY, FZP] = c
-    ordered[FZP, FYD] = c.conjugate()
-    return ordered
-
-
-def _inflow(ens: EnsembleParams, k: _Kernel,
-            diff: np.ndarray) -> np.ndarray:
-    """Stacked 2x2 source densities N(w) of the kernel's sidebands."""
-    return ens.cooperativity * (k.p_w @ diff @ k.p_mw.transpose(0, 2, 1))
+                           gamma=kap + np.conj(k0) * lamp,
+                           drift=-np.conj(k0) * lamp,
+                           lam=lam, lam_prime=lamp, kappa0=k0)
 
 
 # theta_m: the largest scaled norm at which the degree-m Taylor series of
@@ -324,38 +388,43 @@ def _transport(m_w: np.ndarray, m_mw: np.ndarray, src: np.ndarray,
 
 
 def _sigma_out_depleted(ens: EnsembleParams, drive: DriveParams,
-                        w: np.ndarray, noisy: bool,
+                        omegas: np.ndarray, noisy: bool,
                         truncate_dephasing: bool) -> np.ndarray:
-    """Output covariances at signed sidebands w, drive depleting along z.
+    """Output covariances at u = (omegas, -omegas), drive depleting
+    along z.
 
     One ODE carries the mean field <a+->(z) and the covariances of all
-    sidebands, so each right-hand side evaluates the local steady state,
-    the diffusion table and the kernel once; the kernel's intensity-free
-    factors are built once per solve.  The input is linearly polarized,
-    <a+-> = +-sqrt(I_x/2)/g, as in ``bloch.symmetric_steady_state``.
+    sidebands.  The sideband factors and the products that make dS/dz
+    are built once per solve; each right-hand side evaluates one steady
+    state at the local intensity, which gives kappa(0), the mean-field
+    derivative d<a+->/dz = -kappa(0) <a+-> and the diffusion weights,
+    then the rows of M and P, and contracts the products of one stack
+    (``_pairs``).  The transit phase is left out of the drift: it enters
+    M(u) and M(-u) with opposite signs and cancels from M S + S M_-^T.
+    The input is linearly polarized, <a+-> = +-sqrt(I_x/2)/g, and stays
+    so along the cell, so the steady state is the linear drive's.
     """
-    g = ens.coupling_normalized
-    n = w.size
-    sb = _sidebands(ens, drive.detuning, w, truncate_dephasing)
+    de = drive.detuning
+    sb = _sidebands(ens, de, omegas, truncate_dephasing)
+    pairs = _pairs(sb, True, noisy)
+    g2 = ens.coupling_normalized ** 2
+    point = {"detuning": de}
 
     def rhs(_z, y):
-        d_loc = DriveParams(
-            intensity=g * g * (abs(y[0]) ** 2 + abs(y[1]) ** 2),
-            detuning=drive.detuning)
-        k = _kernel_at(sb, d_loc)
-        sig = y[2:].reshape(n, 2, 2)
-        dsig = k.m_w @ sig + sig @ k.m_mw.transpose(0, 2, 1)
-        if noisy:
-            dsig = dsig + _inflow(ens, k, diffusion(ens, d_loc))
-        return np.concatenate((
-            bloch.field_derivative(ens, y[0], y[1], drive.detuning),
-            dsig.reshape(-1)))
+        a_p, a_m = y[:2].tolist()
+        ix = g2 * (abs(a_p) ** 2 + abs(a_m) ** 2)
+        if not math.isfinite(ix):
+            raise NumericalError("non-finite mean field", point)
+        k0, weights = _steady_state(ens, ix, de, noisy)
+        return np.concatenate(((-k0 * a_p, -k0 * a_m),
+                               _contract(pairs, weights,
+                                         _rows(sb, ix, k0), y)), axis=None)
 
-    a = math.sqrt(drive.intensity / 2.0) / g
-    y0 = np.concatenate(([a, -a],
-                         np.tile(_VACUUM.reshape(-1), n))).astype(complex)
-    sol = solve_ivp(rhs, y0, 1e-8, 1e-10, {"detuning": drive.detuning})
-    return sol.y[2:].reshape(n, 2, 2)
+    a = math.sqrt(drive.intensity / 2.0) / ens.coupling_normalized
+    y0 = np.concatenate(([a, -a], np.tile(_VACUUM.reshape(-1),
+                                          sb.u.size))).astype(complex)
+    sol = solve_ivp(rhs, y0, 1e-8, 1e-10, point)
+    return sol.y[2:].reshape(-1, 2, 2)
 
 
 @dataclass(frozen=True)
@@ -418,15 +487,13 @@ def propagate_noise(ens: EnsembleParams, drive: DriveParams,
     if (omegas < 0).any():
         raise ValidationError("omega_grid", "sideband frequencies must be >= 0")
     n = omegas.size
-    w = np.concatenate([omegas, -omegas])
     noisy = include_noise and ens.cooperativity > 0.0
     if deplete and ens.cooperativity > 0.0:   # no atoms: nothing depletes
-        sig = _sigma_out_depleted(ens, drive, w, noisy, truncate_dephasing)
+        sig = _sigma_out_depleted(ens, drive, omegas, noisy,
+                                  truncate_dephasing)
     else:
-        k = _kernel(ens, drive, w, truncate_dephasing)
-        src = (_inflow(ens, k, diffusion(ens, drive)) if noisy
-               else np.zeros_like(k.m_w))
-        sig = _transport(k.m_w, k.m_mw, src, _VACUUM)
+        k = _kernel(ens, drive, omegas, noisy, truncate_dephasing)
+        sig = _transport(k.m_w, k.m_mw, k.src, _VACUUM)
     sig_p, sig_m = sig[:n], sig[n:]
     # before any arithmetic on them: an overflowed transport would warn
     finite = np.isfinite(sig_p).all(axis=(1, 2)) & np.isfinite(sig_m).all(
@@ -498,10 +565,8 @@ def commutator_residual(ens: EnsembleParams, drive: DriveParams,
     zero up to roundoff (amplified at strongly amplifying parameter
     points).
     """
-    k = _kernel(ens, drive, [omega, -omega])
-    src = (_inflow(ens, k, diffusion(ens, drive)) if ens.cooperativity > 0.0
-           else np.zeros_like(k.m_w))
-    sig = _transport(k.m_w, k.m_mw, src, _VACUUM)
+    k = _kernel(ens, drive, [omega])
+    sig = _transport(k.m_w, k.m_mw, k.src, _VACUUM)
     return float(_commutator_excess(sig[:1], sig[1:])[0])
 
 

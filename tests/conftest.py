@@ -1,9 +1,10 @@
 """Shared test oracles: the Liouvillian and brute-force time
-integration, scipy's RK45 and the mean-field problem it is checked on,
-exact arithmetic, the scalar (one sideband at a time) fluctuation
-chain, the Einstein relations, the covariance transport by 5x5
-exponentials (scipy and 50-digit mpmath), the depleted transport with
-the whole kernel rebuilt at every step, Doppler quadrature, the
+integration, the steady state of any (elliptical) drive and its
+mean-field derivative, scipy's RK45 and the mean-field problem it is
+checked on, exact arithmetic, the scalar (one sideband at a time)
+fluctuation chain, the Einstein relations, the covariance transport by
+5x5 exponentials (scipy and 50-digit mpmath), the depleted transport
+with every factor rebuilt at every step, Doppler quadrature, the
 two-wofz composite kappa, the low-sideband limit and the
 phenomenological rotation model's inverse."""
 
@@ -18,11 +19,13 @@ import numpy as np
 from numpy.polynomial.hermite import hermgauss
 from scipy.integrate import solve_ivp
 
-from psrsim import bloch
+from psrsim import bloch, fluct
 from psrsim.core import (DriveParams, EnsembleParams, NumericalError,
                          ValidationError)
 from psrsim.ensemble import wofz
 from psrsim.matsko import min_variance_db
+
+UNIT_C = EnsembleParams.from_cooperativity(1.0)
 
 
 def sigma_op(i: int, j: int) -> np.ndarray:
@@ -69,6 +72,66 @@ def liouvillian(omega_plus: complex, omega_minus: complex,
     return L
 
 
+@dataclass(frozen=True)
+class SteadyState:
+    """Stationary populations and optical coherences.
+
+    ``coh_14`` is <sigma_14> (ground-excited coherence of the sigma+
+    transition), ``coh_23`` the sigma- one.  Populations sum to 1.
+    """
+
+    populations: tuple[float, float, float, float]
+    coh_14: complex
+    coh_23: complex
+
+
+def steady_state(ens, drive_plus, drive_minus, detuning) -> SteadyState:
+    """Stationary solution of the optical Bloch equations for any pair
+    of circular amplitudes <a+->, Omega+- = g <a+->.
+
+    With both drives off the unpolarized convention pop1 = pop2 = 1/2
+    is returned; with one drive on, optical pumping empties the driven
+    ground state into the undriven one.
+    """
+    g = ens.coupling_normalized
+    om_p = g * complex(drive_plus)
+    om_m = g * complex(drive_minus)
+    den = 1.0 + detuning**2
+    sp = abs(om_p) ** 2 / den
+    sm = abs(om_m) ** 2 / den
+    if sp == 0.0 and sm == 0.0:
+        pops = (0.5, 0.5, 0.0, 0.0)
+    elif sm == 0.0:
+        pops = (0.0, 1.0, 0.0, 0.0)
+    elif sp == 0.0:
+        pops = (1.0, 0.0, 0.0, 0.0)
+    else:
+        # excited populations are equal in steady state; the ground
+        # populations balance the per-transition pump rates
+        t = 1.0 / ((1.0 + sp) / sp + (1.0 + sm) / sm + 2.0)
+        pops = (t * (1.0 + sp) / sp, t * (1.0 + sm) / sm, t, t)
+    coh_14 = 1j * om_p * (pops[0] - pops[3]) / (1.0 + 1j * detuning)
+    coh_23 = 1j * om_m * (pops[1] - pops[2]) / (1.0 + 1j * detuning)
+    return SteadyState(populations=pops, coh_14=coh_14, coh_23=coh_23)
+
+
+def linear_state(drive) -> SteadyState:
+    """``bloch.linear_steady_state`` as a SteadyState, phase 0:
+    Omega+- = +-sqrt(I_x/2)."""
+    p_g, p_e, r = bloch.linear_steady_state(drive.intensity, drive.detuning)
+    om = math.sqrt(drive.intensity / 2.0)
+    return SteadyState((p_g, p_g, p_e, p_e), om * r, -om * r)
+
+
+def field_derivative(ens, drive_plus, drive_minus, detuning) -> np.ndarray:
+    """d<a+->/dz = i (g N l / c) (<sigma_14>, <sigma_23>), z in cell
+    lengths, the atoms in the steady state of the local field."""
+    g = ens.coupling_normalized
+    pref = 1j * ens.cooperativity / g if g > 0 else 0.0
+    st = steady_state(ens, drive_plus, drive_minus, detuning)
+    return np.array([pref * st.coh_14, pref * st.coh_23])
+
+
 def scipy_rk45(fun, y0, rtol, atol, point):
     """``bloch.solve_ivp`` done by scipy.integrate.solve_ivp(RK45)."""
     sol = solve_ivp(fun, (0.0, 1.0), y0, method="RK45", rtol=rtol, atol=atol)
@@ -79,7 +142,7 @@ def scipy_rk45(fun, y0, rtol, atol, point):
 
 def mean_field_problem(c, ix, de, eps):
     """(rhs, y0, atol) of the mean field through a cell of cooperativity
-    ``c``, at rtol 1e-8: d<a+->/dz of ``bloch.field_derivative`` from an
+    ``c``, at rtol 1e-8: d<a+->/dz of ``field_derivative`` from an
     input of intensity ``ix`` and ellipticity ``eps``: circular
     intensities I_x (1 -+ sin 2 eps)/2, the sigma- amplitude negative."""
     ens = EnsembleParams.from_cooperativity(c)
@@ -88,7 +151,7 @@ def mean_field_problem(c, ix, de, eps):
                    -math.sqrt(ix * (1.0 + math.sin(2.0 * eps)) / 2.0) / g],
                   dtype=complex)
     p_in = abs(y0[0]) ** 2 + abs(y0[1]) ** 2
-    return (lambda _z, y: bloch.field_derivative(ens, y[0], y[1], de),
+    return (lambda _z, y: field_derivative(ens, y[0], y[1], de),
             y0, 1e-8 * math.sqrt(p_in) * 1e-3)
 
 
@@ -277,6 +340,25 @@ def scalar_inflow(ens, drive, w, ordered):
                                 @ scalar_source_rows_pair(ix, de, -w).T)
 
 
+def source_rows(ens, drive, omegas):
+    """(2n, 2, 4) Langevin rows P(u) of (F_y, F_y^dag) over (f_y, f_y^dag,
+    f_z, f_z') at u = (omegas, -omegas), from ``fluct._rows``: the
+    second row at u is the first at -u conjugated, f_y and f_y^dag
+    swapped."""
+    sb = fluct._sidebands(ens, drive.detuning, omegas, False)
+    first = fluct._rows(sb, drive.intensity,
+                        bloch.kappa_zero(ens, drive))[:, 2:]
+    return np.stack([first, first[sb.flip][:, [1, 0, 2, 3]].conj()], axis=1)
+
+
+def langevin_coeffs(ens, drive, omega):
+    """A(w), B(w) of the Langevin source decomposition: B is a row of
+    ``fluct._ratios``, A is (2 - i w) times the f_z' row."""
+    q = fluct._ratios(fluct._sidebands(ens, drive.detuning, [omega], False),
+                      drive.intensity)[0]
+    return q[5] * (2.0 - 1j * omega), q[3]
+
+
 # the Einstein relations: operators P of the sigma basis, and the rows
 # f_y, f_y^dag, f_z, f_z' as combinations of their noises
 SIGMA_BASIS = [(1, 4), (2, 3), (4, 1), (3, 2), (1, 1), (2, 2), (3, 3), (4, 4)]
@@ -305,7 +387,7 @@ def einstein_tensor() -> tuple[np.ndarray, np.ndarray]:
 
 
 def density_matrix(st) -> np.ndarray:
-    """rho of a ``bloch.SteadyState``, rho_ij = <sigma_ji>."""
+    """rho of a ``SteadyState``, rho_ij = <sigma_ji>."""
     rho = np.zeros((4, 4), dtype=complex)
     rho.flat[::5] = st.populations        # the diagonal
     rho[3, 0] = st.coh_14
@@ -333,10 +415,22 @@ def excess(ordered: np.ndarray) -> np.ndarray:
     return out
 
 
-def brute_force_diffusion(ens, drive):
+def diffusion(drive) -> np.ndarray:
+    """The ordered (4, 4) diffusion table <f_i f_j> per atom that
+    ``fluct._steady_state`` weights the inflow with (at C = 1, so the
+    weights are the entries)."""
+    _, weights = fluct._steady_state(UNIT_C, drive.intensity,
+                                     drive.detuning, True)
+    ordered = np.zeros((4, 4), dtype=complex)
+    for (a, b), v in zip(fluct._DIFFUSION, weights):
+        ordered[a, b] = v
+    return ordered
+
+
+def brute_force_diffusion(drive):
     """Ordered diffusion table, one Einstein relation at a time, in
-    double precision."""
-    rho = density_matrix(bloch.symmetric_steady_state(ens, drive))
+    double precision, on ``bloch.linear_steady_state``."""
+    rho = density_matrix(linear_state(drive))
     d8 = np.empty((8, 8), dtype=complex)
     for a in range(8):
         for b in range(8):
@@ -344,7 +438,7 @@ def brute_force_diffusion(ens, drive):
     return COMBINE @ d8 @ COMBINE.T
 
 
-def mpmath_diffusion(ens, drive, dps=50):
+def mpmath_diffusion(drive, dps=50):
     """Ordered diffusion table at ``dps`` digits, as a 4x4 mpmath matrix.
 
     The Einstein operators have dyadic entries (0, +-1/2, +-1, ...), so
@@ -353,7 +447,7 @@ def mpmath_diffusion(ens, drive, dps=50):
     combinations, (1/sqrt(2))^2 = 1/2, are done at ``dps`` digits.
     """
     import mpmath
-    rho = density_matrix(bloch.symmetric_steady_state(ens, drive))
+    rho = density_matrix(linear_state(drive))
     idx, t_nz = einstein_tensor()
     with mpmath.workdps(dps):
         d8 = mpmath.matrix(8, 8)
@@ -417,34 +511,30 @@ def mpmath_extrema(m_w, m_mw, src, sigma0, dps=50):
     return np.array(out).T
 
 
-def per_evaluation_depleted(ens, drive, w, noisy, truncate_dephasing):
+def per_evaluation_depleted(ens, drive, omegas, noisy, truncate_dephasing):
     """``fluct._sigma_out_depleted`` with nothing built once per solve.
 
-    Every right-hand side makes a fresh DriveParams, the whole kernel
-    (``fluct._kernel``), the diffusion table and the inflow.  Returns
+    Every right-hand side builds fresh sideband factors
+    (``fluct._sidebands``) and products (``fluct._pairs``), then
+    evaluates the steady state, the rows and the contraction.  Returns
     ``bloch.solve_ivp``'s result, whose ``y[2:]`` are the covariances.
     """
-    from psrsim import fluct
     g = ens.coupling_normalized
-    n = w.size
+    de = drive.detuning
 
     def rhs(_z, y):
-        d_loc = DriveParams(
-            intensity=g * g * (abs(y[0]) ** 2 + abs(y[1]) ** 2),
-            detuning=drive.detuning)
-        k = fluct._kernel(ens, d_loc, w, truncate_dephasing)
-        sig = y[2:].reshape(n, 2, 2)
-        dsig = k.m_w @ sig + sig @ k.m_mw.transpose(0, 2, 1)
-        if noisy:
-            dsig = dsig + fluct._inflow(ens, k, fluct.diffusion(ens, d_loc))
-        return np.concatenate((
-            bloch.field_derivative(ens, y[0], y[1], drive.detuning),
-            dsig.reshape(-1)))
+        a_p, a_m = y[:2].tolist()
+        ix = g * g * (abs(a_p) ** 2 + abs(a_m) ** 2)
+        sb = fluct._sidebands(ens, de, omegas, truncate_dephasing)
+        k0, weights = fluct._steady_state(ens, ix, de, noisy)
+        dsig = fluct._contract(fluct._pairs(sb, True, noisy), weights,
+                               fluct._rows(sb, ix, k0), y)
+        return np.concatenate(((-k0 * a_p, -k0 * a_m), dsig), axis=None)
 
     amp = math.sqrt(drive.intensity / 2.0) / g      # linear input
-    vacua = np.tile(fluct._VACUUM.reshape(-1), n)
+    vacua = np.tile(fluct._VACUUM.reshape(-1), 2 * len(omegas))
     y0 = np.concatenate(([amp, -amp], vacua)).astype(complex)
-    return bloch.solve_ivp(rhs, y0, 1e-8, 1e-10, {"detuning": drive.detuning})
+    return bloch.solve_ivp(rhs, y0, 1e-8, 1e-10, {"detuning": de})
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 from conftest import (evolve_density_matrix, liouvillian,
-                      mean_field_problem, oracle_steady_values, sigma_op)
+                      mean_field_problem, oracle_steady_values, sigma_op,
+                      steady_state)
 
 from psrsim import bloch
 from psrsim.core import DriveParams, EnsembleParams
@@ -49,7 +50,7 @@ def test_liouvillian_reproduces_bloch_drift():
 
 
 def test_zero_drive_convention():
-    st = bloch.steady_state(ENS, 0.0, 0.0, 1.7)
+    st = steady_state(ENS, 0.0, 0.0, 1.7)
     assert st.populations == (0.5, 0.5, 0.0, 0.0)
     assert st.coh_14 == 0.0 and st.coh_23 == 0.0
 
@@ -57,7 +58,7 @@ def test_zero_drive_convention():
 def test_single_drive_pumps_into_dark_ground_state():
     """With a- = 0 the decay path empties the driven pair into |2>."""
     a_p = 1.5 / G
-    st = bloch.steady_state(ENS, a_p, 0.0, 0.0)
+    st = steady_state(ENS, a_p, 0.0, 0.0)
     assert st.populations == (0.0, 1.0, 0.0, 0.0)
     pops, c14, c23 = oracle_steady_values(ENS, a_p, 0.0, 0.0)
     assert np.abs(pops - np.array(st.populations)).max() < 1e-8
@@ -67,7 +68,7 @@ def test_single_drive_pumps_into_dark_ground_state():
 
 def test_symmetric_drive_matches_oracle():
     a = rabi_amp(1.0, 5.0)
-    st = bloch.steady_state(ENS, a, a, 5.0)
+    st = steady_state(ENS, a, a, 5.0)
     assert st.populations[0] == pytest.approx(st.populations[1], rel=1e-12)
     assert st.populations[2] == pytest.approx(st.populations[3], rel=1e-12)
     pops, c14, c23 = oracle_steady_values(ENS, a, a, 5.0)
@@ -83,12 +84,29 @@ def test_steady_state_random_points_vs_oracle():
         de = rng.uniform(-20.0, 20.0)
         ap = rabi_amp(sp, de, rng.uniform(0, 2 * np.pi))
         am = rabi_amp(sm, de, rng.uniform(0, 2 * np.pi))
-        st = bloch.steady_state(ENS, ap, am, de)
+        st = steady_state(ENS, ap, am, de)
         pops, c14, c23 = oracle_steady_values(ENS, ap, am, de)
         worst = max(worst,
                     np.abs(pops - np.array(st.populations)).max(),
                     abs(c14 - st.coh_14), abs(c23 - st.coh_23))
     assert worst < 1e-7
+
+
+@pytest.mark.parametrize("ix, de", [(0.0, 1.7), (1e-3, 0.0), (3.0, -2.0),
+                                    (1000.0, 0.5), (8e4, 400.0),
+                                    (1e6, -3.0)])
+def test_linear_steady_state_is_the_general_one_at_a_linear_drive(ix, de):
+    """The closed form equals the general steady state at <a-> = -<a+>,
+    any common phase, to rounding."""
+    p_g, p_e, r = bloch.linear_steady_state(ix, de)
+    assert 2.0 * (p_g + p_e) == pytest.approx(1.0, abs=1e-15)
+    for phase in (0.0, 2.1):
+        a = np.sqrt(ix / 2.0) / G * np.exp(1j * phase)
+        st = steady_state(ENS, a, -a, de)
+        assert np.abs(np.array(st.populations)
+                      - [p_g, p_g, p_e, p_e]).max() <= 1e-15
+        assert abs(st.coh_14 - G * a * r) <= 1e-15
+        assert abs(st.coh_23 + G * a * r) <= 1e-15
 
 
 def test_oracle_conserves_trace_and_cross_checks_solver():

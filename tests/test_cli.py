@@ -306,9 +306,9 @@ def test_noise_rejects_reinterpreted_values(tmp_path, override, field):
 
 
 def test_no_command_loads_scipy(tmp_path):
-    """A fresh interpreter runs noise (with and without --deplete), sweep,
-    a seeded fit, limits and matsko: no scipy module loads, and no process
-    pool with one worker."""
+    """A fresh interpreter runs noise (with and without --deplete), limits,
+    matsko, sweep and a seeded fit: no scipy module loads, no process pool
+    with one worker, and psrsim.ensemble only once sweep runs."""
     fit_cfg = write_fit_cfg(tmp_path)
     limits_cfg = write_cfg(tmp_path, {
         "ensemble": {"cooperativity": 100.0},
@@ -320,21 +320,22 @@ def test_no_command_loads_scipy(tmp_path):
                       "--out", str(tmp_path / "d2.csv")],
             "deplete": ["noise", "--config", "hot-vapour-d1", "--deplete",
                         "--jobs", "1", "--out", str(tmp_path / "d1.csv")],
-            "sweep": ["sweep", "--config", "d1-sweep",
-                      "--out", str(tmp_path / "maps")],
-            "fit": ["fit", "--config", str(fit_cfg),
-                    "--out", str(tmp_path / "fit.csv")],
             "limits": ["limits", "--config", str(limits_cfg),
                        "--out", str(tmp_path / "limits.csv")],
             "matsko": ["matsko", "--config", str(matsko_cfg),
-                       "--out", str(tmp_path / "matsko.csv")]}
+                       "--out", str(tmp_path / "matsko.csv")],
+            "sweep": ["sweep", "--config", "d1-sweep",
+                      "--out", str(tmp_path / "maps")],
+            "fit": ["fit", "--config", str(fit_cfg),
+                    "--out", str(tmp_path / "fit.csv")]}
     probe = (
         "import json, sys\n"
         "import psrsim.cli\n"
         "def loaded():\n"
         "    return sorted(m for m in sys.modules\n"
         "                  if m.split('.')[0] == 'scipy'\n"
-        "                  or m == 'concurrent.futures.process')\n"
+        "                  or m == 'concurrent.futures.process'\n"
+        "                  or m == 'psrsim.ensemble')\n"
         "seen = {'import': loaded()}\n"
         f"for name, args in {runs!r}.items():\n"
         "    sys.argv = ['psr-sim', *args]\n"
@@ -345,7 +346,9 @@ def test_no_command_loads_scipy(tmp_path):
                          capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
     seen = json.loads(res.stdout.splitlines()[-1])
-    assert seen == {name: [] for name in ["import", *runs]}
+    ensemble = ["psrsim.ensemble"]
+    assert seen == {"import": [], "noise": [], "deplete": [], "limits": [],
+                    "matsko": [], "sweep": ensemble, "fit": ensemble}
     for out in ("d2.csv", "d1.csv", "maps/psr_gl.csv", "fit.csv",
                 "limits.csv", "matsko.csv"):
         assert (tmp_path / out).exists()
@@ -418,6 +421,24 @@ def test_limits_table_flags(tmp_path):
     # saturated row valid for the high-saturation limit
     assert rows[2][idx["hsat_valid"]] == "1"
     assert float(rows[2][idx["hsat_kappa_dev"]]) <= 0.05
+
+
+@pytest.mark.parametrize("row, key", [
+    ({"omega": -5.0, "intensity": 4.0}, "limits.rows[1].omega"),
+    ({"omega": 5.0, "saturation": -0.5}, "limits.rows[1].saturation"),
+    ({"omega": 5.0, "intensity": -4.0}, "limits.rows[1].intensity"),
+], ids=["omega", "saturation", "intensity"])
+def test_limits_errors_name_the_config_key(tmp_path, row, key):
+    cfg = write_cfg(tmp_path, {
+        "ensemble": {"cooperativity": 100.0},
+        "limits": {"rows": [{"detuning": 50.0, "omega": 5.0,
+                             "saturation": 0.5},
+                            {"detuning": 50.0, **row}]}})
+    out = tmp_path / "limits.csv"
+    res = run_cli("limits", "--config", str(cfg), "--out", str(out))
+    assert res.returncode == 2
+    assert f"config error: {key}: must be >= 0" in res.stderr
+    assert not out.exists()
 
 
 def write_fit_cfg(tmp_path):

@@ -3,8 +3,9 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from conftest import (exact_a_coef, exact_b_coef, exact_lambda,
-                      exact_lambda_prime, excess, gram, limit_low_sideband)
+from conftest import (diffusion, exact_a_coef, exact_b_coef, exact_lambda,
+                      exact_lambda_prime, excess, gram, langevin_coeffs,
+                      limit_low_sideband)
 
 from psrsim import bloch, fluct
 from psrsim.core import (DriveParams, EnsembleParams, NumericalError,
@@ -20,13 +21,14 @@ def drift_no_transit(ens, drive, omega):
 
 
 def test_response_identities_at_zero_sideband():
-    d = DriveParams(intensity=3.0, detuning=2.0)
-    r = fluct.response(ENS, d, 0.0)
-    assert r.lam == 1.0
-    assert r.lam_prime == 0.0
-    assert r.kappa == r.kappa0
-    assert r.drift == 0.0
-    assert r.gamma == r.kappa0
+    """Exactly, also at I_x = 24.5, where D(0) x (1/D(0)) = 1 - 1 ulp."""
+    for ix in (3.0, 24.5):
+        r = fluct.response(ENS, DriveParams(intensity=ix, detuning=2.0), 0.0)
+        assert r.lam == 1.0
+        assert r.lam_prime == 0.0
+        assert r.kappa == r.kappa0
+        assert r.drift == 0.0
+        assert r.gamma == r.kappa0
 
 
 def test_response_vanishing_drive_kills_cross_kerr():
@@ -49,12 +51,6 @@ def test_response_structure_identities():
 def test_response_rejects_negative_sideband():
     with pytest.raises(ValidationError):
         fluct.response(ENS, DriveParams(intensity=1.0, detuning=1.0), -1.0)
-
-
-def langevin_coeffs(ens, drive, omega):
-    """A(w), B(w) of the Langevin source decomposition."""
-    k = fluct._kernel(ens, drive, [omega])
-    return k.a_coef[0], k.b_coef[0]
 
 
 def test_langevin_coefficients_at_zero_sideband():
@@ -101,7 +97,7 @@ def test_diffusion_table_is_hermitian_psd():
         s = 10.0 ** rng.uniform(-2, 2)
         de = rng.uniform(-30.0, 30.0)
         d = DriveParams(intensity=s * (1 + de * de), detuning=de)
-        g = gram(fluct.diffusion(ENS, d))
+        g = gram(diffusion(d))
         assert g.shape == (4, 4)
         assert np.array_equal(g, g.conj().T)
         assert np.linalg.eigvalsh(g).min() >= -1e-15
@@ -109,7 +105,7 @@ def test_diffusion_table_is_hermitian_psd():
 
 def test_diffusion_zero_drive_has_no_excess_noise():
     d = DriveParams(intensity=0.0, detuning=2.0)
-    diff = fluct.diffusion(ENS, d)
+    diff = diffusion(d)
     # no excitation: normally ordered (excess) correlators all vanish
     assert np.abs(excess(diff)).max() < 1e-13
     # the ordered table keeps the vacuum inflow that balances absorption

@@ -83,9 +83,18 @@ def test_depleted_hot_points_equal_scipy_driven_transport(de, ix, omegas):
 
 
 def test_non_finite_rhs_is_a_numerical_error_naming_the_detuning():
-    nan = np.array([np.nan, np.nan], dtype=complex)
-    with mock.patch.object(bloch, "field_derivative", lambda *_: nan):
-        with pytest.raises(NumericalError, match="non-finite") as exc:
+    """A NaN in the mean field stops the right-hand side itself; one in a
+    covariance makes its output non-finite, which the integrator
+    rejects.  Both name the detuning."""
+    for entry, message in ((0, "non-finite mean field"),
+                           (2, "non-finite ODE right-hand side")):
+        def solve(fun, y0, *args, entry=entry):
+            y0 = y0.copy()
+            y0[entry] = np.nan
+            return bloch.solve_ivp(fun, y0, *args)
+
+        with mock.patch.object(fluct, "solve_ivp", solve), \
+                pytest.raises(NumericalError, match=message) as exc:
             fluct.propagate_noise(HOT, DriveParams(intensity=1000.0,
                                                    detuning=1.5),
                                   [0.5], THETAS, deplete=True)

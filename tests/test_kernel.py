@@ -1,9 +1,9 @@
 """The array fluctuation kernel against the scalar chain, the closed-form
-diffusion table against the Einstein relations (traced in double
+diffusion entries against the Einstein relations (traced in double
 precision, and at 50 digits), the 2x2 covariance transport against 5x5
 exponentials (scipy, and mpmath at 50 digits), and --deplete, bit for
-bit against a right-hand side that rebuilds the whole kernel at every
-evaluation."""
+bit against a right-hand side that rebuilds every factor at every
+evaluation, and against the saturable Beer law."""
 
 import math
 import subprocess
@@ -14,10 +14,10 @@ import mpmath
 import numpy as np
 import pytest
 import yaml
-from conftest import (brute_force_diffusion, einstein_operator,
+from conftest import (brute_force_diffusion, diffusion, einstein_operator,
                       einstein_tensor, mpmath_diffusion, mpmath_extrema,
                       per_evaluation_depleted, scalar_drift, scalar_inflow,
-                      scalar_source_rows_pair, scipy_transport)
+                      scalar_source_rows_pair, scipy_transport, source_rows)
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -48,11 +48,13 @@ def test_kernel_matches_scalar_chain(c, ix, de, omegas):
     ens = EnsembleParams.from_cooperativity(c, gamma_raw=1.9058e7)
     drive = DriveParams(intensity=ix, detuning=de)
     k = fluct._kernel(ens, drive, omegas)
+    p = source_rows(ens, drive, omegas)
+    n = len(omegas)
     for i, w in enumerate(omegas):
         assert_close(k.m_w[i], scalar_drift(ens, drive, w))
         assert_close(k.m_mw[i], scalar_drift(ens, drive, -w))
-        assert_close(k.p_w[i], scalar_source_rows_pair(ix, de, w))
-        assert_close(k.p_mw[i], scalar_source_rows_pair(ix, de, -w))
+        assert_close(p[i], scalar_source_rows_pair(ix, de, w))
+        assert_close(p[n + i], scalar_source_rows_pair(ix, de, -w))
 
 
 @KERNEL
@@ -60,19 +62,27 @@ def test_kernel_matches_scalar_chain(c, ix, de, omegas):
 def test_inflow_and_truncated_drift_match_scalar_chain(c, ix, de, w):
     ens = EnsembleParams.from_cooperativity(c)
     drive = DriveParams(intensity=ix, detuning=de)
-    diff = fluct.diffusion(ens, drive)
-    assert_close(fluct._inflow(ens, fluct._kernel(ens, drive, [w]), diff)[0],
-                 scalar_inflow(ens, drive, w, diff))
+    assert_close(fluct._kernel(ens, drive, [w]).src[0],
+                 scalar_inflow(ens, drive, w, diffusion(drive)))
     drift = fluct._kernel(ens, drive, [w], truncate_dephasing=True).m_w[0]
     assert_close(drift, scalar_drift(ens, drive, w, truncate_dephasing=True))
 
 
+def test_a_response_pole_is_a_numerical_error_naming_omega():
+    """D(u) = 0 at a real u != 0 would divide by zero: the rows refuse,
+    naming the first such sideband (here D(-1) zeroed by hand)."""
+    sb = fluct._sidebands(HOT, 1.5, [0.5, 1.0], False)
+    num, num_ix = sb.num.copy(), sb.num_ix.copy()
+    num[3, 6] = num_ix[3, 6] = 0.0
+    with pytest.raises(NumericalError, match="response pole") as exc:
+        fluct._ratios(sb._replace(num=num, num_ix=num_ix), 1000.0)
+    assert exc.value.point == {"intensity": 1000.0, "detuning": 1.5,
+                               "omega": -1.0}
+
+
 # the five entries the Einstein relations leave in the steady state
-NON_ZERO = [(fluct.FY, fluct.FYD), (fluct.FZ, fluct.FZ),
-            (fluct.FZP, fluct.FZP), (fluct.FY, fluct.FZP),
-            (fluct.FZP, fluct.FYD)]
 ZERO = np.ones((4, 4), dtype=bool)
-ZERO[tuple(zip(*NON_ZERO))] = False
+ZERO[tuple(zip(*fluct._DIFFUSION))] = False
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -80,10 +90,9 @@ ZERO[tuple(zip(*NON_ZERO))] = False
 def test_diffusion_matches_brute_force_loop(ix, de):
     """Within 5e-16 of the largest entry; the entries that the double
     precision loop leaves at ~1e-35 ((1/sqrt(2))^2 != 1/2) are 0."""
-    ens = EnsembleParams.from_cooperativity(100.0)
     drive = DriveParams(intensity=ix, detuning=de)
-    got = fluct.diffusion(ens, drive)
-    assert_close(got, brute_force_diffusion(ens, drive), rtol=5e-16)
+    got = diffusion(drive)
+    assert_close(got, brute_force_diffusion(drive), rtol=5e-16)
     assert not got[ZERO].any()
 
 
@@ -102,11 +111,11 @@ def test_intensity_part_equals_a_fresh_kernel(c, intensities, de, omegas,
     sb = fluct._sidebands(ens, de, omegas, truncate)
     built = [f.tobytes() for f in sb if isinstance(f, np.ndarray)]
     for ix in intensities:
-        drive = DriveParams(intensity=ix, detuning=de)
-        got = fluct._kernel_at(sb, drive)
-        ref = fluct._kernel(ens, drive, omegas, truncate)
-        for name, a, b in zip(fluct._Kernel._fields, got, ref):
-            assert a.tobytes() == b.tobytes(), name
+        k0 = bloch.kappa_zero(ens, DriveParams(intensity=ix, detuning=de))
+        got = fluct._rows(sb, ix, k0)
+        ref = fluct._rows(fluct._sidebands(ens, de, omegas, truncate), ix,
+                          k0)
+        assert got.tobytes() == ref.tobytes()
     assert [f.tobytes() for f in sb if isinstance(f, np.ndarray)] == built
 
 
@@ -120,17 +129,16 @@ def test_einstein_tensor_keeps_every_non_zero_operator():
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
-@given(st.floats(1.0, 1e7), st.floats(0.0, 1e6), st.floats(-1e3, 1e3))
-@example(15.0, 1000.0, 0.5)        # hot vapour: p3 = p4 = 0.25
-@example(1600.0, 8e4, 400.0)       # cold atoms: p3 = p4 = 0.083
-def test_closed_form_diffusion_matches_50_digit_einstein_loop(c, ix, de):
+@given(st.floats(0.0, 1e6), st.floats(-1e3, 1e3))
+@example(1000.0, 0.5)              # hot vapour: p3 = p4 = 0.25
+@example(8e4, 400.0)               # cold atoms: p3 = p4 = 0.083
+def test_closed_form_diffusion_matches_50_digit_einstein_loop(ix, de):
     """Every entry matches the Einstein relations traced at 50 digits on
     the same steady state within 2 ulp of the table's largest entry,
     and the eleven entries outside the five are exactly zero."""
-    ens = EnsembleParams.from_cooperativity(c)
     drive = DriveParams(intensity=ix, detuning=de)
-    got = fluct.diffusion(ens, drive)
-    ref = mpmath_diffusion(ens, drive)
+    got = diffusion(drive)
+    ref = mpmath_diffusion(drive)
     tol = 2.0 * np.spacing(np.abs(got).max())
     for i in range(4):
         for j in range(4):
@@ -143,33 +151,32 @@ def psd_edge(lam, t=1.0, p_e=0.1):
     return math.sqrt(t * p_e - lam * (t + p_e) + lam * lam)
 
 
-@pytest.mark.parametrize("pops, coh_14, coh_23, admissible", [
-    ((0.45, 0.45, 0.05, 0.05), 0.1 + 0.1j, -0.1, True),    # |c|^2 = 0.05
-    ((0.45, 0.45, 0.05, 0.05), psd_edge(0.0), 0.0, True),
-    ((0.45, 0.45, 0.05, 0.05), psd_edge(-5e-11), 0.0, True),
-    ((0.45, 0.45, 0.05, 0.05), psd_edge(-2e-10), 0.0, False),
-    ((0.45, 0.45, 0.05, 0.05), 0.3 + 0.2j, 0.0, False),     # |c|^2 = 0.13 > 0.1
-    ((0.55, 0.55, -0.05, -0.05), 0.0, 0.0, False),          # p_e < 0
-    ((0.45, 0.45, 0.05, 0.05), complex("nan"), 0.0, False),
-    ((0.45, 0.45, float("nan"), 0.05), 0.0, 0.0, False),
-    ((float("inf"), 0.45, 0.05, 0.05), 0.0, 0.0, False),
+@pytest.mark.parametrize("p_g, p_e, c, admissible", [
+    (0.45, 0.05, 0.2 + 0.1j, True),                      # |c|^2 = 0.05
+    (0.45, 0.05, psd_edge(0.0), True),
+    (0.45, 0.05, psd_edge(-5e-11), True),
+    (0.45, 0.05, psd_edge(-2e-10), False),
+    (0.45, 0.05, 0.3 + 0.2j, False),                     # |c|^2 = 0.13 > 0.1
+    (0.55, -0.05, 0.0, False),                           # p_e < 0
+    (0.45, 0.05, complex("nan"), False),
+    (0.45, float("nan"), 0.0, False),
+    (float("inf"), 0.05, 0.0, False),
 ], ids=["inside", "on-the-edge", "within-tolerance", "beyond-tolerance",
         "coherence-too-large", "negative-excited-population", "nan-coherence",
         "nan-population", "inf-population"])
-def test_diffusion_rejects_an_inadmissible_steady_state(pops, coh_14, coh_23,
+def test_diffusion_rejects_an_inadmissible_steady_state(p_g, p_e, c,
                                                         admissible):
     """The Gram table's 2x2 block [[t, c], [c*, p_e]] must be PSD to
-    -1e-10; a NaN anywhere fails the test."""
-    st_bad = bloch.SteadyState(pops, coh_14, coh_23)
-    drive = DriveParams(intensity=4.0, detuning=1.0)
-    with mock.patch.object(bloch, "symmetric_steady_state",
-                           return_value=st_bad):
+    -1e-10; a NaN anywhere fails the test.  At I_x = 2, c is twice the
+    steady state's coherence per Rabi amplitude."""
+    with mock.patch.object(bloch, "linear_steady_state",
+                           return_value=(p_g, p_e, c / 2.0)):
         if admissible:
-            fluct.diffusion(HOT, drive)
+            fluct._steady_state(HOT, 2.0, 1.0, True)
         else:
             with pytest.raises(NumericalError,
                                match="not positive semidefinite"):
-                fluct.diffusion(HOT, drive)
+                fluct._steady_state(HOT, 2.0, 1.0, True)
 
 
 def transport_inputs(ens, drive, omegas):
@@ -472,8 +479,8 @@ def test_depleted_variants_equal_per_evaluation_kernel(kw):
 
 
 def test_depleted_solve_builds_the_sidebands_once():
-    """The intensity-free factors once per solve, the diffusion table
-    once per right-hand side."""
+    """The sideband factors and the products once per solve, one steady
+    state per right-hand side."""
     sols = []
 
     def solve(*args):
@@ -483,11 +490,61 @@ def test_depleted_solve_builds_the_sidebands_once():
     with mock.patch.object(fluct, "solve_ivp", solve), \
             mock.patch.object(fluct, "_sidebands",
                               wraps=fluct._sidebands) as sidebands, \
-            mock.patch.object(fluct, "diffusion",
-                              wraps=fluct.diffusion) as diffusion:
+            mock.patch.object(fluct, "_pairs",
+                              wraps=fluct._pairs) as pairs, \
+            mock.patch.object(bloch, "linear_steady_state",
+                              wraps=bloch.linear_steady_state) as steady:
         fluct.propagate_noise(HOT, DriveParams(intensity=1000.0,
                                                detuning=-1.5),
                               [0.0, 0.5, 1.0], THETAS, deplete=True)
     assert len(sols) == 1 and sols[0].nfev > 0
-    assert sidebands.call_count == 1
-    assert diffusion.call_count == sols[0].nfev
+    assert sidebands.call_count == 1 and pairs.call_count == 1
+    assert steady.call_count == sols[0].nfev
+
+
+@pytest.mark.parametrize("preset, tol", [("hot-vapour-d2", 1e-12),
+                                         ("hot-vapour-d1", 1e-12),
+                                         ("cold-atom-kerr", 1e-7)])
+def test_depleted_mean_field_obeys_the_saturable_beer_law(preset, tol):
+    """dI/dz = -C I / ((1 + Delta^2)(1 + s)), s = I/(1 + Delta^2), so the
+    output intensity I1 of an input I0 solves
+    ln(I1/I0) + (I1 - I0)/(1 + Delta^2) = -C/(1 + Delta^2).  The solve's
+    I1 matches that root to ``tol`` relative; it runs at rtol 1e-8,
+    which the cold cell's 1e-7 allows for."""
+    from scipy.optimize import brentq
+    cfg, _ = cli.load_config(preset)
+    ens = cli.build_ensemble(cfg)
+    sec = cfg["noise"]
+    i0 = float(cfg["drive"]["intensity"])   # YAML reads 8.0e4 as a string
+    g2 = ens.coupling_normalized ** 2
+    for de in sec["detunings"]:
+        sols = []
+
+        def solve(*args):
+            sols.append(bloch.solve_ivp(*args))
+            return sols[-1]
+
+        with mock.patch.object(fluct, "solve_ivp", solve):
+            fluct.propagate_noise(ens, DriveParams(intensity=i0, detuning=de),
+                                  sec["omegas"], THETAS, deplete=True)
+        i1 = g2 * float(np.sum(np.abs(sols[0].y[:2]) ** 2))
+        x = 1.0 + de * de
+        beer = brentq(lambda i: math.log(i / i0) + (i - i0 + ens.cooperativity)
+                      / x, 1e-300, i0, xtol=1e-300, rtol=1e-15)
+        assert abs(i1 / beer - 1.0) <= tol, de
+
+
+@pytest.mark.parametrize("c, de", [(15.0, 1.5), (15.0, -400.0),
+                                   (1600.0, 400.0)])
+def test_depleted_spectra_without_drive_stay_at_the_qnl(c, de):
+    """I_x = 0 takes the rows with -iu (2-iu) cancelled at every step,
+    omega = 0 included: absorption and inflow balance to 1e-14 dB.
+    (Near resonance, where the cell absorbs e^-15 and more, the ODE's
+    rtol of 1e-8 bounds the balance instead.)"""
+    ens = EnsembleParams.from_cooperativity(c, gamma_raw=1.9058e7)
+    spec = fluct.propagate_noise(ens, DriveParams(intensity=0.0,
+                                                  detuning=de),
+                                 [0.0, 0.5, 3.0, 50.0], THETAS, deplete=True)
+    assert np.abs(spec.min_db()).max() <= 1e-14
+    assert np.abs(spec.max_db()).max() <= 1e-14
+    assert np.abs(spec.to_db()).max() <= 1e-14
