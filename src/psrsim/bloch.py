@@ -6,12 +6,13 @@ component couples 2<->3.  Each excited state decays at a total rate
 2*gamma, feeding both ground states at gamma each, so optical coherences
 relax at gamma.  With gamma = 1 the coherent part of the dynamics is
 fixed by the two complex Rabi-scale amplitudes Omega+- = g <a+-> and the
-common detuning Delta.
+common detuning Delta; the coupling g enters nowhere else, so the mean
+field is carried as Omega+- itself.
 
 This module provides the steady state of those equations for the
 linearly polarized drive in closed form, the zero-sideband response
-kappa(0), which is also the mean-field attenuation d<a+->/dz =
--kappa(0) <a+->, and the Dormand-Prince integrator of the depleted
+kappa(0), which is also the mean-field attenuation dOmega+-/dz =
+-kappa(0) Omega+-, and the Dormand-Prince integrator of the depleted
 noise transport.
 """
 
@@ -126,7 +127,7 @@ def kappa_zero(ens: EnsembleParams, drive: DriveParams) -> complex:
     """Zero-sideband response kappa(0) = C/(2(1 + i Delta)(1 + s)).
 
     It is -i C r of ``linear_steady_state``: the mean field obeys
-    d<a+->/dz = i C <sigma_14>/Omega+ <a+-> = -kappa(0) <a+->.
+    dOmega+-/dz = i C <sigma_14>/Omega+ Omega+- = -kappa(0) Omega+-.
     """
     r = linear_steady_state(drive.intensity, drive.detuning)[2]
     return -1j * ens.cooperativity * r

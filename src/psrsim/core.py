@@ -7,8 +7,9 @@ along the cell are measured in units of the cell length.  The quantum
 noise limit is 1.
 
 Laboratory quantities enter through :meth:`EnsembleParams.from_cooperativity`
-(gamma in rad/s, cell length, density and beam waist in SI units) and
-:func:`ghz_to_gamma`; drive intensities are given in gamma^2 units.
+(gamma in rad/s, the cell length in metres; the density, temperature
+and beam waist are only checked) and :func:`ghz_to_gamma`; drive
+intensities are given in gamma^2 units.
 """
 
 from __future__ import annotations
@@ -48,69 +49,42 @@ def _require(cond: bool, field_name: str, message: str) -> None:
 
 @dataclass(frozen=True)
 class EnsembleParams:
-    """Atomic-ensemble parameters.
+    """Atomic-ensemble parameters: what the model reads.
 
     The model works in units of the coherence decay rate (gamma = 1);
-    ``gamma_raw`` is that rate in rad/s, kept for the lab-unit
-    conversions (GHz detunings, transit phases).  The cooperativity is
-    tied to the microscopic parameters through
-    C = g^2 N l / (gamma_raw c), enforced at construction.
+    the cooperativity C (the optical depth) sets every atomic
+    coefficient, and ``gamma_raw``, that rate in rad/s, with the cell
+    length sets the GHz detunings and the transit phase.  The coupling g
+    and the atom number N enter only through C = g^2 N l / (gamma_raw c).
     """
 
     cooperativity: float = 0.0         # C, dimensionless
     cell_length: float = 0.075         # l, metres
-    density: float = 1.0e17            # n, atoms / m^3
-    temperature: float = 300.0         # K
-    coupling: float = 0.0              # g, rad/s
-    atom_number: float = 0.0           # N
     gamma_raw: float = 1.0             # rad/s
-
-    _REL_TOL = 1e-9
 
     def __post_init__(self):
         _require(self.cooperativity >= 0, "cooperativity", "must be >= 0")
         _require(self.cell_length > 0, "cell_length", "must be > 0")
-        _require(self.density > 0, "density", "must be > 0")
-        _require(self.temperature > 0, "temperature", "must be > 0")
         _require(self.gamma_raw > 0, "gamma_raw", "must be > 0")
-        c_check = self.coupling**2 * self.atom_number * self.cell_length / (
-            self.gamma_raw * C_LIGHT)
-        scale = max(abs(self.cooperativity), abs(c_check), 1e-300)
-        _require(abs(c_check - self.cooperativity) <= self._REL_TOL * scale,
-                 "cooperativity",
-                 f"inconsistent with g^2 N l/(gamma c) = {c_check!r}")
 
     @classmethod
     def from_cooperativity(cls, cooperativity: float, *, gamma_raw: float = 1.0,
                            cell_length: float = 0.075, density: float = 1.0e17,
                            temperature: float = 300.0,
                            beam_waist: float = 425e-6) -> "EnsembleParams":
-        """Build a consistent record from C alone.
+        """The record of a cell of cooperativity C.
 
-        The atom number N = n pi w0^2 l follows from density, beam
-        waist and cell length; the coupling g is then fixed by the
-        cooperativity identity.  Convenient for theory work where only
-        C matters.
+        ``density``, ``temperature`` and ``beam_waist`` describe the
+        cell in the lab; they are checked (> 0) but enter no output,
+        since C already holds the atom number and the coupling.
         """
         for name, value in (("gamma_raw", gamma_raw),
                             ("cell_length", cell_length),
-                            ("density", density), ("beam_waist", beam_waist)):
+                            ("density", density), ("temperature", temperature),
+                            ("beam_waist", beam_waist)):
             _require(value > 0, name, "must be > 0")
-        n_atoms = density * (math.pi * beam_waist**2) * cell_length
-        if cooperativity > 0:
-            g = math.sqrt(cooperativity * gamma_raw * C_LIGHT /
-                          (n_atoms * cell_length))
-        else:
-            g = 0.0
-        return cls(cooperativity=cooperativity,
-                   cell_length=cell_length, density=density,
-                   temperature=temperature, coupling=g,
-                   atom_number=n_atoms, gamma_raw=gamma_raw)
-
-    @property
-    def coupling_normalized(self) -> float:
-        """g in units of gamma."""
-        return self.coupling / self.gamma_raw
+        return cls(cooperativity=cooperativity, cell_length=cell_length,
+                   gamma_raw=gamma_raw)
 
     @property
     def transit_time(self) -> float:

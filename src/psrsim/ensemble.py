@@ -1,9 +1,10 @@
 """Doppler averaging, hyperfine-line superposition and trace fitting.
 
 A thermal ensemble samples a Gaussian distribution of effective
-detunings (1/e half-width set by temperature and wavelength); several
-hyperfine transitions contribute with relative strengths that scale
-both the line's cooperativity and its share of the drive saturation.
+detunings (1/e half-width ``LineManifold.doppler_width``, given in GHz
+by a config's ``doppler_width_ghz``); several hyperfine transitions
+contribute with relative strengths that scale both the line's
+cooperativity and its share of the drive saturation.
 The composite zero-sideband response kappa_comp(Delta, I) gives the
 transmission map T = exp(-2 Re kappa_comp) and the measured rotation
 map Gl = -Im kappa_comp * T.  The transmission weighting models the

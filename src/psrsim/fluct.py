@@ -393,36 +393,37 @@ def _sigma_out_depleted(ens: EnsembleParams, drive: DriveParams,
     """Output covariances at u = (omegas, -omegas), drive depleting
     along z.
 
-    One ODE carries the mean field <a+->(z) and the covariances of all
-    sidebands.  The sideband factors and the products that make dS/dz
-    are built once per solve; each right-hand side evaluates one steady
-    state at the local intensity, which gives kappa(0), the mean-field
-    derivative d<a+->/dz = -kappa(0) <a+-> and the diffusion weights,
-    then the rows of M and P, and contracts the products of one stack
-    (``_pairs``).  The transit phase is left out of the drift: it enters
-    M(u) and M(-u) with opposite signs and cancels from M S + S M_-^T.
-    The input is linearly polarized, <a+-> = +-sqrt(I_x/2)/g, and stays
-    so along the cell, so the steady state is the linear drive's.
+    One ODE carries the mean field, as the Rabi amplitudes
+    Omega+-(z) = g <a+->(z), and the covariances of all sidebands.  The
+    sideband factors and the products that make dS/dz are built once
+    per solve; each right-hand side evaluates one steady state at the
+    local intensity I_x = |Omega+|^2 + |Omega-|^2, which gives kappa(0),
+    the mean-field derivative dOmega+-/dz = -kappa(0) Omega+- and the
+    diffusion weights, then the rows of M and P, and contracts the
+    products of one stack (``_pairs``).  The transit phase is left out
+    of the drift: it enters M(u) and M(-u) with opposite signs and
+    cancels from M S + S M_-^T.  The input is linearly polarized,
+    Omega+- = +-sqrt(I_x/2), and stays so along the cell, so the steady
+    state is the linear drive's.
     """
     de = drive.detuning
     sb = _sidebands(ens, de, omegas, truncate_dephasing)
     pairs = _pairs(sb, True, noisy)
-    g2 = ens.coupling_normalized ** 2
     point = {"detuning": de}
 
     def rhs(_z, y):
-        a_p, a_m = y[:2].tolist()
-        ix = g2 * (abs(a_p) ** 2 + abs(a_m) ** 2)
+        om_p, om_m = y[:2].tolist()
+        ix = abs(om_p) ** 2 + abs(om_m) ** 2
         if not math.isfinite(ix):
             raise NumericalError("non-finite mean field", point)
         k0, weights = _steady_state(ens, ix, de, noisy)
-        return np.concatenate(((-k0 * a_p, -k0 * a_m),
+        return np.concatenate(((-k0 * om_p, -k0 * om_m),
                                _contract(pairs, weights,
                                          _rows(sb, ix, k0), y)), axis=None)
 
-    a = math.sqrt(drive.intensity / 2.0) / ens.coupling_normalized
-    y0 = np.concatenate(([a, -a], np.tile(_VACUUM.reshape(-1),
-                                          sb.u.size))).astype(complex)
+    om = math.sqrt(drive.intensity / 2.0)
+    y0 = np.concatenate(([om, -om], np.tile(_VACUUM.reshape(-1),
+                                            sb.u.size))).astype(complex)
     sol = solve_ivp(rhs, y0, 1e-8, 1e-10, point)
     return sol.y[2:].reshape(-1, 2, 2)
 
@@ -478,9 +479,10 @@ def propagate_noise(ens: EnsembleParams, drive: DriveParams,
     squeezing interaction.  ``deplete`` feeds the mean-field depletion
     of the drive along the cell into the coefficients (default keeps
     them constant, i.e. an undepleted drive); the whole grid then
-    shares one ODE solve.  With the atomic sources on and the full
-    Gamma, S_min S_max below 1 - 1e-6 (the uncertainty bound) raises
-    NumericalError naming (Delta, omega).
+    shares one ODE solve.  With no atoms or no drive nothing depletes,
+    and the undepleted transport is taken.  With the atomic sources on
+    and the full Gamma, S_min S_max below 1 - 1e-6 (the uncertainty
+    bound) raises NumericalError naming (Delta, omega).
     """
     omegas = np.atleast_1d(np.asarray(omega_grid, dtype=float))
     thetas = np.atleast_1d(np.asarray(theta_grid, dtype=float))
@@ -488,7 +490,8 @@ def propagate_noise(ens: EnsembleParams, drive: DriveParams,
         raise ValidationError("omega_grid", "sideband frequencies must be >= 0")
     n = omegas.size
     noisy = include_noise and ens.cooperativity > 0.0
-    if deplete and ens.cooperativity > 0.0:   # no atoms: nothing depletes
+    # no atoms, or no drive: nothing depletes
+    if deplete and ens.cooperativity > 0.0 and drive.intensity > 0.0:
         sig = _sigma_out_depleted(ens, drive, omegas, noisy,
                                   truncate_dephasing)
     else:

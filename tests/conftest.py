@@ -85,17 +85,16 @@ class SteadyState:
     coh_23: complex
 
 
-def steady_state(ens, drive_plus, drive_minus, detuning) -> SteadyState:
+def steady_state(omega_plus, omega_minus, detuning) -> SteadyState:
     """Stationary solution of the optical Bloch equations for any pair
-    of circular amplitudes <a+->, Omega+- = g <a+->.
+    of circular Rabi amplitudes Omega+- = g <a+->.
 
     With both drives off the unpolarized convention pop1 = pop2 = 1/2
     is returned; with one drive on, optical pumping empties the driven
     ground state into the undriven one.
     """
-    g = ens.coupling_normalized
-    om_p = g * complex(drive_plus)
-    om_m = g * complex(drive_minus)
+    om_p = complex(omega_plus)
+    om_m = complex(omega_minus)
     den = 1.0 + detuning**2
     sp = abs(om_p) ** 2 / den
     sm = abs(om_m) ** 2 / den
@@ -123,13 +122,11 @@ def linear_state(drive) -> SteadyState:
     return SteadyState((p_g, p_g, p_e, p_e), om * r, -om * r)
 
 
-def field_derivative(ens, drive_plus, drive_minus, detuning) -> np.ndarray:
-    """d<a+->/dz = i (g N l / c) (<sigma_14>, <sigma_23>), z in cell
-    lengths, the atoms in the steady state of the local field."""
-    g = ens.coupling_normalized
-    pref = 1j * ens.cooperativity / g if g > 0 else 0.0
-    st = steady_state(ens, drive_plus, drive_minus, detuning)
-    return np.array([pref * st.coh_14, pref * st.coh_23])
+def field_derivative(ens, omega_plus, omega_minus, detuning) -> np.ndarray:
+    """dOmega+-/dz = g d<a+->/dz = i C (<sigma_14>, <sigma_23>), z in
+    cell lengths, the atoms in the steady state of the local field."""
+    st = steady_state(omega_plus, omega_minus, detuning)
+    return 1j * ens.cooperativity * np.array([st.coh_14, st.coh_23])
 
 
 def scipy_rk45(fun, y0, rtol, atol, point):
@@ -142,20 +139,19 @@ def scipy_rk45(fun, y0, rtol, atol, point):
 
 def mean_field_problem(c, ix, de, eps):
     """(rhs, y0, atol) of the mean field through a cell of cooperativity
-    ``c``, at rtol 1e-8: d<a+->/dz of ``field_derivative`` from an
+    ``c``, at rtol 1e-8: dOmega+-/dz of ``field_derivative`` from an
     input of intensity ``ix`` and ellipticity ``eps``: circular
     intensities I_x (1 -+ sin 2 eps)/2, the sigma- amplitude negative."""
     ens = EnsembleParams.from_cooperativity(c)
-    g = ens.coupling_normalized
-    y0 = np.array([math.sqrt(ix * (1.0 - math.sin(2.0 * eps)) / 2.0) / g,
-                   -math.sqrt(ix * (1.0 + math.sin(2.0 * eps)) / 2.0) / g],
+    y0 = np.array([math.sqrt(ix * (1.0 - math.sin(2.0 * eps)) / 2.0),
+                   -math.sqrt(ix * (1.0 + math.sin(2.0 * eps)) / 2.0)],
                   dtype=complex)
     p_in = abs(y0[0]) ** 2 + abs(y0[1]) ** 2
     return (lambda _z, y: field_derivative(ens, y[0], y[1], de),
             y0, 1e-8 * math.sqrt(p_in) * 1e-3)
 
 
-def evolve_density_matrix(ens, a_plus, a_minus, detuning,
+def evolve_density_matrix(omega_plus, omega_minus, detuning,
                           t_end=1000.0, method="expm"):
     """Time-domain integration of the Bloch equations (noise dropped).
 
@@ -166,8 +162,7 @@ def evolve_density_matrix(ens, a_plus, a_minus, detuning,
     (slow at strong drives, used to cross-check the stepper).  Returns
     the 4x4 density matrix.
     """
-    g = ens.coupling_normalized
-    liou = liouvillian(g * complex(a_plus), g * complex(a_minus), detuning)
+    liou = liouvillian(complex(omega_plus), complex(omega_minus), detuning)
     rho0 = np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex).reshape(-1)
     if method == "expm":
         from scipy.linalg import expm
@@ -186,9 +181,9 @@ def evolve_density_matrix(ens, a_plus, a_minus, detuning,
     return (yf[:16] + 1j * yf[16:]).reshape(4, 4)
 
 
-def oracle_steady_values(ens, a_plus, a_minus, detuning, **kw):
+def oracle_steady_values(omega_plus, omega_minus, detuning, **kw):
     """(populations, <sigma_14>, <sigma_23>) from the time-domain oracle."""
-    rho = evolve_density_matrix(ens, a_plus, a_minus, detuning, **kw)
+    rho = evolve_density_matrix(omega_plus, omega_minus, detuning, **kw)
     pops = np.diag(rho).real
     return pops, rho[3, 0], rho[2, 1]
 
@@ -519,21 +514,20 @@ def per_evaluation_depleted(ens, drive, omegas, noisy, truncate_dephasing):
     evaluates the steady state, the rows and the contraction.  Returns
     ``bloch.solve_ivp``'s result, whose ``y[2:]`` are the covariances.
     """
-    g = ens.coupling_normalized
     de = drive.detuning
 
     def rhs(_z, y):
-        a_p, a_m = y[:2].tolist()
-        ix = g * g * (abs(a_p) ** 2 + abs(a_m) ** 2)
+        om_p, om_m = y[:2].tolist()
+        ix = abs(om_p) ** 2 + abs(om_m) ** 2
         sb = fluct._sidebands(ens, de, omegas, truncate_dephasing)
         k0, weights = fluct._steady_state(ens, ix, de, noisy)
         dsig = fluct._contract(fluct._pairs(sb, True, noisy), weights,
                                fluct._rows(sb, ix, k0), y)
-        return np.concatenate(((-k0 * a_p, -k0 * a_m), dsig), axis=None)
+        return np.concatenate(((-k0 * om_p, -k0 * om_m), dsig), axis=None)
 
-    amp = math.sqrt(drive.intensity / 2.0) / g      # linear input
+    om = math.sqrt(drive.intensity / 2.0)           # linear input
     vacua = np.tile(fluct._VACUUM.reshape(-1), 2 * len(omegas))
-    y0 = np.concatenate(([amp, -amp], vacua)).astype(complex)
+    y0 = np.concatenate(([om, -om], vacua)).astype(complex)
     return bloch.solve_ivp(rhs, y0, 1e-8, 1e-10, {"detuning": de})
 
 
@@ -673,31 +667,10 @@ def finite_difference_fit(manifold, ens, det_ghz, t_data, gl_data,
 # that only the tests use
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LowSidebandLimit:
-    """w << gamma evolution: pure two-mode coupling plus pumping noise."""
-
-    coef_aydag: complex        # i delta0/(1+s) on da_y^dag
-    noise_scale: float         # the C/(g l) pumping-noise scale
-    note: str
-
-
-def limit_low_sideband(ens, drive) -> LowSidebandLimit:
-    """Low-sideband evolution coefficients (Delta >> gamma).
-
-    The y-mode couples to its adjoint with strength i delta0/(1+s);
-    the accompanying optical-pumping noise scales at least like
-    C/(g l), far above the QNL for cell-sized ensembles, which is why
-    no squeezing survives at low analysis frequencies.
-    """
-    d0 = drive.linear_dephasing(ens)
-    s = drive.saturation
-    scale = ens.cooperativity / (ens.coupling * ens.cell_length) \
-        if ens.coupling > 0 else float("inf")
-    return LowSidebandLimit(
-        coef_aydag=1j * d0 / (1.0 + s),
-        noise_scale=scale,
-        note="pumping noise scale ~ C/(g l); grows with optical depth")
+def limit_low_sideband(ens, drive) -> complex:
+    """The low-sideband (w << gamma, Delta >> gamma) coupling of the
+    y-mode to its adjoint, i delta0/(1+s)."""
+    return 1j * drive.linear_dephasing(ens) / (1.0 + drive.saturation)
 
 
 def psr_angle(g_l: float, ellipticity: float) -> float:

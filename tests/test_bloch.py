@@ -8,12 +8,11 @@ from psrsim import bloch
 from psrsim.core import DriveParams, EnsembleParams
 
 ENS = EnsembleParams.from_cooperativity(100.0)
-G = ENS.coupling_normalized
 
 
 def rabi_amp(s, detuning, phase=0.0):
-    """<a> with |g a|^2 = s (1 + detuning^2)."""
-    return np.sqrt(s * (1.0 + detuning**2)) / G * np.exp(1j * phase)
+    """Omega with |Omega|^2 = s (1 + detuning^2)."""
+    return np.sqrt(s * (1.0 + detuning**2)) * np.exp(1j * phase)
 
 
 def test_liouvillian_reproduces_bloch_drift():
@@ -50,17 +49,17 @@ def test_liouvillian_reproduces_bloch_drift():
 
 
 def test_zero_drive_convention():
-    st = steady_state(ENS, 0.0, 0.0, 1.7)
+    st = steady_state(0.0, 0.0, 1.7)
     assert st.populations == (0.5, 0.5, 0.0, 0.0)
     assert st.coh_14 == 0.0 and st.coh_23 == 0.0
 
 
 def test_single_drive_pumps_into_dark_ground_state():
     """With a- = 0 the decay path empties the driven pair into |2>."""
-    a_p = 1.5 / G
-    st = steady_state(ENS, a_p, 0.0, 0.0)
+    a_p = 1.5
+    st = steady_state(a_p, 0.0, 0.0)
     assert st.populations == (0.0, 1.0, 0.0, 0.0)
-    pops, c14, c23 = oracle_steady_values(ENS, a_p, 0.0, 0.0)
+    pops, c14, c23 = oracle_steady_values(a_p, 0.0, 0.0)
     assert np.abs(pops - np.array(st.populations)).max() < 1e-8
     assert abs(c14 - st.coh_14) < 1e-8
     assert abs(c23 - st.coh_23) < 1e-8
@@ -68,10 +67,10 @@ def test_single_drive_pumps_into_dark_ground_state():
 
 def test_symmetric_drive_matches_oracle():
     a = rabi_amp(1.0, 5.0)
-    st = steady_state(ENS, a, a, 5.0)
+    st = steady_state(a, a, 5.0)
     assert st.populations[0] == pytest.approx(st.populations[1], rel=1e-12)
     assert st.populations[2] == pytest.approx(st.populations[3], rel=1e-12)
-    pops, c14, c23 = oracle_steady_values(ENS, a, a, 5.0)
+    pops, c14, c23 = oracle_steady_values(a, a, 5.0)
     assert np.abs(pops - np.array(st.populations)).max() < 1e-8
     assert abs(c14 - st.coh_14) < 1e-8
 
@@ -84,8 +83,8 @@ def test_steady_state_random_points_vs_oracle():
         de = rng.uniform(-20.0, 20.0)
         ap = rabi_amp(sp, de, rng.uniform(0, 2 * np.pi))
         am = rabi_amp(sm, de, rng.uniform(0, 2 * np.pi))
-        st = steady_state(ENS, ap, am, de)
-        pops, c14, c23 = oracle_steady_values(ENS, ap, am, de)
+        st = steady_state(ap, am, de)
+        pops, c14, c23 = oracle_steady_values(ap, am, de)
         worst = max(worst,
                     np.abs(pops - np.array(st.populations)).max(),
                     abs(c14 - st.coh_14), abs(c23 - st.coh_23))
@@ -101,27 +100,27 @@ def test_linear_steady_state_is_the_general_one_at_a_linear_drive(ix, de):
     p_g, p_e, r = bloch.linear_steady_state(ix, de)
     assert 2.0 * (p_g + p_e) == pytest.approx(1.0, abs=1e-15)
     for phase in (0.0, 2.1):
-        a = np.sqrt(ix / 2.0) / G * np.exp(1j * phase)
-        st = steady_state(ENS, a, -a, de)
+        a = np.sqrt(ix / 2.0) * np.exp(1j * phase)
+        st = steady_state(a, -a, de)
         assert np.abs(np.array(st.populations)
                       - [p_g, p_g, p_e, p_e]).max() <= 1e-15
-        assert abs(st.coh_14 - G * a * r) <= 1e-15
-        assert abs(st.coh_23 + G * a * r) <= 1e-15
+        assert abs(st.coh_14 - a * r) <= 1e-15
+        assert abs(st.coh_23 + a * r) <= 1e-15
 
 
 def test_oracle_conserves_trace_and_cross_checks_solver():
     a = rabi_amp(0.3, 2.0)
-    rho = evolve_density_matrix(ENS, a, a, 2.0)
+    rho = evolve_density_matrix(a, a, 2.0)
     assert np.trace(rho).real == pytest.approx(1.0, abs=1e-9)
     # adaptive ODE integration agrees with the exact stepper
-    rho_ivp = evolve_density_matrix(ENS, a, a, 2.0, t_end=200.0,
+    rho_ivp = evolve_density_matrix(a, a, 2.0, t_end=200.0,
                                     method="ivp")
-    rho_exp = evolve_density_matrix(ENS, a, a, 2.0, t_end=200.0)
+    rho_exp = evolve_density_matrix(a, a, 2.0, t_end=200.0)
     assert np.abs(rho_ivp - rho_exp).max() < 1e-8
 
 
 def transmission(ix, de):
-    """|<a>|^2 out over in, through ENS's cell, of a linearly polarized
+    """|Omega|^2 out over in, through ENS's cell, of a linearly polarized
     input of intensity ``ix`` at detuning ``de``."""
     fun, y0, atol = mean_field_problem(ENS.cooperativity, ix, de, 0.0)
     y = bloch.solve_ivp(fun, y0, 1e-8, atol, {}).y

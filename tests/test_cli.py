@@ -1,5 +1,4 @@
 import json
-import math
 import subprocess
 import sys
 from pathlib import Path
@@ -143,23 +142,10 @@ def test_config_error_exit_code_names_field(tmp_path):
     assert "cooperativity" in res.stderr
 
 
-def test_config_beam_waist_sets_the_atom_number(tmp_path):
-    from psrsim import cli
-    cfg = write_cfg(tmp_path, {"ensemble": {"cooperativity": 15.0,
-                                            "beam_waist": 300e-6,
-                                            "density": 2.0e17,
-                                            "cell_length": 0.05}})
-    ens = cli.build_ensemble(cli.load_config(str(cfg))[0])
-    assert ens.atom_number == pytest.approx(
-        2.0e17 * math.pi * 300e-6 ** 2 * 0.05, rel=1e-15)
-    default = cli.build_ensemble({"ensemble": {"cooperativity": 15.0}})
-    assert default.atom_number == pytest.approx(
-        1.0e17 * math.pi * 425e-6 ** 2 * 0.075, rel=1e-15)
-
-
 @pytest.mark.parametrize("key, value", [("gamma", -1.0),
                                         ("cell_length", 0.0),
                                         ("density", 0.0),
+                                        ("temperature", 0.0),
                                         ("beam_waist", 0.0),
                                         ("beam_waist", -425e-6)])
 def test_non_positive_cell_geometry_is_a_config_error(tmp_path, capsys,
@@ -178,6 +164,33 @@ def test_non_positive_cell_geometry_is_a_config_error(tmp_path, capsys,
         cli.main()
     assert exc.value.code == 2
     assert f"ensemble.{key}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("deplete", [False, True])
+@pytest.mark.parametrize("preset", ["hot-vapour-d2", "hot-vapour-d1",
+                                    "cold-atom-kerr"])
+def test_lab_keys_are_checked_and_enter_no_output(tmp_path, preset,
+                                                  deplete):
+    """density, temperature and beam_waist only have to be > 0: changed,
+    they leave every byte of the spectra and the theta scan but the
+    config hash."""
+    from psrsim import cli
+    cfg, _ = cli.load_config(preset)
+    sec = cfg["ensemble"]
+    sec.update(density=37.0 * float(sec.get("density", 1.0e17)),
+               temperature=1.0, beam_waist=1.0e-5)
+    outs = []
+    for config in (preset, str(write_cfg(tmp_path, cfg))):
+        out = tmp_path / f"noise_{len(outs)}.csv"
+        argv = ["psr-sim", "noise", "--config", config, "--out", str(out),
+                "--theta-scan"] + (["--deplete"] if deplete else [])
+        with mock.patch.object(sys, "argv", argv):
+            cli.main()
+        outs.append([line for path in (out, out.with_name(
+                         out.stem + "_theta.csv"))
+                     for line in path.read_text().splitlines()
+                     if not line.startswith("# config_sha256=")])
+    assert outs[0] == outs[1]
 
 
 def test_non_finite_spectrum_is_a_numerical_error(tmp_path):

@@ -18,17 +18,6 @@ def test_saturation_definition():
     assert DriveParams(intensity=0.0, detuning=2.0).saturation == 0.0
 
 
-def test_cooperativity_consistency_enforced():
-    ens = EnsembleParams.from_cooperativity(800.0, gamma_raw=GAMMA_D2)
-    # direct construction with a mismatched coupling must fail
-    with pytest.raises(ValidationError):
-        EnsembleParams(cooperativity=800.0,
-                       cell_length=ens.cell_length, density=ens.density,
-                       temperature=ens.temperature,
-                       coupling=2.0 * ens.coupling,
-                       atom_number=ens.atom_number, gamma_raw=GAMMA_D2)
-
-
 def test_linear_dephasing():
     ens = EnsembleParams.from_cooperativity(1000.0)
     d = DriveParams(intensity=10.0, detuning=50.0)
