@@ -63,6 +63,9 @@ class EnsembleParams:
     gamma_raw: float = 1.0             # rad/s
 
     def __post_init__(self):
+        for name in ("cooperativity", "cell_length", "gamma_raw"):
+            _require(math.isfinite(getattr(self, name)), name,
+                     "must be finite")
         _require(self.cooperativity >= 0, "cooperativity", "must be >= 0")
         _require(self.cell_length > 0, "cell_length", "must be > 0")
         _require(self.gamma_raw > 0, "gamma_raw", "must be > 0")
@@ -105,8 +108,10 @@ class DriveParams:
     detuning: float                    # Delta, units of gamma
 
     def __post_init__(self):
+        for name in ("intensity", "detuning"):
+            _require(math.isfinite(getattr(self, name)), name,
+                     "must be finite")
         _require(self.intensity >= 0, "intensity", "must be >= 0")
-        _require(math.isfinite(self.detuning), "detuning", "must be finite")
 
     @property
     def saturation(self) -> float:

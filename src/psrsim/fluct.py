@@ -33,6 +33,14 @@ pairwise products of those rows and the state, contracted by a small
 coefficient matrix whose five diffusion weights are written on each
 evaluation; the undepleted inflow is the same contraction without the
 drift products.
+
+With constant coefficients (the undepleted drive) the covariances are
+transported in closed form: each 2x2 drift is m I + K with K^2 = d^2 I,
+so e^(Mz) and the source integral follow from the exponentials of the
+eigenvalues m +- d and phi_1 = (e^x - 1)/x at the eigenvalue sums of the
+pair M(w), M(-w).  Only near-confluent drifts (|K| > 10 |d|) and
+closed forms that overflow take a Taylor series with scaling and
+squaring.
 """
 
 from __future__ import annotations
@@ -327,6 +335,9 @@ def response(ens: EnsembleParams, drive: DriveParams,
 _THETA = np.array([(math.factorial(m + 1) * 2.0 ** -53 / math.e)
                    ** (1.0 / (m + 1)) for m in range(1, 18)] + [1.0])
 _EYE = np.eye(2)[:, :, None]
+# the closed form is taken where |K|_max <= _CONFLUENT |d|: the divided
+# differences in d then lose at most about that factor in precision
+_CONFLUENT = 10.0
 
 
 def _mul(a, b):
@@ -335,56 +346,138 @@ def _mul(a, b):
             + a[..., :, 1:, :] * b[..., None, 1, :, :])
 
 
+def _phi1(x):
+    """phi_1(x) = (e^x - 1)/x, from its series where |x| < 2^-12 (a
+    denormal x makes expm1(x)/x NaN)."""
+    series = 1.0 + x * (0.5 + x * (1.0 / 6.0 + x * (1.0 / 24.0)))
+    return np.where(np.abs(x) < 2.0 ** -12, series, np.expm1(x) / x)
+
+
+def _drifts(gen: np.ndarray):
+    """m = tr M / 2, K = M - m I, d with d^2 = K00^2 + K01 K10, e^M, and
+    whether |K|_max <= _CONFLUENT |d|, for a stack of drifts M stored
+    component-wise, shape (..., 2, 2, n)."""
+    m = 0.5 * (gen[..., 0, 0, :] + gen[..., 1, 1, :])
+    k00 = 0.5 * (gen[..., 0, 0, :] - gen[..., 1, 1, :])
+    k = gen.copy()
+    k[..., 0, 0, :] = k00
+    k[..., 1, 1, :] = -k00
+    d = np.sqrt(k00 * k00 + k[..., 0, 1, :] * k[..., 1, 0, :])
+    # e^(m +- d) directly: e^m cosh d overflows where e^(m + d) does not
+    ep, em = np.exp(m + d), np.exp(m - d)
+    e = (0.5 * (ep - em) / d)[..., None, None, :] * k
+    c = 0.5 * (ep + em)
+    e[..., 0, 0, :] += c
+    e[..., 1, 1, :] += c
+    return m, k, d, e, np.abs(k).max(axis=(-3, -2)) <= _CONFLUENT * np.abs(d)
+
+
 def _transport(m_w: np.ndarray, m_mw: np.ndarray, src: np.ndarray,
                sigma0: np.ndarray) -> np.ndarray:
     """Solve dS/dz = M S + S Mm^T + src over z in [0, 1], constant coeffs.
 
-    S(1) = e^M sigma0 e^(Mm^T) + F, F = int_0^1 e^(Mz) src e^(Mm^T z) dz.
-    Each sideband takes its own squaring count s and Taylor degree
-    m <= 18 from eta = ||M||_1 + ||Mm||_1, which bounds the 1-norm of
-    the Kronecker-sum generator L(X) = M X + X Mm^T, so that
-    h eta <= theta_m with h = 2^-s.  Horner gives E = e^(hM),
-    E' = e^(hMm) and F = h phi_1(hL) src; then F <- F + E F E'^T,
-    E <- E^2 and E' <- E'^2 run s times.  Diagonal drift pairs (no
-    drive, or no atoms) take the closed form
-    S_ij = e^x sigma0_ij + src_ij expm1(x)/x, x = M_ii + Mm_jj.  The 2x2
-    stacks are held component-wise along the sideband axis, so every
-    product is a few elementwise operations over the whole stack, and
-    each result depends only on its own sideband.
+    S(1) = e^M sigma0 e^(Mm^T) + F, F = int_0^1 e^(Mz) src e^(Mm^T z) dz,
+    in the 2x2 spectral closed form.  With m = tr M / 2, K = M - m I and
+    d^2 = K00^2 + K01 K10 (so K^2 = d^2 I), and m', K', d' likewise from
+    Mm,
+
+        e^M = ((e^(m+d) + e^(m-d)) I + (e^(m+d) - e^(m-d)) K / d) / 2,
+        F = g1 src + g2 K src + g3 src K'^T + g4 K src K'^T,
+
+    where g1..g4 are the mean and the divided differences in d, in d'
+    and in both of phi_1(x) = (e^x - 1)/x at the four eigenvalue sums
+    x = m + m' +- d +- d' of L(X) = M X + X Mm^T.  The divided
+    differences lose about |K|/|d| in precision, so a sideband whose
+    drifts are near confluent (|K|_max > 10 |d|; a Jordan block has
+    d = 0), or whose closed form overflows, takes ``_taylor`` instead.
+    Diagonal drift pairs (no drive, or no atoms) take
+    S_ij = e^x sigma0_ij + src_ij phi_1(x), x = M_ii + Mm_jj.
+
+    A stack of u = (w, -w), whose Mm is M with its halves swapped (as
+    ``_kernel`` builds it), forms m, K, d and e^M once per drift and the
+    phi_1 values once per +-w pair; these are the bits each sideband
+    gets on its own.  The 2x2 stacks are held component-wise along the
+    sideband axis, so every product is a few elementwise operations
+    over the whole stack, and each result depends only on its own
+    sideband.
     """
     gen = np.moveaxis(np.stack([m_w, m_mw]), 1, -1).copy()   # (2, 2, 2, n)
     n_src = np.moveaxis(src, 0, -1).copy()
     sig0 = sigma0[:, :, None]
+    n = m_w.shape[0]
+    half = n // 2
+    mirrored = (n % 2 == 0 and np.array_equal(m_mw[:half], m_w[half:])
+                and np.array_equal(m_mw[half:], m_w[:half]))
     undriven = ~(gen[:, 0, 1].any(axis=0) | gen[:, 1, 0].any(axis=0))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        if mirrored:
+            m, k, d, e, exact = _drifts(gen[0])
+            m_, k_, d_, e_, exact_ = (
+                np.concatenate((a[..., half:], a[..., :half]), axis=-1)
+                for a in (m, k, d, e, exact))
+        else:
+            ((m, m_), (k, k_), (d, d_), (e, e_),
+             (exact, exact_)) = _drifts(gen)
+        s0, dp, dm = m + m_, d + d_, d - d_
+        if mirrored:
+            # at -w, d and d' swap places: dm changes sign, so the
+            # phi_1 values at s0 + dm and s0 - dm swap, and g2, g3 too
+            s0, dp, dm = s0[:half], dp[:half], dm[:half]
+        pp, mm, pm, mp = _phi1(np.stack([s0 + dp, s0 - dp, s0 + dm,
+                                         s0 - dm]))
+        g1, g4 = 0.25 * ((pp + mm) + (pm + mp)), 0.25 * ((pp + mm) - (pm + mp))
+        g2, g3 = 0.25 * ((pp - mm) + (pm - mp)), 0.25 * ((pp - mm) - (pm - mp))
+        if mirrored:
+            g1, g4 = np.tile(g1, 2), np.tile(g4, 2)
+            g2, g3 = np.concatenate([g2, g3]), np.concatenate([g3, g2])
+        nk = _mul(n_src, k_.transpose(1, 0, 2))
+        out = (_mul(_mul(e, sig0), e_.transpose(1, 0, 2))
+               + (g1 * n_src + g3 / d_ * nk)
+               + _mul(k, g2 / d * n_src + g4 / (d * d_) * nk))
+        slow = ~undriven & ~(exact & exact_
+                             & np.isfinite(out).all(axis=(0, 1)))
+        if slow.any():
+            out[..., slow] = _taylor(gen[..., slow], n_src[..., slow], sig0)
+        if undriven.any():
+            x = (np.diagonal(gen[0]).T[:, None]
+                 + np.diagonal(gen[1]).T[None, :])
+            out = np.where(undriven, np.exp(x) * sig0 + n_src * _phi1(x), out)
+    return np.moveaxis(out, -1, 0)
+
+
+def _taylor(gen: np.ndarray, n_src: np.ndarray,
+            sig0: np.ndarray) -> np.ndarray:
+    """``_transport`` of driven sidebands by Taylor series and squaring.
+
+    Each sideband takes its own squaring count s and Taylor degree
+    m <= 18 from eta = ||M||_1 + ||Mm||_1, which bounds the 1-norm of
+    the Kronecker-sum generator L, so that h eta <= theta_m with
+    h = 2^-s.  Horner gives E = e^(hM), E' = e^(hMm) and
+    F = h phi_1(hL) src; then F <- F + E F E'^T, E <- E^2 and
+    E' <- E'^2 run s times.
+    """
     eta = np.abs(gen).sum(axis=-3).max(axis=-2).sum(axis=0)
-    s = np.where(undriven, 0, np.maximum(np.frexp(eta)[1], 0))
-    h = np.where(undriven, 0.0, np.ldexp(1.0, -s))
+    s = np.maximum(np.frexp(eta)[1], 0)
+    h = np.ldexp(1.0, -s)
     deg = np.minimum(np.searchsorted(_THETA, eta * h) + 1, _THETA.size)
     # Horner factors 1/j (exp) and 1/(j+1) (phi_1), j = max(deg)..1;
     # a sideband of lower degree keeps I and src until j reaches its own
     j = np.arange(deg.max(initial=0), 0, -1.0)[:, None]
     c_exp = np.where(j <= deg, 1.0 / j, 0.0)
     c_phi = np.where(j <= deg, 1.0 / (j + 1.0), 0.0)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        hgen = gen * h
-        hm, hb = hgen[0], hgen[1].transpose(1, 0, 2)
-        e, f = np.broadcast_to(_EYE, gen.shape), n_src
-        for a, b in zip(c_exp, c_phi):
-            e = _EYE + _mul(hgen, e) * a
-            f = n_src + (_mul(hm, f) + _mul(f, hb)) * b
-        f = f * h
-        for t in range(int(s.max(initial=0))):
-            live = s > t
-            f = np.where(live, f + _mul(_mul(e[0], f),
-                                        e[1].transpose(1, 0, 2)), f)
-            e = np.where(live, _mul(e, e), e)
-        out = _mul(_mul(e[0], sig0), e[1].transpose(1, 0, 2)) + f
-        if undriven.any():
-            x = (np.diagonal(gen[0]).T[:, None]
-                 + np.diagonal(gen[1]).T[None, :])
-            phi = np.where(x == 0.0, 1.0, np.expm1(x) / x)
-            out = np.where(undriven, np.exp(x) * sig0 + n_src * phi, out)
-    return np.moveaxis(out, -1, 0)
+    hgen = gen * h
+    hm, hb = hgen[0], hgen[1].transpose(1, 0, 2)
+    e, f = np.broadcast_to(_EYE, gen.shape), n_src
+    for a, b in zip(c_exp, c_phi):
+        e = _EYE + _mul(hgen, e) * a
+        f = n_src + (_mul(hm, f) + _mul(f, hb)) * b
+    f = f * h
+    for t in range(int(s.max(initial=0))):
+        live = s > t
+        f = np.where(live, f + _mul(_mul(e[0], f),
+                                    e[1].transpose(1, 0, 2)), f)
+        e = np.where(live, _mul(e, e), e)
+    return _mul(_mul(e[0], sig0), e[1].transpose(1, 0, 2)) + f
 
 
 def _sigma_out_depleted(ens: EnsembleParams, drive: DriveParams,

@@ -480,6 +480,29 @@ def scipy_transport(m_w, m_mw, src, sigma0):
     return np.reshape(out, (-1, 2, 2))
 
 
+def _mpmath_covariances(m_w, m_mw, src, sigma0):
+    """Row-major output covariances of each sideband as mpmath numbers,
+    from ``mpmath.expm`` of its augmented generator at the working
+    precision."""
+    import mpmath
+    s0 = np.reshape(sigma0, 4).tolist()
+    sig = []
+    for a in map(augmented_generator, m_w, m_mw, src):
+        e = mpmath.expm(mpmath.matrix(a.tolist()))
+        sig.append([sum(e[i, k] * s0[k] for k in range(4)) + e[i, 4]
+                    for i in range(4)])
+    return sig
+
+
+def mpmath_transport(m_w, m_mw, src, sigma0, dps=50):
+    """``fluct._transport`` at ``dps`` digits, rounded to double."""
+    import mpmath
+    with mpmath.workdps(dps):
+        sig = _mpmath_covariances(m_w, m_mw, src, sigma0)
+        return np.array([[complex(v) for v in s] for s in sig]).reshape(
+            -1, 2, 2)
+
+
 def mpmath_extrema(m_w, m_mw, src, sigma0, dps=50):
     """S_min and S_max over theta from a ``dps``-digit transport.
 
@@ -490,14 +513,9 @@ def mpmath_extrema(m_w, m_mw, src, sigma0, dps=50):
     to double.
     """
     import mpmath
-    s0 = np.reshape(sigma0, 4).tolist()
     n = len(m_w) // 2
     with mpmath.workdps(dps):
-        sig = []
-        for a in map(augmented_generator, m_w, m_mw, src):
-            e = mpmath.expm(mpmath.matrix(a.tolist()))
-            sig.append([sum(e[i, k] * s0[k] for k in range(4)) + e[i, 4]
-                        for i in range(4)])
+        sig = _mpmath_covariances(m_w, m_mw, src, sigma0)
         out = []
         for p, m in zip(sig[:n], sig[n:]):
             iso = mpmath.re(p[1] + p[2] + m[1] + m[2]) / 2

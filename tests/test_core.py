@@ -26,6 +26,21 @@ def test_linear_dephasing():
         DriveParams(intensity=10.0, detuning=0.0).linear_dephasing(ens)
 
 
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("record, field", [
+    (EnsembleParams, "cooperativity"), (EnsembleParams, "cell_length"),
+    (EnsembleParams, "gamma_raw"), (DriveParams, "intensity"),
+    (DriveParams, "detuning")])
+def test_records_reject_non_finite_values(record, field, value):
+    """An infinite cooperativity or intensity used to pass and end in a
+    numpy warning or a NaN diffusion table."""
+    fields = {EnsembleParams: {}, DriveParams: {"intensity": 1.0,
+                                                "detuning": 2.0}}[record]
+    with pytest.raises(ValidationError, match="must be finite") as exc:
+        record(**{**fields, field: value})
+    assert exc.value.field_name == field
+
+
 def test_doppler_width_matches_cell_conditions():
     # 345 K, 780 nm, D2 gamma: about 109 gamma (0.33 GHz 1/e half-width)
     width_ghz = thermal_doppler_width_ghz(345.0, 780.241e-9)

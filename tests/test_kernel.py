@@ -16,8 +16,9 @@ import pytest
 import yaml
 from conftest import (brute_force_diffusion, diffusion, einstein_operator,
                       einstein_tensor, mpmath_diffusion, mpmath_extrema,
-                      per_evaluation_depleted, scalar_drift, scalar_inflow,
-                      scalar_source_rows_pair, scipy_transport, source_rows)
+                      mpmath_transport, per_evaluation_depleted, scalar_drift,
+                      scalar_inflow, scalar_source_rows_pair, scipy_transport,
+                      source_rows)
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -200,6 +201,10 @@ cold_point = st.tuples(st.floats(100.0, 2000.0), st.floats(1e4, 1e5),
 
 @KERNEL
 @given(st.one_of(hot_point, cold_point))
+# a denormal omega: an eigenvalue sum is about 2.6e-317i, where
+# expm1(x)/x is not finite and phi_1 comes from its series
+@example((1.0, 2158.7589668959463, 0.0, [2.2250738585e-313,
+                                          2.7890003526208593]))
 def test_transport_matches_scipy_expm_of_augmented_generators(point):
     c, ix, de, omegas = point
     ens = EnsembleParams.from_cooperativity(c, gamma_raw=1.9058e7,
@@ -275,6 +280,75 @@ def test_transport_of_each_sideband_does_not_depend_on_its_stack():
     perm = np.random.default_rng(1).permutation(len(batched))
     assert np.array_equal(fluct._transport(*(a[perm] for a in stack),
                                            sigma0), batched[perm])
+    # each part on its own is a +-w stack, which forms the drift
+    # quantities once per drift and phi_1 once per pair: the same bits
+    start = 0
+    for p in parts:
+        stop = start + len(p[0])
+        assert np.array_equal(fluct._transport(*p), batched[start:stop])
+        start = stop
+
+
+def mirrored_stack(drifts, seed=0):
+    """(m_w, m_mw, src, vacuum) of the sidebands +-w of each drift M(w),
+    shaped as ``_kernel`` shapes them: M(-w) = J M(w)* J with J the swap
+    of (da_y, da_y^dag), and random sources."""
+    m = np.array(drifts, dtype=complex)
+    m_w = np.concatenate([m, m[:, ::-1, ::-1].conj()])
+    rng = np.random.default_rng(seed)
+    src = rng.normal(size=(len(m_w), 2, 2)) + 1j * rng.normal(
+        size=(len(m_w), 2, 2))
+    return m_w, np.roll(m_w, len(m), axis=0), src, fluct._VACUUM
+
+
+def confluent(ratio, scale, m):
+    """m I + K with K00^2 + K01 K10 = ratio K00^2 and |K|_max = scale."""
+    p, q = scale * (0.6 + 0.8j), scale * (0.8 - 0.6j)
+    return m * np.eye(2) + [[p, q], [(ratio - 1.0) * p * p / q, -p]]
+
+
+# (drift M(w), whether the closed form takes it)
+HARD_DRIFTS = {
+    "jordan-triangular": ([[-0.3 + 0.2j, 2.0 - 1.0j], [0.0, -0.3 + 0.2j]],
+                          False),
+    "jordan": (confluent(0.0, 1.5, -0.4 + 2.0j), False),
+    # |K| <= 5: at |K| = 40 a change of one ulp in the drift moves the
+    # exact result by 3e-13 relative, more than the 1e-13 asked here
+    **{f"confluent-{r:g}-{s:g}": (confluent(r, s, -0.5 + 3.0j), r > 1e-2)
+       for r in (1e-1, 1e-4, 1e-8, 1e-12, 1e-16) for s in (1.0, 5.0)},
+    # e^d overflows and e^m underflows; |e^(m + d)| is e^-1 and e^-2
+    "damped": ([[-1.0 + 5.0j, 3.0 + 1.0j], [2.0 - 1.0j, -1601.0 + 5.0j]],
+               True),
+    "damped-far": ([[-2.0 - 20.0j, 5.0j], [-4.0, -3002.0 - 60.0j]], True),
+}
+
+
+@pytest.mark.parametrize("name", HARD_DRIFTS)
+def test_confluent_and_overflowing_drifts_match_a_50_digit_transport(name):
+    """Jordan blocks (d = 0), drifts with d^2/|K|^2 down to 1e-16 and
+    strongly damped drifts with e^d = inf, against mpmath at 50 digits;
+    the closed form takes the damped ones and leaves |K| > 10 |d| to
+    the Taylor series."""
+    drift, closed = HARD_DRIFTS[name]
+    args = mirrored_stack([drift])
+    with mock.patch.object(fluct, "_taylor", wraps=fluct._taylor) as spy:
+        got = fluct._transport(*args)
+    assert spy.called is not closed
+    for s, ref in zip(got, mpmath_transport(*args)):
+        assert_close(s, ref, rtol=1e-13)
+
+
+def test_cross_kerr_transport_takes_phi1_at_a_zero_eigenvalue_sum():
+    """truncate_dephasing leaves m = +-i w gamma l/c, so at omega = 0
+    m + m' = 0 and d = d': an eigenvalue sum is exactly 0."""
+    ens = EnsembleParams.from_cooperativity(1600.0)
+    drive = DriveParams(intensity=8e4, detuning=400.0)
+    k = fluct._kernel(ens, drive, [0.0, 5.0, 50.0], truncate_dephasing=True)
+    args = (k.m_w, k.m_mw, k.src, fluct._VACUUM)
+    m, _, d, _, _ = fluct._drifts(np.moveaxis(np.stack(args[:2]), 1, -1))
+    assert m[0, 0] + m[1, 0] + (d[0, 0] - d[1, 0]) == 0.0
+    for s, ref in zip(fluct._transport(*args), scipy_transport(*args)):
+        assert_close(s, ref, rtol=1e-13)
 
 
 def preset_points(preset, every=3):
@@ -307,6 +381,36 @@ def test_spectrum_extrema_match_a_50_digit_transport(ens, drive, omegas):
     assert np.abs(spec.s_max / s_max - 1.0).max() <= 1e-11
 
 
+# every preset detuning, and hot and cold grids of the noise-grid size
+FAST_GRIDS = (
+    preset_points("hot-vapour-d2", 1) + preset_points("hot-vapour-d1", 1)
+    + preset_points("cold-atom-kerr", 1)
+    + [pytest.param(HOT, DriveParams(intensity=1000.0, detuning=de),
+                    np.geomspace(0.1, 3.0, 400), id=f"hot-400-{de:g}")
+       for de in (-2.7, 0.4)]
+    + [pytest.param(EnsembleParams.from_cooperativity(1600.0),
+                    DriveParams(intensity=8e4, detuning=de),
+                    np.geomspace(1.0, 300.0, 400), id=f"cold-400-{de:g}")
+       for de in (-450.0, 320.0)])
+
+
+@pytest.mark.parametrize("ens, drive, omegas", FAST_GRIDS)
+def test_driven_sidebands_take_the_closed_form(ens, drive, omegas):
+    """No sideband of these grids falls back to the Taylor series, and
+    the closed form is within 1e-14 of it, relative to each sideband's
+    largest covariance."""
+    with mock.patch.object(fluct, "_taylor", wraps=fluct._taylor) as spy:
+        args = transport_inputs(ens, drive, omegas)
+        got = fluct._transport(*args)
+    spy.assert_not_called()
+    m_w, m_mw, src, sigma0 = args
+    ref = np.moveaxis(fluct._taylor(
+        np.moveaxis(np.stack([m_w, m_mw]), 1, -1),
+        np.moveaxis(src, 0, -1), sigma0[:, :, None]), -1, 0)
+    scale = np.abs(ref).max(axis=(1, 2))
+    assert (np.abs(got - ref).max(axis=(1, 2)) <= 1e-14 * scale).all()
+
+
 def decades(lo, hi):
     """Floats spread evenly over the decades from 10**lo to 10**hi."""
     return st.floats(lo, hi).map(lambda e: 10.0 ** e)
@@ -316,6 +420,11 @@ def decades(lo, hi):
 @given(decades(1, 7), decades(0, 6),
        decades(0, 3).flatmap(lambda d: st.sampled_from([d, -d])),
        decades(-1, math.log10(300.0)))
+# strongly damped drifts: e^d overflows (|d| about 1.1e5 and 1.6e3),
+# e^(m + d) and the spectra do not
+@example(5826500.143470126, 1.0, 1.0, 1.0)
+@example(10130.426779921429, 12.59323937586027, -7.722902304935809,
+         9.937929079482487)
 def test_random_points_exit_3_or_match_a_50_digit_transport(c, ix, de, w):
     """Over C 10..1e7, I_x 1..1e6, |Delta| 1..1e3 and omega 0.1..300, a
     spectrum that passes every gate has the 50-digit extrema."""
