@@ -7,8 +7,8 @@ The package computes, for a linearly polarized beam traversing a driven
   hyperfine-line averaging (:mod:`psrsim.ensemble`),
 * the phenomenological cross-phase rotation/squeezing model
   (:mod:`psrsim.matsko`),
-* semi-classical steady states and the mean-field integrator
-  (:mod:`psrsim.bloch`),
+* semi-classical steady states and the depleted drive's intensity
+  profile in closed form (:mod:`psrsim.bloch`),
 * quadrature noise spectra of the orthogonally polarized vacuum mode,
   with atomic Langevin sources (:mod:`psrsim.fluct`).
 
@@ -21,12 +21,10 @@ __version__ = "0.1.0"
 
 import os
 
-# psrsim's matrices are small (2x2 sideband stacks, the noise kernel's
-# product coefficients, fit Jacobians of a few columns).  OpenBLAS would
-# still run them on a pool of one thread per core, whose workers
-# busy-wait after every call (the inflow and covariance-derivative
-# contractions of the noise kernel, and the fit's SVD and Jacobian
-# products all go through OpenBLAS): twice the CPU time for no
+# psrsim's matrices are small (2x2 sideband stacks, fit Jacobians of a
+# few columns).  OpenBLAS would still run them on a pool of one thread
+# per core, whose workers busy-wait after every call (the fit's SVD and
+# Jacobian products go through OpenBLAS): twice the CPU time for no
 # speed-up, and run times that follow the load of other processes.
 # This only takes effect for BLAS libraries loaded after psrsim is
 # imported; a value already in the environment is kept.

@@ -71,15 +71,22 @@ def load_config(path_or_preset: str) -> tuple[dict, str]:
     return cfg, hashlib.sha256(raw).hexdigest()
 
 
-def _section(cfg: dict, name: str, required: bool = True) -> dict:
+def _known(sec: dict, section: str, keys) -> dict:
+    """``sec`` itself, once every key in it is one of ``keys``: a
+    misspelled key would otherwise leave its default in force."""
+    for key in sec:
+        if key not in keys:
+            raise ConfigError(f"{section}.{key}", "unknown key")
+    return sec
+
+
+def _section(cfg: dict, name: str, keys) -> dict:
     sec = cfg.get(name)
     if sec is None:
-        if required:
-            raise ConfigError(name, "missing section")
-        return {}
+        raise ConfigError(name, "missing section")
     if not isinstance(sec, dict):
         raise ConfigError(name, "must be a mapping")
-    return sec
+    return _known(sec, name, keys)
 
 
 def _float(val, field_name: str) -> float:
@@ -113,6 +120,7 @@ def _axis(sec: dict, section: str, key: str) -> list[float]:
     if val is None:
         raise ConfigError(f"{section}.{key}", "missing")
     if isinstance(val, dict):
+        _known(val, f"{section}.{key}", ("start", "stop", "points"))
         start = _num(val, f"{section}.{key}", "start")
         stop = _num(val, f"{section}.{key}", "stop")
         pts = _int(val, f"{section}.{key}", "points")
@@ -126,7 +134,9 @@ def _axis(sec: dict, section: str, key: str) -> list[float]:
 
 
 def build_ensemble(cfg: dict) -> EnsembleParams:
-    sec = _section(cfg, "ensemble")
+    # density, temperature and beam_waist are checked, enter no output
+    sec = _section(cfg, "ensemble", ("cooperativity", "gamma", "cell_length",
+                                     "density", "temperature", "beam_waist"))
     try:
         return EnsembleParams.from_cooperativity(
             _num(sec, "ensemble", "cooperativity"),
@@ -150,6 +160,7 @@ def build_manifold(sec: dict, section: str,
         if not isinstance(entry, dict):
             raise ConfigError(f"{section}.lines[{k}]", "must be a mapping")
         name = f"{section}.lines[{k}]"
+        _known(entry, name, ("center_ghz", "strength"))
         lines.append((ghz_to_gamma(_num(entry, name, "center_ghz"),
                                    ens.gamma_raw),
                       _num(entry, name, "strength")))
@@ -262,7 +273,9 @@ def sweep(config_path: str, out_path: Path, fmt: str) -> None:
     """Transmission and rotation maps over a detuning/intensity grid."""
     from . import ensemble
     cfg, cfg_hash = load_config(config_path)
-    sec = _section(cfg, "sweep")
+    sec = _section(cfg, "sweep", ("detunings_ghz", "intensities_mw",
+                                  "intensity_scale", "doppler_width_ghz",
+                                  "lines"))
     ens = build_ensemble(cfg)
     man = build_manifold(sec, "sweep", ens)
     grid = ensemble.SweepGrid(
@@ -307,8 +320,11 @@ def noise(config_path: str, out_path: Path, fmt: str, jobs: int,
     """Quadrature noise spectra of the output y-polarized vacuum, in dB."""
     cfg, cfg_hash = load_config(config_path)
     jobs = _check_jobs(jobs)
-    sec = _section(cfg, "noise")
-    drive_sec = _section(cfg, "drive")
+    sec = _section(cfg, "noise", ("detunings", "omegas", "theta_points",
+                                  "omega_floor"))
+    # ellipticity is checked: the spectra need it to be 0
+    drive_sec = _section(cfg, "drive", ("intensity", "detuning",
+                                        "ellipticity"))
     ens = build_ensemble(cfg)
     intensity = _num(drive_sec, "drive", "intensity")
     if _num(drive_sec, "drive", "ellipticity", 0.0) != 0.0:
@@ -367,7 +383,7 @@ def noise(config_path: str, out_path: Path, fmt: str, jobs: int,
 def limits(config_path: str, out_path: Path, fmt: str) -> None:
     """Side-by-side full response vs limit-regime coefficients."""
     cfg, cfg_hash = load_config(config_path)
-    sec = _section(cfg, "limits")
+    sec = _section(cfg, "limits", ("rows",))
     ens = build_ensemble(cfg)
     raw_rows = sec.get("rows")
     if not isinstance(raw_rows, list) or not raw_rows:
@@ -378,6 +394,10 @@ def limits(config_path: str, out_path: Path, fmt: str) -> None:
         if not isinstance(row, dict):
             raise ConfigError(f"limits.rows[{k}]", "must be a mapping")
         name = f"limits.rows[{k}]"
+        _known(row, name, ("detuning", "omega", "intensity", "saturation"))
+        if "intensity" in row and "saturation" in row:
+            raise ConfigError(f"{name}.saturation",
+                              "give intensity or saturation, not both")
         det = _num(row, name, "detuning")
         w = _num(row, name, "omega")
         if w < 0:
@@ -442,7 +462,8 @@ def limits(config_path: str, out_path: Path, fmt: str) -> None:
 def matsko_cmd(config_path: str, out_path: Path, fmt: str) -> None:
     """Phenomenological rotation-model variance scan and optimum."""
     cfg, cfg_hash = load_config(config_path)
-    sec = _section(cfg, "matsko")
+    sec = _section(cfg, "matsko", ("rotation_strength", "absorption",
+                                   "chi_points"))
     g_l = _num(sec, "matsko", "rotation_strength")
     alpha_l = _num(sec, "matsko", "absorption", 0.0)
     n_chi = _int(sec, "matsko", "chi_points", 721)
@@ -509,7 +530,9 @@ def fit(config_path: str, out_path: Path, fmt: str) -> None:
     """Fit the composite model to measured transmission/rotation traces."""
     from . import ensemble
     cfg, cfg_hash = load_config(config_path)
-    sec = _section(cfg, "fit")
+    sec = _section(cfg, "fit", ("lines", "doppler_width_ghz",
+                                "transmission_csv", "rotation_csv",
+                                "intensity_mw", "initial"))
     ens = build_ensemble(cfg)
     man = build_manifold(sec, "fit", ens)
     for key in ("transmission_csv", "rotation_csv"):
@@ -528,6 +551,8 @@ def fit(config_path: str, out_path: Path, fmt: str) -> None:
     initial = sec.get("initial") or {}
     if not isinstance(initial, dict):
         raise ConfigError("fit.initial", "must be a mapping")
+    _known(initial, "fit.initial", ("density_scale", "freq_offset_ghz",
+                                    "intensity_scale"))
     result = ensemble.fit(man, ens, det, t_data, gl_data, mw, initial)
 
     names = (["density_scale", "freq_offset_ghz", "intensity_scale"]
@@ -573,7 +598,7 @@ def polarimeter_rotation(v1: float, v2: float) -> float:
 def polarimetry(config_path: str, out_path: Path, fmt: str) -> None:
     """Convert balanced-polarimeter voltages to rotation angles."""
     cfg, cfg_hash = load_config(config_path)
-    sec = _section(cfg, "polarimetry")
+    sec = _section(cfg, "polarimetry", ("input_csv",))
     if not sec.get("input_csv"):
         raise ConfigError("polarimetry.input_csv", "missing")
     in_path = Path(str(sec["input_csv"]))

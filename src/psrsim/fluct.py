@@ -24,23 +24,17 @@ is exposed as a diagnostic.
 
 Every coefficient is a rational function of (I_x, Delta, w) over one
 denominator D(w), with numerators linear in I_x.  ``_sidebands``
-stores their I_x-free parts and I_x coefficients once per sideband
-grid; an evaluation at one intensity forms num + I_x num_ix, divides by
-D and scales the rows by kappa(0), its conjugate and sqrt(I_x/2), all
-from one closed-form steady state.  The covariance derivative
-M S + S M_-^T + C P D P_-^T of the depleted drive is then one set of
-pairwise products of those rows and the state, contracted by a small
-coefficient matrix whose five diffusion weights are written on each
-evaluation; the undepleted inflow is the same contraction without the
-drift products.
+stores their I_x-free parts and I_x coefficients once per call, and
+the kernel evaluates them at any number of intensities at once.
 
 With constant coefficients (the undepleted drive) the covariances are
 transported in closed form: each 2x2 drift is m I + K with K^2 = d^2 I,
 so e^(Mz) and the source integral follow from the exponentials of the
 eigenvalues m +- d and phi_1 = (e^x - 1)/x at the eigenvalue sums of the
-pair M(w), M(-w).  Only near-confluent drifts (|K| > 10 |d|) and
-closed forms that overflow take a Taylor series with scaling and
-squaring.
+pair M(w), M(-w).  A depleted drive takes uniform fourth-order Magnus
+steps through its intensity profile I_x(z), each step's map from the
+same closed form.  2x2 stacks are held component-wise, shape
+(2, 2, *stack), so every product is a few elementwise operations.
 """
 
 from __future__ import annotations
@@ -53,7 +47,6 @@ from typing import NamedTuple
 import numpy as np
 
 from . import bloch
-from .bloch import solve_ivp
 from .core import DriveParams, EnsembleParams, NumericalError, ValidationError
 
 # noise basis order used throughout: (f_y, f_y^dag, f_z, f_z')
@@ -80,7 +73,7 @@ class _Sidebands(NamedTuple):
     num: np.ndarray            # (2n, 7) the I_x-free parts
     num_ix: np.ndarray         # (2n, 7) the coefficients of I_x
     free: np.ndarray           # (2n, 7) I_x = 0, -iu (2-iu) cancelled
-    lam_at_zero: np.ndarray    # flat indices of Lambda at u = 0
+    zero: np.ndarray           # (2n,) whether u = 0
     transit: np.ndarray        # iu gamma l / c, the transit phase
 
 
@@ -109,13 +102,14 @@ def _sidebands(ens: EnsembleParams, detuning: float, omegas,
                          2.0 * p1_sq], axis=1),
         free=np.stack([zero, (1.0 - 1j * de) * c1, c1, zero, zero, zero,
                        p1_sq + de * de], axis=1),
-        lam_at_zero=6 * np.flatnonzero(u == 0.0),
+        zero=u == 0.0,
         transit=iu * ens.transit_time)
 
 
-def _ratios(sb: _Sidebands, ix: float) -> np.ndarray:
+def _ratios(sb: _Sidebands, ix: np.ndarray) -> np.ndarray:
     """Lambda, Lambda', A + B, B, A/(-iu) and A/(2-iu) at ``sb``'s
-    sidebands and intensity I_x, shape (2n, 6).
+    sidebands and the intensities I_x, shape (k, 2n, 6) for ``ix`` of
+    shape (k,).
 
     D(u) = 2 I_x (1-iu)^2 - iu (2-iu) ((1-iu)^2 + Delta^2).  At u = 0
     the continuity values Lambda = 1, Lambda' = 0 are used.  With no
@@ -123,24 +117,27 @@ def _ratios(sb: _Sidebands, ix: float) -> np.ndarray:
     numerator is cancelled, so all limits at u = 0 are finite; the
     f_z weights, which carry sqrt(I_x), are then 0.
     """
-    rows = sb.free if ix == 0.0 else sb.num + ix * sb.num_ix
-    d = rows[:, 6:]
+    ix = ix[:, None, None]
+    rows = np.where(ix == 0.0, sb.free, sb.num + ix * sb.num_ix)
+    d = rows[..., 6:]
     # D(0) = 2 I_x: a pole needs D(u) = 0 at real u != 0
-    if np.count_nonzero(d) < sb.u.size:
+    if not d.all():
+        i, j, _ = np.argwhere(d == 0.0)[0]
         raise NumericalError("response pole: D(omega) = 0",
-                             {"intensity": ix, "detuning": sb.detuning,
-                              "omega": float(sb.u[d[:, 0] == 0.0][0])})
-    q = rows[:, :6] / d
-    if ix != 0.0 and sb.lam_at_zero.size:
-        np.put(q, sb.lam_at_zero, 1.0)
+                             {"intensity": float(ix[i, 0, 0]),
+                              "detuning": sb.detuning,
+                              "omega": float(sb.u[j])})
+    q = rows[..., :6] / d
+    if sb.zero.any():
+        q[:, sb.zero, 0] = ix[:, :, 0] != 0.0
     return q
 
 
-def _rows(sb: _Sidebands, ix: float, k0: complex) -> np.ndarray:
+def _rows(sb: _Sidebands, ix: np.ndarray, k0: np.ndarray) -> np.ndarray:
     """The first rows of the drift M(u) and of the Langevin source P(u)
-    at ``sb``'s sidebands, shape (2n, 6): M_12 = -kappa(0) Lambda,
-    M_11 = -kappa(0)* Lambda' without the transit phase, then the F_y
-    weights of (f_y, f_y^dag, f_z, f_z'),
+    at ``sb``'s sidebands and each intensity, shape (k, 2n, 6):
+    M_12 = -kappa(0) Lambda, M_11 = -kappa(0)* Lambda' without the
+    transit phase, then the F_y weights of (f_y, f_y^dag, f_z, f_z'),
     (A + B, B, -i sqrt(I_x/2) A/(-iu), -i sqrt(I_x/2) A/(2-iu)).
 
     The source row follows from eliminating the atomic fluctuations;
@@ -150,17 +147,18 @@ def _rows(sb: _Sidebands, ix: float, k0: complex) -> np.ndarray:
     rows at u, of da_y^dag and F_y^dag, are the first rows at -u
     conjugated, with (M_11, M_12) and (f_y, f_y^dag) swapped.
     """
-    om = -1j * math.sqrt(0.5 * ix)
-    return _ratios(sb, ix) * (
-        -k0, 0.0 if sb.truncate_dephasing else -k0.conjugate(), 1.0, 1.0,
-        om, om)
+    scale = np.ones((ix.size, 6), dtype=complex)
+    scale[:, 0] = -k0
+    scale[:, 1] = 0.0 if sb.truncate_dephasing else -k0.conj()
+    scale[:, 4:] = -1j * np.sqrt(0.5 * ix)[:, None]
+    return _ratios(sb, ix) * scale[:, None, :]
 
 
-def _steady_state(ens: EnsembleParams, ix: float, detuning: float,
+def _steady_state(ens: EnsembleParams, ix: np.ndarray, detuning: float,
                   noisy: bool):
-    """kappa(0) and, if ``noisy``, C times the non-zero entries of the
-    ordered atomic diffusion table, both from the steady state of the
-    linear drive of intensity I_x.
+    """kappa(0) and, if ``noisy``, C times the distinct non-zero entries
+    (t, p_e, c) of the ordered atomic diffusion table, both from the
+    steady state of the linear drive at each intensity I_x of ``ix``.
 
     The table's [i, j] entry is the white-noise density of <f_i f_j> in
     the basis (f_y, f_y^dag, f_z, f_z'), per atom, from the generalized
@@ -169,7 +167,7 @@ def _steady_state(ens: EnsembleParams, ix: float, detuning: float,
     D+ the dissipative part of the Heisenberg generator (the Hamiltonian
     part cancels).  That state holds the populations p_k and the
     coherences <sigma_14> = -<sigma_23> only, and the relations leave
-    five entries, returned in the order of ``_DIFFUSION``:
+    five entries:
 
         <f_y f_y^dag> = p1 + p2 + p3 + p4 = t,
         <f_z f_z> = <f_z' f_z'> = p3 + p4 = p_e,
@@ -179,7 +177,8 @@ def _steady_state(ens: EnsembleParams, ix: float, detuning: float,
     f_y^dag columns swapped) is then Hermitian and block diagonal:
     [[t, c], [c*, p_e]] on (f_y, f_z'), p_e on f_z and 0 on f_y^dag.  It
     is positive semidefinite when the smaller eigenvalue of the 2x2
-    block is; below -1e-10, or NaN, raises NumericalError.
+    block is; below -1e-10, or NaN, at any intensity raises
+    NumericalError naming the first.
     """
     p_g, p_e, coh = bloch.linear_steady_state(ix, detuning)
     cc = ens.cooperativity
@@ -188,111 +187,46 @@ def _steady_state(ens: EnsembleParams, ix: float, detuning: float,
         return k0, ()
     t = 2.0 * (p_g + p_e)
     p_e = 2.0 * p_e
-    c = 2.0 * math.sqrt(0.5 * ix) * coh
-    lam_min = 0.5 * (t + p_e) - math.hypot(0.5 * (t - p_e), abs(c))
-    if not lam_min >= -1e-10:
+    c = 2.0 * np.sqrt(0.5 * ix) * coh
+    with np.errstate(invalid="ignore"):     # NaN fails the test below
+        lam_min = 0.5 * (t + p_e) - np.hypot(0.5 * (t - p_e), np.abs(c))
+    bad = ~(lam_min >= -1e-10)
+    if bad.any():
+        i = int(np.flatnonzero(bad)[0])
         raise NumericalError(
             f"diffusion table not positive semidefinite "
-            f"(min eigenvalue {lam_min:.2e})",
-            {"intensity": ix, "detuning": detuning})
-    return k0, (cc * t, cc * p_e, cc * p_e, cc * c, cc * c.conjugate())
+            f"(min eigenvalue {lam_min[i]:.2e})",
+            {"intensity": float(ix[i]), "detuning": detuning})
+    return k0, (cc * t, cc * p_e, cc * c)
 
 
-# dS/dz = M S + S M_-^T + C P D P_-^T at each sideband u is a sum of
-# products of two factors from one flat stack: the rows of ``_rows`` at
-# every u, their conjugates, then the ODE state (the mean field and the
-# covariances S(u), 2x2 row-major).  A factor is (column, taken at -u);
-# columns 0-5 are ``_rows``', 6-11 their conjugates, 12-15 S_00..S_11.
-_M = (((1, 0), (0, 0)), ((6, 1), (7, 1)))           # M(u)[i][k]
-_P = (((2, 0), (3, 0), (4, 0), (5, 0)),              # P(u)[i][a]
-      ((9, 1), (8, 1), (10, 1), (11, 1)))
-# the (a, b) of D's non-zero entries, in _steady_state's order
-_DIFFUSION = ((FY, FYD), (FZ, FZ), (FZP, FZP), (FY, FZP), (FZP, FYD))
+def _kernel(ens: EnsembleParams, sb: _Sidebands, intensities,
+            noisy: bool):
+    """The drifts M(u) of (da_y, da_y^dag), M(-u), and the Langevin
+    source densities N(u) at ``sb``'s sidebands u and each of the
+    intensities I_x, component-wise, shape (2, 2, k, 2n).
 
-
-def _at_minus(f):
-    return f[0], 1 - f[1]
-
-
-class _Pairs(NamedTuple):
-    """The products that make dS/dz (or the inflow alone) at every u."""
-
-    first: np.ndarray          # (2n, p) flat stack index of each factor
-    second: np.ndarray
-    coef: np.ndarray           # (p, 4) weight of each product in dS_ij
-    diffusion: np.ndarray      # flat indices into ``coef`` of the inflow
-                               # weights, _DIFFUSION's order repeating
-
-
-def _pairs(sb: _Sidebands, drift: bool, inflow: bool) -> _Pairs:
-    """The drift products M S + S M_-^T if ``drift``, and the inflow
-    products P D P_-^T if ``inflow``, whose weights are written on each
-    evaluation."""
-    terms = []                  # (index 2 i + j of dS_ij, factor, factor)
-    if drift:
-        terms += [(2 * i + j, _M[i][k], (12 + 2 * k + j, 0))
-                  for i, j, k in np.ndindex(2, 2, 2)]
-        terms += [(2 * i + j, (12 + 2 * i + k, 0), _at_minus(_M[j][k]))
-                  for i, j, k in np.ndindex(2, 2, 2)]
-    fixed = len(terms)
-    if inflow:
-        terms += [(2 * i + j, _P[i][a], _at_minus(_P[j][b]))
-                  for i, j in np.ndindex(2, 2) for a, b in _DIFFUSION]
-    out = np.array([t[0] for t in terms], dtype=np.intp)
-    col, neg = np.array([t[1:] for t in terms], dtype=np.intp).T
-    size = sb.u.size
-    # stack index = offset + stride * (row of u, or of -u)
-    offset = np.where(col < 12, col // 6 * 6 * size + col % 6,
-                      12 * size + 2 + col - 12)
-    stride = np.where(col < 12, 6, 4)
-    row = np.arange(size)[:, None]
-    first, second = (offset[k] + stride[k] * np.where(neg[k], sb.flip[:, None],
-                                                      row)
-                     for k in range(2))
-    flat = 4 * np.arange(len(terms)) + out
-    coef = np.zeros((len(terms), 4), dtype=complex)
-    coef.flat[flat[:fixed]] = 1.0
-    return _Pairs(first, second, coef, flat[fixed:])
-
-
-def _contract(pairs: _Pairs, weights, rows: np.ndarray,
-              *state: np.ndarray) -> np.ndarray:
-    """The (2n, 4) sums of ``pairs``' products over the stack of
-    ``rows``, their conjugates and ``state``."""
-    if weights:
-        np.put(pairs.coef, pairs.diffusion, weights)
-    z = np.concatenate((rows, rows.conj(), *state), axis=None)
-    return (z[pairs.first] * z[pairs.second]) @ pairs.coef
-
-
-class _Kernel(NamedTuple):
-    """The undepleted transport's coefficients at u = (w, -w)."""
-
-    m_w: np.ndarray            # (2n, 2, 2) drift M(u) of (da_y, da_y^dag)
-    m_mw: np.ndarray           # (2n, 2, 2) drift M(-u)
-    src: np.ndarray            # (2n, 2, 2) source density N(u)
-
-
-def _kernel(ens: EnsembleParams, drive: DriveParams, omegas,
-            noisy: bool = True, truncate_dephasing: bool = False) -> _Kernel:
-    """Drifts and Langevin source densities at u = (omegas, -omegas).
-
-    N(u) = C P(u) D P(-u)^T with D the ordered diffusion table; without
-    ``noisy`` it is 0.
+    N(u) = C P(u) D P(-u)^T with D the ordered diffusion table, written
+    out from its five entries; without ``noisy`` it is 0.
     """
-    ix = drive.intensity
-    sb = _sidebands(ens, drive.detuning, omegas, truncate_dephasing)
-    k0, weights = _steady_state(ens, ix, drive.detuning, noisy)
+    ix = np.asarray(intensities, dtype=float)
+    k0, weights = _steady_state(ens, ix, sb.detuning, noisy)
     rows = _rows(sb, ix, k0)
-    m = np.empty((sb.u.size, 2, 2), dtype=complex)
-    m[:, 0, 0] = sb.transit + rows[:, 1]
-    m[:, 0, 1] = rows[:, 0]
-    m[:, 1, ::-1] = m[sb.flip, 0].conj()
-    if noisy:
-        src = _contract(_pairs(sb, False, True), weights, rows)
-    else:
-        src = np.zeros((sb.u.size, 4), dtype=complex)
-    return _Kernel(m, m[sb.flip], src.reshape(-1, 2, 2))
+    m = np.empty((2, 2) + rows.shape[:2], dtype=complex)
+    m[0, 0] = sb.transit + rows[..., 1]
+    m[0, 1] = rows[..., 0]
+    m[1, ::-1] = m[0][..., sb.flip].conj()
+    if not noisy:
+        return m, m[..., sb.flip], np.zeros_like(m)
+    # the rows of P(u), and of P(-u) = the same rows at -u
+    p = np.stack([rows[..., 2:],
+                  rows[:, sb.flip][..., [3, 2, 4, 5]].conj()])[:, None]
+    q = np.moveaxis(p[:, :, :, sb.flip], 0, 1)
+    t, p_e, c = (w[:, None] for w in weights)
+    src = (p[..., FY] * (t * q[..., FYD] + c * q[..., FZP])
+           + p[..., FZP] * (p_e * q[..., FZP] + c.conj() * q[..., FYD])
+           + p_e * (p[..., FZ] * q[..., FZ]))
+    return m, m[..., sb.flip], src
 
 
 @dataclass(frozen=True)
@@ -320,7 +254,7 @@ def response(ens: EnsembleParams, drive: DriveParams,
         raise ValidationError("omega", "must be >= 0")
     k0 = bloch.kappa_zero(ens, drive)
     lam, lamp = _ratios(_sidebands(ens, drive.detuning, [omega], False),
-                        drive.intensity)[0, :2]
+                        np.array([drive.intensity]))[0, 0, :2]
     kap = k0 * lam
     return ComplexResponse(kappa=kap,
                            gamma=kap + np.conj(k0) * lamp,
@@ -334,16 +268,20 @@ def response(ens: EnsembleParams, drive: DriveParams,
 # at 1, the bound the squaring count scales every norm below
 _THETA = np.array([(math.factorial(m + 1) * 2.0 ** -53 / math.e)
                    ** (1.0 / (m + 1)) for m in range(1, 18)] + [1.0])
-_EYE = np.eye(2)[:, :, None]
+_EYE = np.eye(2)[:, :, None, None]
 # the closed form is taken where |K|_max <= _CONFLUENT |d|: the divided
 # differences in d then lose at most about that factor in precision
 _CONFLUENT = 10.0
 
 
 def _mul(a, b):
-    """Products of 2x2 stacks stored component-wise, shape (..., 2, 2, n)."""
-    return (a[..., :, :1, :] * b[..., None, 0, :, :]
-            + a[..., :, 1:, :] * b[..., None, 1, :, :])
+    """Products of 2x2 stacks stored component-wise, shape (2, 2, ...)."""
+    return a[:, :1] * b[None, 0] + a[:, 1:] * b[None, 1]
+
+
+def _t(a):
+    """Transposes of a component-wise 2x2 stack."""
+    return a.swapaxes(0, 1)
 
 
 def _phi1(x):
@@ -355,31 +293,32 @@ def _phi1(x):
 
 def _drifts(gen: np.ndarray):
     """m = tr M / 2, K = M - m I, d with d^2 = K00^2 + K01 K10, e^M, and
-    whether |K|_max <= _CONFLUENT |d|, for a stack of drifts M stored
-    component-wise, shape (..., 2, 2, n)."""
-    m = 0.5 * (gen[..., 0, 0, :] + gen[..., 1, 1, :])
-    k00 = 0.5 * (gen[..., 0, 0, :] - gen[..., 1, 1, :])
+    whether |K|_max <= _CONFLUENT |d|, for a component-wise stack of
+    drifts M."""
+    m = 0.5 * (gen[0, 0] + gen[1, 1])
+    k00 = 0.5 * (gen[0, 0] - gen[1, 1])
     k = gen.copy()
-    k[..., 0, 0, :] = k00
-    k[..., 1, 1, :] = -k00
-    d = np.sqrt(k00 * k00 + k[..., 0, 1, :] * k[..., 1, 0, :])
+    k[0, 0] = k00
+    k[1, 1] = -k00
+    d = np.sqrt(k00 * k00 + k[0, 1] * k[1, 0])
     # e^(m +- d) directly: e^m cosh d overflows where e^(m + d) does not
     ep, em = np.exp(m + d), np.exp(m - d)
-    e = (0.5 * (ep - em) / d)[..., None, None, :] * k
+    e = (0.5 * (ep - em) / d) * k
     c = 0.5 * (ep + em)
-    e[..., 0, 0, :] += c
-    e[..., 1, 1, :] += c
-    return m, k, d, e, np.abs(k).max(axis=(-3, -2)) <= _CONFLUENT * np.abs(d)
+    e[0, 0] += c
+    e[1, 1] += c
+    return m, k, d, e, np.abs(k).max(axis=(0, 1)) <= _CONFLUENT * np.abs(d)
 
 
-def _transport(m_w: np.ndarray, m_mw: np.ndarray, src: np.ndarray,
-               sigma0: np.ndarray) -> np.ndarray:
-    """Solve dS/dz = M S + S Mm^T + src over z in [0, 1], constant coeffs.
+def _transport(m_w: np.ndarray, m_mw: np.ndarray, src: np.ndarray):
+    """The map of dS/dz = M S + S Mm^T + src over z in [0, 1], constant
+    coefficients, as (e^M, e^Mm, F): S(1) = e^M S(0) e^(Mm^T) + F, with
+    F = int_0^1 e^(Mz) src e^(Mm^T z) dz.
 
-    S(1) = e^M sigma0 e^(Mm^T) + F, F = int_0^1 e^(Mz) src e^(Mm^T z) dz,
-    in the 2x2 spectral closed form.  With m = tr M / 2, K = M - m I and
-    d^2 = K00^2 + K01 K10 (so K^2 = d^2 I), and m', K', d' likewise from
-    Mm,
+    The stacks are component-wise, shape (2, 2, *stack), and so are
+    the maps.  In the 2x2 spectral closed form, with m = tr M / 2,
+    K = M - m I and d^2 = K00^2 + K01 K10 (so K^2 = d^2 I), and m', K',
+    d' likewise from Mm,
 
         e^M = ((e^(m+d) + e^(m-d)) I + (e^(m+d) - e^(m-d)) K / d) / 2,
         F = g1 src + g2 K src + g3 src K'^T + g4 K src K'^T,
@@ -391,63 +330,65 @@ def _transport(m_w: np.ndarray, m_mw: np.ndarray, src: np.ndarray,
     drifts are near confluent (|K|_max > 10 |d|; a Jordan block has
     d = 0), or whose closed form overflows, takes ``_taylor`` instead.
     Diagonal drift pairs (no drive, or no atoms) take
-    S_ij = e^x sigma0_ij + src_ij phi_1(x), x = M_ii + Mm_jj.
+    e^M = diag(e^M_ii), e^Mm = diag(e^Mm_jj) and F_ij = src_ij phi_1(x),
+    x = M_ii + Mm_jj.
 
-    A stack of u = (w, -w), whose Mm is M with its halves swapped (as
-    ``_kernel`` builds it), forms m, K, d and e^M once per drift and the
-    phi_1 values once per +-w pair; these are the bits each sideband
-    gets on its own.  The 2x2 stacks are held component-wise along the
-    sideband axis, so every product is a few elementwise operations
-    over the whole stack, and each result depends only on its own
-    sideband.
+    A stack whose last axis holds u = (w, -w), and whose Mm is M with
+    those halves swapped (as ``_kernel`` builds it), forms m, K, d and
+    e^M once per drift and the phi_1 values once per +-w pair; these
+    are the bits each sideband gets on its own, and each result
+    depends only on its own sideband.
     """
-    gen = np.moveaxis(np.stack([m_w, m_mw]), 1, -1).copy()   # (2, 2, 2, n)
-    n_src = np.moveaxis(src, 0, -1).copy()
-    sig0 = sigma0[:, :, None]
-    n = m_w.shape[0]
-    half = n // 2
-    mirrored = (n % 2 == 0 and np.array_equal(m_mw[:half], m_w[half:])
-                and np.array_equal(m_mw[half:], m_w[:half]))
-    undriven = ~(gen[:, 0, 1].any(axis=0) | gen[:, 1, 0].any(axis=0))
+    half = m_w.shape[-1] // 2
+    mirrored = (m_w.shape[-1] % 2 == 0
+                and np.array_equal(m_mw[..., :half], m_w[..., half:])
+                and np.array_equal(m_mw[..., half:], m_w[..., :half]))
+    undriven = ((m_w[0, 1] == 0.0) & (m_w[1, 0] == 0.0)
+                & (m_mw[0, 1] == 0.0) & (m_mw[1, 0] == 0.0))
+
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        m, k, d, e, exact = _drifts(m_w)
         if mirrored:
-            m, k, d, e, exact = _drifts(gen[0])
-            m_, k_, d_, e_, exact_ = (
-                np.concatenate((a[..., half:], a[..., :half]), axis=-1)
-                for a in (m, k, d, e, exact))
+            m_, k_, d_, e_, exact_ = (np.roll(a, half, axis=-1)
+                                      for a in (m, k, d, e, exact))
         else:
-            ((m, m_), (k, k_), (d, d_), (e, e_),
-             (exact, exact_)) = _drifts(gen)
+            m_, k_, d_, e_, exact_ = _drifts(m_mw)
         s0, dp, dm = m + m_, d + d_, d - d_
         if mirrored:
             # at -w, d and d' swap places: dm changes sign, so the
             # phi_1 values at s0 + dm and s0 - dm swap, and g2, g3 too
-            s0, dp, dm = s0[:half], dp[:half], dm[:half]
+            s0, dp, dm = s0[..., :half], dp[..., :half], dm[..., :half]
         pp, mm, pm, mp = _phi1(np.stack([s0 + dp, s0 - dp, s0 + dm,
                                          s0 - dm]))
         g1, g4 = 0.25 * ((pp + mm) + (pm + mp)), 0.25 * ((pp + mm) - (pm + mp))
         g2, g3 = 0.25 * ((pp - mm) + (pm - mp)), 0.25 * ((pp - mm) - (pm - mp))
         if mirrored:
-            g1, g4 = np.tile(g1, 2), np.tile(g4, 2)
-            g2, g3 = np.concatenate([g2, g3]), np.concatenate([g3, g2])
-        nk = _mul(n_src, k_.transpose(1, 0, 2))
-        out = (_mul(_mul(e, sig0), e_.transpose(1, 0, 2))
-               + (g1 * n_src + g3 / d_ * nk)
-               + _mul(k, g2 / d * n_src + g4 / (d * d_) * nk))
-        slow = ~undriven & ~(exact & exact_
-                             & np.isfinite(out).all(axis=(0, 1)))
+            g1, g4 = np.concatenate((g1, g1), -1), np.concatenate((g4, g4), -1)
+            g2, g3 = np.concatenate((g2, g3), -1), np.concatenate((g3, g2), -1)
+        nk = _mul(src, _t(k_))
+        f = (g1 * src + g3 / d_ * nk) + _mul(k, g2 / d * src
+                                            + g4 / (d * d_) * nk)
+        finite = (np.isfinite(e).all(axis=(0, 1))
+                  & np.isfinite(e_).all(axis=(0, 1))
+                  & np.isfinite(f).all(axis=(0, 1)))
+        slow = ~undriven & ~(exact & exact_ & finite)
         if slow.any():
-            out[..., slow] = _taylor(gen[..., slow], n_src[..., slow], sig0)
+            e[:, :, slow], e_[:, :, slow], f[:, :, slow] = _taylor(
+                m_w[:, :, slow], m_mw[:, :, slow], src[:, :, slow])
         if undriven.any():
-            x = (np.diagonal(gen[0]).T[:, None]
-                 + np.diagonal(gen[1]).T[None, :])
-            out = np.where(undriven, np.exp(x) * sig0 + n_src * _phi1(x), out)
-    return np.moveaxis(out, -1, 0)
+            diag, diag_ = (np.moveaxis(np.diagonal(a), -1, 0)
+                           for a in (m_w, m_mw))
+            eye = np.eye(2).reshape((2, 2) + (1,) * undriven.ndim)
+            e = np.where(undriven, eye * np.exp(diag)[:, None], e)
+            e_ = np.where(undriven, eye * np.exp(diag_)[:, None], e_)
+            f = np.where(undriven, src * _phi1(diag[:, None]
+                                               + diag_[None, :]), f)
+    return e, e_, f
 
 
-def _taylor(gen: np.ndarray, n_src: np.ndarray,
-            sig0: np.ndarray) -> np.ndarray:
-    """``_transport`` of driven sidebands by Taylor series and squaring.
+def _taylor(m_w: np.ndarray, m_mw: np.ndarray, src: np.ndarray):
+    """``_transport`` of driven sidebands by Taylor series and squaring,
+    for component-wise stacks of shape (2, 2, n).
 
     Each sideband takes its own squaring count s and Taylor degree
     m <= 18 from eta = ||M||_1 + ||Mm||_1, which bounds the 1-norm of
@@ -456,7 +397,8 @@ def _taylor(gen: np.ndarray, n_src: np.ndarray,
     F = h phi_1(hL) src; then F <- F + E F E'^T, E <- E^2 and
     E' <- E'^2 run s times.
     """
-    eta = np.abs(gen).sum(axis=-3).max(axis=-2).sum(axis=0)
+    gen = np.stack([m_w, m_mw], axis=2)                # (2, 2, 2, n)
+    eta = np.abs(gen).sum(axis=0).max(axis=0).sum(axis=0)
     s = np.maximum(np.frexp(eta)[1], 0)
     h = np.ldexp(1.0, -s)
     deg = np.minimum(np.searchsorted(_THETA, eta * h) + 1, _THETA.size)
@@ -466,59 +408,138 @@ def _taylor(gen: np.ndarray, n_src: np.ndarray,
     c_exp = np.where(j <= deg, 1.0 / j, 0.0)
     c_phi = np.where(j <= deg, 1.0 / (j + 1.0), 0.0)
     hgen = gen * h
-    hm, hb = hgen[0], hgen[1].transpose(1, 0, 2)
-    e, f = np.broadcast_to(_EYE, gen.shape), n_src
+    hm, hb = hgen[:, :, 0], _t(hgen[:, :, 1])
+    e, f = np.broadcast_to(_EYE, gen.shape), src
     for a, b in zip(c_exp, c_phi):
         e = _EYE + _mul(hgen, e) * a
-        f = n_src + (_mul(hm, f) + _mul(f, hb)) * b
+        f = src + (_mul(hm, f) + _mul(f, hb)) * b
     f = f * h
     for t in range(int(s.max(initial=0))):
         live = s > t
-        f = np.where(live, f + _mul(_mul(e[0], f),
-                                    e[1].transpose(1, 0, 2)), f)
+        f = np.where(live, f + _mul(_mul(e[:, :, 0], f), _t(e[:, :, 1])), f)
         e = np.where(live, _mul(e, e), e)
-    return _mul(_mul(e[0], sig0), e[1].transpose(1, 0, 2)) + f
+    return e[:, :, 0], e[:, :, 1], f
+
+
+def _apply(maps, sigma: np.ndarray) -> np.ndarray:
+    """E sigma E'^T + F of maps (E, E', F) on covariances sigma, all
+    component-wise (an overflowed map gives inf or NaN, not a warning)."""
+    e, e_, f = maps
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _mul(_mul(e, sigma), _t(e_)) + f
+
+
+def _compose(maps, counts):
+    """The map of each run of consecutive steps along axis 2, the runs
+    ``counts`` steps long (powers of two, longest first), as a tree of
+    pairwise compositions: O(log n) array operations for all runs."""
+    e, e_, f = maps
+    counts = list(counts)
+    with np.errstate(over="ignore", invalid="ignore"):
+        while counts[0] > 1:
+            live = sum(c for c in counts if c > 1)
+            early = e[:, :, 0:live:2], e_[:, :, 0:live:2], f[:, :, 0:live:2]
+            late = e[:, :, 1:live:2], e_[:, :, 1:live:2], f[:, :, 1:live:2]
+            e, e_, f = (np.concatenate((a, b[:, :, live:]), axis=2)
+                        for a, b in ((_mul(late[0], early[0]), e),
+                                     (_mul(late[1], early[1]), e_),
+                                     (_apply(late, early[2]), f)))
+            counts = [c // 2 if c > 1 else c for c in counts]
+    return e, e_, f
+
+
+# the two Gauss nodes of a step
+_GAUSS = np.array([0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0])
+# step doubling stops at an error of _TOL relative, or at _MAX_STEPS steps
+_MAX_STEPS = 4096
+_TOL = 1e-10
+# sideband-steps per kernel and transport call, which bounds the memory
+_BATCH = 1 << 15
+
+
+def _magnus_maps(ens: EnsembleParams, sb: _Sidebands, i0: float,
+                 noisy: bool, z0: np.ndarray, h: np.ndarray):
+    """The maps of the steps [z0, z0 + h] of the depleted transport, by
+    the two-point Gauss fourth-order Magnus expansion.
+
+    With L_i(X) = M_i X + X M_i'^T + N_i at the Gauss points,
+    Omega = h/2 (L_1 + L_2) + (sqrt(3) h^2/12) [L_2, L_1], and
+    [L_2, L_1] has drift [M_2, M_1], partner drift [M_2', M_1'] and
+    source M_2 N_1 + N_1 M_2'^T - M_1 N_2 - N_2 M_1'^T.  Omega is again
+    of the form L, its partner drift the drift at -u, so
+    ``_transport`` exponentiates every step at once.  Each L_i maps the
+    vacuum commutator matrix to 0, and so does [L_2, L_1]: every step
+    preserves the commutator, whatever the step count.
+    """
+    ix = bloch.depleted_intensity(ens.cooperativity, i0, sb.detuning,
+                                  (z0[:, None] + h[:, None] * _GAUSS).ravel())
+    ker = _kernel(ens, sb, ix, noisy)
+    (m1, m2), (p1, p2), (n1, n2) = ((a[:, :, 0::2], a[:, :, 1::2])
+                                    for a in ker)
+    half = 0.5 * h[:, None]
+    cw = math.sqrt(3.0) / 12.0 * (h * h)[:, None]
+    drift = half * (m1 + m2) + cw * (_mul(m2, m1) - _mul(m1, m2))
+    src = half * (n1 + n2) + cw * ((_mul(m2, n1) + _mul(n1, _t(p2)))
+                                   - (_mul(m1, n2) + _mul(n2, _t(p1))))
+    return _transport(drift, drift[..., sb.flip], src)
+
+
+def _evolve(ens: EnsembleParams, sb: _Sidebands, i0: float, noisy: bool,
+            levels) -> list:
+    """Covariances at z = 1 from the vacuum after each number of
+    uniform Magnus steps in ``levels`` (powers of two).  All steps go
+    through the kernel and the transport together, in calls of at most
+    ``_BATCH`` sideband-steps whose maps compose as one tree."""
+    per_call = 1 << max(0, (_BATCH // sb.u.size).bit_length() - 1)
+    runs = [(lv, n, start, min(n, per_call)) for lv, n in enumerate(levels)
+            for start in range(0, n, per_call)]
+    calls = [[]]
+    for run in runs:
+        if sum(r[3] for r in calls[-1]) + run[3] > per_call:
+            calls.append([])
+        calls[-1].append(run)
+    sig = [_VACUUM[:, :, None]] * len(levels)
+    for call in calls:
+        call.sort(key=lambda run: -run[3])      # as _compose takes them
+        z0 = np.concatenate([(start + np.arange(cnt)) / n
+                             for _, n, start, cnt in call])
+        h = np.concatenate([np.full(cnt, 1.0 / n) for _, n, _, cnt in call])
+        e, e_, f = _compose(_magnus_maps(ens, sb, i0, noisy, z0, h),
+                            [cnt for *_, cnt in call])
+        for r, (lv, *_) in enumerate(call):
+            sig[lv] = _apply((e[:, :, r], e_[:, :, r], f[:, :, r]), sig[lv])
+    return sig
 
 
 def _sigma_out_depleted(ens: EnsembleParams, drive: DriveParams,
-                        omegas: np.ndarray, noisy: bool,
-                        truncate_dephasing: bool) -> np.ndarray:
-    """Output covariances at u = (omegas, -omegas), drive depleting
-    along z.
+                        sb: _Sidebands, noisy: bool) -> np.ndarray:
+    """Output covariances at ``sb``'s sidebands, component-wise, with
+    the drive depleting along z.
 
-    One ODE carries the mean field, as the Rabi amplitudes
-    Omega+-(z) = g <a+->(z), and the covariances of all sidebands.  The
-    sideband factors and the products that make dS/dz are built once
-    per solve; each right-hand side evaluates one steady state at the
-    local intensity I_x = |Omega+|^2 + |Omega-|^2, which gives kappa(0),
-    the mean-field derivative dOmega+-/dz = -kappa(0) Omega+- and the
-    diffusion weights, then the rows of M and P, and contracts the
-    products of one stack (``_pairs``).  The transit phase is left out
-    of the drift: it enters M(u) and M(-u) with opposite signs and
-    cancels from M S + S M_-^T.  The input is linearly polarized,
-    Omega+- = +-sqrt(I_x/2), and stays so along the cell, so the steady
-    state is the linear drive's.
+    Uniform Magnus steps, 2, 4 and 8 in one batch, then doubled.  The
+    error of S_2N is a fifteenth of max|S_2N - S_N| once the step
+    resolves the absorption; before, it can be far larger.  So S_2N is
+    taken when that difference is within 15 _TOL max|S_2N| at every
+    sideband and the one before, of S_N and S_N/2, within 64 times as
+    much: both fall as fourth order does.  Past ``_MAX_STEPS`` steps
+    (non-finite covariances never settle) raises NumericalError.
     """
-    de = drive.detuning
-    sb = _sidebands(ens, de, omegas, truncate_dephasing)
-    pairs = _pairs(sb, True, noisy)
-    point = {"detuning": de}
-
-    def rhs(_z, y):
-        om_p, om_m = y[:2].tolist()
-        ix = abs(om_p) ** 2 + abs(om_m) ** 2
-        if not math.isfinite(ix):
-            raise NumericalError("non-finite mean field", point)
-        k0, weights = _steady_state(ens, ix, de, noisy)
-        return np.concatenate(((-k0 * om_p, -k0 * om_m),
-                               _contract(pairs, weights,
-                                         _rows(sb, ix, k0), y)), axis=None)
-
-    om = math.sqrt(drive.intensity / 2.0)
-    y0 = np.concatenate(([om, -om], np.tile(_VACUUM.reshape(-1),
-                                            sb.u.size))).astype(complex)
-    sol = solve_ivp(rhs, y0, 1e-8, 1e-10, point)
-    return sol.y[2:].reshape(-1, 2, 2)
+    levels, sig, settled = [2, 4, 8], None, False
+    while True:
+        for new in _evolve(ens, sb, drive.intensity, noisy, levels):
+            if sig is not None:
+                with np.errstate(invalid="ignore"):
+                    diff = np.abs(new - sig).max(axis=(0, 1))
+                    size = 15.0 * _TOL * np.abs(new).max(axis=(0, 1))
+                if settled and (diff <= size).all():
+                    return new
+                settled = bool((diff <= 64.0 * size).all())
+            sig = new
+        if levels[-1] >= _MAX_STEPS:
+            raise NumericalError(f"depleted transport not converged in "
+                                 f"{levels[-1]} steps",
+                                 {"detuning": drive.detuning})
+        levels = [2 * levels[-1]]
 
 
 @dataclass(frozen=True)
@@ -572,10 +593,11 @@ def propagate_noise(ens: EnsembleParams, drive: DriveParams,
     squeezing interaction.  ``deplete`` feeds the mean-field depletion
     of the drive along the cell into the coefficients (default keeps
     them constant, i.e. an undepleted drive); the whole grid then
-    shares one ODE solve.  With no atoms or no drive nothing depletes,
-    and the undepleted transport is taken.  With the atomic sources on
-    and the full Gamma, S_min S_max below 1 - 1e-6 (the uncertainty
-    bound) raises NumericalError naming (Delta, omega).
+    shares one step-doubled Magnus transport.  With no atoms or no
+    drive nothing depletes, and the undepleted transport is taken.
+    With the atomic sources on and the full Gamma, S_min S_max below
+    1 - 1e-6 (the uncertainty bound) raises NumericalError naming
+    (Delta, omega).
     """
     omegas = np.atleast_1d(np.asarray(omega_grid, dtype=float))
     thetas = np.atleast_1d(np.asarray(theta_grid, dtype=float))
@@ -583,22 +605,20 @@ def propagate_noise(ens: EnsembleParams, drive: DriveParams,
         raise ValidationError("omega_grid", "sideband frequencies must be >= 0")
     n = omegas.size
     noisy = include_noise and ens.cooperativity > 0.0
+    sb = _sidebands(ens, drive.detuning, omegas, truncate_dephasing)
     # no atoms, or no drive: nothing depletes
     if deplete and ens.cooperativity > 0.0 and drive.intensity > 0.0:
-        sig = _sigma_out_depleted(ens, drive, omegas, noisy,
-                                  truncate_dephasing)
+        sig = _sigma_out_depleted(ens, drive, sb, noisy)
     else:
-        k = _kernel(ens, drive, omegas, noisy, truncate_dephasing)
-        sig = _transport(k.m_w, k.m_mw, k.src, _VACUUM)
-    sig_p, sig_m = sig[:n], sig[n:]
+        sig = _sigma_out(ens, drive, sb, noisy)
+    sig_p, sig_m = sig[..., :n], sig[..., n:]
     # before any arithmetic on them: an overflowed transport would warn
-    finite = np.isfinite(sig_p).all(axis=(1, 2)) & np.isfinite(sig_m).all(
-        axis=(1, 2))
+    finite = np.isfinite(sig_p).all(axis=(0, 1)) & np.isfinite(sig_m).all(
+        axis=(0, 1))
     _check(~finite, drive.detuning, omegas,
            lambda i: "non-finite quadrature variance")
-    iso = 0.5 * (sig_p[:, 0, 1] + sig_p[:, 1, 0]
-                 + sig_m[:, 0, 1] + sig_m[:, 1, 0])
-    anom = 0.5 * (sig_p[:, 1, 1] + sig_m[:, 1, 1])
+    iso = 0.5 * (sig_p[0, 1] + sig_p[1, 0] + sig_m[0, 1] + sig_m[1, 0])
+    anom = 0.5 * (sig_p[1, 1] + sig_m[1, 1])
     _check(np.abs(iso.imag) > 1e-8 * np.maximum(1.0, np.abs(iso.real)),
            drive.detuning, omegas, lambda i: f"non-real quadrature variance "
            f"(imag {iso.imag[i]:.2e})")
@@ -621,8 +641,8 @@ def propagate_noise(ens: EnsembleParams, drive: DriveParams,
         # commutator preservation, relative to the covariances' size
         # (1e2 absolute but 4e-16 relative at C = 1e7, I_x = 1e6)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            scale = np.maximum(np.abs(sig_p).max(axis=(1, 2)),
-                               np.abs(sig_m).max(axis=(1, 2)))
+            scale = np.maximum(np.abs(sig_p).max(axis=(0, 1)),
+                               np.abs(sig_m).max(axis=(0, 1)))
             rel = _commutator_excess(sig_p, sig_m) / scale
         _check(~(rel <= 1e-8), drive.detuning, omegas,
                lambda i: f"output commutator not preserved "
@@ -640,16 +660,25 @@ def _check(bad: np.ndarray, detuning: float, omegas: np.ndarray,
                                           "omega": float(omegas[i])})
 
 
+def _sigma_out(ens: EnsembleParams, drive: DriveParams, sb: _Sidebands,
+               noisy: bool) -> np.ndarray:
+    """Output covariances at ``sb``'s sidebands, component-wise, with
+    the undepleted drive: the one-step case of the depleted transport."""
+    return _apply(_transport(*_kernel(ens, sb, [drive.intensity], noisy)),
+                  _VACUUM[:, :, None, None])[:, :, 0]
+
+
 def _commutator_excess(sig_p: np.ndarray, sig_m: np.ndarray) -> np.ndarray:
-    """|S(w) - S(-w)^T - C0|_max of covariance stacks at +w and -w.
+    """|S(w) - S(-w)^T - C0|_max of component-wise covariance stacks at
+    +w and -w.
 
     The -w sideband is transported with the drift pair (M(-w), M(w)), so
     S(-w)^T obeys the +w equation with source N(-w)^T; by linearity
     S(w) - S(-w)^T is the transported commutator matrix, which starts
     at C0 = [[0, 1], [-1, 0]].
     """
-    return np.abs(sig_p - sig_m.transpose(0, 2, 1)
-                  - _COMMUTATOR).max(axis=(1, 2))
+    return np.abs(sig_p - _t(sig_m)
+                  - _COMMUTATOR[:, :, None]).max(axis=(0, 1))
 
 
 def commutator_residual(ens: EnsembleParams, drive: DriveParams,
@@ -661,9 +690,9 @@ def commutator_residual(ens: EnsembleParams, drive: DriveParams,
     zero up to roundoff (amplified at strongly amplifying parameter
     points).
     """
-    k = _kernel(ens, drive, [omega])
-    sig = _transport(k.m_w, k.m_mw, k.src, _VACUUM)
-    return float(_commutator_excess(sig[:1], sig[1:])[0])
+    sig = _sigma_out(ens, drive, _sidebands(ens, drive.detuning, [omega],
+                                            False), True)
+    return float(_commutator_excess(sig[..., :1], sig[..., 1:])[0])
 
 
 # ---------------------------------------------------------------------------

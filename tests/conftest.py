@@ -1,12 +1,12 @@
 """Shared test oracles: the Liouvillian and brute-force time
 integration, the steady state of any (elliptical) drive and its
-mean-field derivative, scipy's RK45 and the mean-field problem it is
-checked on, exact arithmetic, the scalar (one sideband at a time)
-fluctuation chain, the Einstein relations, the covariance transport by
-5x5 exponentials (scipy and 50-digit mpmath), the depleted transport
-with every factor rebuilt at every step, Doppler quadrature, the
-two-wofz composite kappa, the low-sideband limit and the
-phenomenological rotation model's inverse."""
+mean-field derivative, exact arithmetic, the scalar (one sideband at a
+time) fluctuation chain, the Einstein relations, the kernel and the
+covariance transport on stacks of 2x2 matrices, the transport by 5x5
+exponentials (scipy and 50-digit mpmath), the depleted transport by
+scipy's RK45 and the kernel built afresh at each intensity, Doppler
+quadrature, the two-wofz composite kappa, the low-sideband limit and
+the phenomenological rotation model's inverse."""
 
 from __future__ import annotations
 
@@ -127,28 +127,6 @@ def field_derivative(ens, omega_plus, omega_minus, detuning) -> np.ndarray:
     cell lengths, the atoms in the steady state of the local field."""
     st = steady_state(omega_plus, omega_minus, detuning)
     return 1j * ens.cooperativity * np.array([st.coh_14, st.coh_23])
-
-
-def scipy_rk45(fun, y0, rtol, atol, point):
-    """``bloch.solve_ivp`` done by scipy.integrate.solve_ivp(RK45)."""
-    sol = solve_ivp(fun, (0.0, 1.0), y0, method="RK45", rtol=rtol, atol=atol)
-    if not sol.success:
-        raise NumericalError(f"RK45 failed: {sol.message}", point)
-    return bloch.OdeResult(sol.y[:, -1], sol.nfev)
-
-
-def mean_field_problem(c, ix, de, eps):
-    """(rhs, y0, atol) of the mean field through a cell of cooperativity
-    ``c``, at rtol 1e-8: dOmega+-/dz of ``field_derivative`` from an
-    input of intensity ``ix`` and ellipticity ``eps``: circular
-    intensities I_x (1 -+ sin 2 eps)/2, the sigma- amplitude negative."""
-    ens = EnsembleParams.from_cooperativity(c)
-    y0 = np.array([math.sqrt(ix * (1.0 - math.sin(2.0 * eps)) / 2.0),
-                   -math.sqrt(ix * (1.0 + math.sin(2.0 * eps)) / 2.0)],
-                  dtype=complex)
-    p_in = abs(y0[0]) ** 2 + abs(y0[1]) ** 2
-    return (lambda _z, y: field_derivative(ens, y[0], y[1], de),
-            y0, 1e-8 * math.sqrt(p_in) * 1e-3)
 
 
 def evolve_density_matrix(omega_plus, omega_minus, detuning,
@@ -341,8 +319,8 @@ def source_rows(ens, drive, omegas):
     second row at u is the first at -u conjugated, f_y and f_y^dag
     swapped."""
     sb = fluct._sidebands(ens, drive.detuning, omegas, False)
-    first = fluct._rows(sb, drive.intensity,
-                        bloch.kappa_zero(ens, drive))[:, 2:]
+    first = fluct._rows(sb, np.array([drive.intensity]),
+                        np.array([bloch.kappa_zero(ens, drive)]))[0, :, 2:]
     return np.stack([first, first[sb.flip][:, [1, 0, 2, 3]].conj()], axis=1)
 
 
@@ -350,7 +328,7 @@ def langevin_coeffs(ens, drive, omega):
     """A(w), B(w) of the Langevin source decomposition: B is a row of
     ``fluct._ratios``, A is (2 - i w) times the f_z' row."""
     q = fluct._ratios(fluct._sidebands(ens, drive.detuning, [omega], False),
-                      drive.intensity)[0]
+                      np.array([drive.intensity]))[0, 0]
     return q[5] * (2.0 - 1j * omega), q[3]
 
 
@@ -410,15 +388,21 @@ def excess(ordered: np.ndarray) -> np.ndarray:
     return out
 
 
+# the (a, b) of the diffusion table's non-zero entries: t, p_e, p_e, c, c*
+DIFFUSION = ((fluct.FY, fluct.FYD), (fluct.FZ, fluct.FZ),
+             (fluct.FZP, fluct.FZP), (fluct.FY, fluct.FZP),
+             (fluct.FZP, fluct.FYD))
+
+
 def diffusion(drive) -> np.ndarray:
     """The ordered (4, 4) diffusion table <f_i f_j> per atom that
     ``fluct._steady_state`` weights the inflow with (at C = 1, so the
     weights are the entries)."""
-    _, weights = fluct._steady_state(UNIT_C, drive.intensity,
-                                     drive.detuning, True)
+    _, (t, p_e, c) = fluct._steady_state(UNIT_C, np.array([drive.intensity]),
+                                         drive.detuning, True)
     ordered = np.zeros((4, 4), dtype=complex)
-    for (a, b), v in zip(fluct._DIFFUSION, weights):
-        ordered[a, b] = v
+    for (a, b), v in zip(DIFFUSION, (t, p_e, p_e, c, c.conj())):
+        ordered[a, b] = v[0]
     return ordered
 
 
@@ -524,29 +508,68 @@ def mpmath_extrema(m_w, m_mw, src, sigma0, dps=50):
     return np.array(out).T
 
 
-def per_evaluation_depleted(ens, drive, omegas, noisy, truncate_dephasing):
-    """``fluct._sigma_out_depleted`` with nothing built once per solve.
+def per_intensity_kernel(ens, sb, intensities, noisy,
+                         kernel=fluct._kernel):
+    """``fluct._kernel`` with fresh sideband factors at each intensity,
+    one intensity per call, stacked (``kernel`` is bound when the module
+    loads, so that this can stand in for ``fluct._kernel``)."""
+    parts = [kernel(ens, fluct._sidebands(ens, sb.detuning, sb.u[
+        :sb.u.size // 2], sb.truncate_dephasing), [ix], noisy)
+        for ix in intensities]
+    return tuple(np.concatenate(a, axis=2) for a in zip(*parts))
 
-    Every right-hand side builds fresh sideband factors
-    (``fluct._sidebands``) and products (``fluct._pairs``), then
-    evaluates the steady state, the rows and the contraction.  Returns
-    ``bloch.solve_ivp``'s result, whose ``y[2:]`` are the covariances.
-    """
+
+def rk45_depleted(ens, drive, sb, noisy, rtol=1e-12):
+    """``fluct._sigma_out_depleted`` by scipy's RK45: the Rabi amplitudes
+    Omega+- and the covariances of every sideband in one ODE, the
+    amplitudes driven by ``field_derivative`` (the general steady
+    state), the covariances by ``fluct._kernel`` at the local
+    intensity.  Component-wise covariances, as the library returns
+    them."""
+    size = sb.u.size
     de = drive.detuning
 
     def rhs(_z, y):
-        om_p, om_m = y[:2].tolist()
-        ix = abs(om_p) ** 2 + abs(om_m) ** 2
-        sb = fluct._sidebands(ens, de, omegas, truncate_dephasing)
-        k0, weights = fluct._steady_state(ens, ix, de, noisy)
-        dsig = fluct._contract(fluct._pairs(sb, True, noisy), weights,
-                               fluct._rows(sb, ix, k0), y)
-        return np.concatenate(((-k0 * om_p, -k0 * om_m), dsig), axis=None)
+        om_p, om_m = y[:2]
+        m, m_, src = (a[:, :, 0] for a in fluct._kernel(
+            ens, sb, [abs(om_p) ** 2 + abs(om_m) ** 2], noisy))
+        s = y[2:].reshape(2, 2, size)
+        ds = (np.einsum("ikn,kjn->ijn", m, s)
+              + np.einsum("ikn,jkn->ijn", s, m_) + src)
+        return np.concatenate((field_derivative(ens, om_p, om_m, de),
+                               ds.ravel()))
 
-    om = math.sqrt(drive.intensity / 2.0)           # linear input
-    vacua = np.tile(fluct._VACUUM.reshape(-1), 2 * len(omegas))
-    y0 = np.concatenate(([om, -om], vacua)).astype(complex)
-    return bloch.solve_ivp(rhs, y0, 1e-8, 1e-10, {"detuning": de})
+    om = math.sqrt(drive.intensity / 2.0)
+    y0 = np.concatenate(([om, -om], np.repeat(fluct._VACUUM.ravel(),
+                                              size))).astype(complex)
+    sol = solve_ivp(rhs, (0.0, 1.0), y0, method="RK45", rtol=rtol,
+                    atol=rtol * 1e-3)
+    assert sol.success, sol.message
+    return sol.y[2:, -1].reshape(2, 2, size)
+
+
+def stacked(a):
+    """A component-wise (2, 2, n) stack as n 2x2 matrices."""
+    return np.moveaxis(a, (0, 1), (-2, -1))
+
+
+def componentwise(a):
+    """n 2x2 matrices as a component-wise (2, 2, n) stack."""
+    return np.moveaxis(np.asarray(a), (-2, -1), (0, 1))
+
+
+def kernel(ens, drive, omegas, noisy=True, truncate_dephasing=False):
+    """(m_w, m_mw, src) of the undepleted drive, each as (2n, 2, 2)."""
+    sb = fluct._sidebands(ens, drive.detuning, omegas, truncate_dephasing)
+    return tuple(stacked(a[:, :, 0])
+                 for a in fluct._kernel(ens, sb, [drive.intensity], noisy))
+
+
+def transport(m_w, m_mw, src, sigma0):
+    """``fluct._transport``'s maps applied to ``sigma0``, on (n, 2, 2)
+    stacks."""
+    maps = fluct._transport(*map(componentwise, (m_w, m_mw, src)))
+    return stacked(fluct._apply(maps, np.asarray(sigma0)[:, :, None]))
 
 
 # ---------------------------------------------------------------------------

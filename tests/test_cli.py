@@ -213,8 +213,11 @@ def test_sub_qnl_uncertainty_product_is_a_numerical_error(tmp_path, capsys):
                                "ensemble": {"cooperativity": 15.0}})
     out = tmp_path / "x.csv"
 
-    def squeezed(m_w, m_mw, src, sigma0):
-        return np.broadcast_to(0.5 * sigma0, m_w.shape).copy()
+    def squeezed(m_w, _m_mw, _src):
+        """Maps that halve every covariance."""
+        half = np.zeros_like(m_w)
+        half[0, 0] = half[1, 1] = 0.5 ** 0.5
+        return half, half, np.zeros_like(m_w)
 
     argv = ["psr-sim", "noise", "--config", str(cfg), "--out", str(out)]
     with mock.patch.object(fluct, "_transport", squeezed), \
@@ -239,14 +242,13 @@ def test_corrupted_output_commutator_is_a_numerical_error(tmp_path, capsys,
                                "ensemble": {"cooperativity": 15.0}})
     out = tmp_path / "x.csv"
 
-    name = "solve_ivp" if deplete else "_transport"
+    name = "_sigma_out_depleted" if deplete else "_sigma_out"
     real = getattr(fluct, name)
 
     def corrupted(*args):
-        res = real(*args)
-        sig = res.y[2:].reshape(-1, 2, 2) if deplete else res
-        sig[1, 0, 0] += 1e-6 * np.abs(sig[1]).max()   # omega = +1
-        return res
+        sig = real(*args)
+        sig[0, 0, 1] += 1e-6 * np.abs(sig[..., 1]).max()   # omega = +1
+        return sig
 
     argv = ["psr-sim", "noise", "--config", str(cfg), "--out", str(out)]
     argv += ["--deplete"] if deplete else []
@@ -573,3 +575,116 @@ def test_noise_theta_scan_and_preset(tmp_path):
     _, header, srows = parse_csv(scan)
     assert header == ["detuning", "omega", "theta", "s_db"]
     assert len(srows) > 100
+
+
+def main_exit(*args):
+    """The exit code of ``psr-sim *args`` run in this process."""
+    from psrsim import cli
+    with mock.patch.object(sys, "argv", ["psr-sim", *args]):
+        try:
+            cli.main()
+        except SystemExit as exc:
+            return exc.code
+    return 0
+
+
+SWEEP_CFG = {"ensemble": {"cooperativity": 100.0, "gamma": 1.8062e7},
+             "sweep": {"detunings_ghz": {"start": -0.5, "stop": 0.5,
+                                         "points": 3},
+                       "intensities_mw": [1.0], "intensity_scale": 400.0,
+                       "doppler_width_ghz": 0.3,
+                       "lines": [{"center_ghz": 0.0, "strength": 1.0}]}}
+LIMITS_CFG = {"ensemble": {"cooperativity": 100.0},
+              "limits": {"rows": [{"detuning": 50.0, "omega": 5.0,
+                                   "saturation": 0.5}]}}
+
+
+def with_key(cfg, path, key="bogus", value=1.0):
+    """A deep copy of ``cfg`` with ``key`` added to the mapping at
+    ``path``, a tuple of keys and list indices."""
+    out = yaml.safe_load(yaml.safe_dump(cfg))
+    node = out
+    for step in path:
+        node = node[step]
+    node[key] = value
+    return out
+
+
+@pytest.mark.parametrize("command, cfg, path", [
+    ("noise", NOISE_CFG, ("ensemble",)),
+    ("noise", NOISE_CFG, ("drive",)),
+    ("noise", NOISE_CFG, ("noise",)),
+    ("noise", {**NOISE_CFG, "noise": {"omegas": {"start": 0.5, "stop": 1.0,
+                                                 "points": 2}}},
+     ("noise", "omegas")),
+    ("sweep", SWEEP_CFG, ("sweep",)),
+    ("sweep", SWEEP_CFG, ("sweep", "detunings_ghz")),
+    ("sweep", SWEEP_CFG, ("sweep", "lines", 0)),
+    ("limits", LIMITS_CFG, ("limits",)),
+    ("limits", LIMITS_CFG, ("limits", "rows", 0)),
+    ("matsko", {"matsko": {"rotation_strength": 1.5}}, ("matsko",)),
+    ("polarimetry", {"polarimetry": {"input_csv": "v.csv"}},
+     ("polarimetry",)),
+], ids=["ensemble", "drive", "noise", "noise-axis", "sweep", "sweep-axis",
+        "sweep-line", "limits", "limits-row", "matsko", "polarimetry"])
+def test_unknown_config_keys_are_config_errors(tmp_path, capsys,
+                                               monkeypatch, command, cfg,
+                                               path):
+    """The config as given runs; a key the command does not read is
+    exit 2, naming it, before anything is written."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "v.csv").write_text("detuning_ghz,v1,v2\n0.1,1.0,0.5\n")
+    out = str(tmp_path / "out")
+    good = write_cfg(tmp_path, yaml.safe_load(yaml.safe_dump(cfg)))
+    assert main_exit(command, "--config", str(good), "--out", out) == 0
+    capsys.readouterr()
+    bad = write_cfg(tmp_path, with_key(cfg, path), "bad.yaml")
+    out = str(tmp_path / "bad-out")
+    assert main_exit(command, "--config", str(bad), "--out", out) == 2
+    name = ".".join(str(p) for p in path).replace(".0", "[0]")
+    err = capsys.readouterr().err
+    assert f"config error: {name}.bogus: unknown key" in err
+    assert not Path(out).exists()
+
+
+def test_misspelled_optional_keys_are_config_errors(tmp_path, capsys):
+    """A copy of hot-vapour-d2 with noise.omega_flor or drive.intensty
+    used to run on the defaults, exit 0."""
+    from psrsim import cli
+    preset, _ = cli.load_config("hot-vapour-d2")
+    for path, key in ((("noise",), "omega_flor"), (("drive",), "intensty")):
+        cfg = write_cfg(tmp_path, with_key(preset, path, key, 5.0))
+        assert main_exit("noise", "--config", str(cfg), "--out",
+                         str(tmp_path / "x.csv")) == 2
+        assert f"{path[0]}.{key}: unknown key" in capsys.readouterr().err
+
+
+def test_unknown_fit_keys_are_config_errors(tmp_path, capsys):
+    cfg = yaml.safe_load(write_fit_cfg(tmp_path).read_text())
+    for path in (("fit",), ("fit", "initial"), ("fit", "lines", 1)):
+        bad = write_cfg(tmp_path, with_key(cfg, path), "bad.yaml")
+        assert main_exit("fit", "--config", str(bad), "--out",
+                         str(tmp_path / "fit.csv")) == 2
+        name = ".".join(str(p) for p in path).replace(".1", "[1]")
+        assert f"{name}.bogus: unknown key" in capsys.readouterr().err
+
+
+def test_limits_row_with_intensity_and_saturation_is_a_config_error(
+        tmp_path, capsys):
+    """The saturation used to be dropped in silence."""
+    cfg = write_cfg(tmp_path, with_key(LIMITS_CFG, ("limits", "rows", 0),
+                                       "intensity", 8e4))
+    assert main_exit("limits", "--config", str(cfg), "--out",
+                     str(tmp_path / "x.csv")) == 2
+    assert ("limits.rows[0].saturation: give intensity or saturation, "
+            "not both") in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, preset", [
+    ("noise", "hot-vapour-d1"), ("noise", "hot-vapour-d2"),
+    ("noise", "cold-atom-kerr"), ("sweep", "d1-sweep"),
+    ("sweep", "d2-sweep")])
+def test_presets_hold_only_keys_their_command_reads(tmp_path, command,
+                                                    preset):
+    assert main_exit(command, "--config", preset, "--out",
+                     str(tmp_path / "out")) == 0

@@ -4,8 +4,8 @@ from unittest import mock
 import numpy as np
 import pytest
 from conftest import (diffusion, exact_a_coef, exact_b_coef, exact_lambda,
-                      exact_lambda_prime, excess, gram, langevin_coeffs,
-                      limit_low_sideband)
+                      exact_lambda_prime, excess, gram, kernel,
+                      langevin_coeffs, limit_low_sideband)
 
 from psrsim import bloch, fluct
 from psrsim.core import (DriveParams, EnsembleParams, NumericalError,
@@ -134,11 +134,12 @@ def test_negative_variance_raises_without_the_uncertainty_gate(kw):
     """An inadmissible covariance (iso 0.1, |anom| 0.5: S_min = -0.9) is
     an error, not a spectrum clamped to 0, when the uncertainty gate
     is off."""
-    def inadmissible(m_w, _m_mw, _src, _sigma0):
-        sig = np.zeros((len(m_w), 2, 2), dtype=complex)
-        sig[:, 0, 1] = sig[:, 1, 0] = 0.05
-        sig[:, 1, 1] = 0.5
-        return sig
+    def inadmissible(m_w, _m_mw, _src):
+        """Maps that send any input to these covariances."""
+        sig = np.zeros_like(m_w)
+        sig[0, 1] = sig[1, 0] = 0.05
+        sig[1, 1] = 0.5
+        return np.zeros_like(m_w), np.zeros_like(m_w), sig
 
     with mock.patch.object(fluct, "_transport", inadmissible), \
             pytest.raises(NumericalError,
@@ -158,7 +159,7 @@ def test_commutator_preserved_at_random_points():
         w = 10.0 ** rng.uniform(-1.5, 1.2)
         ens = EnsembleParams.from_cooperativity(c)
         drive = DriveParams(intensity=s * (1 + de * de), detuning=de)
-        m = fluct._kernel(ens, drive, [w]).m_w[0]
+        m = kernel(ens, drive, [w])[0][0]
         if np.abs(m).sum() > 20.0:  # keep propagation exponents testable
             continue
         count += 1
