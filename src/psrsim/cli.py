@@ -211,8 +211,12 @@ def write_json(path: Path, command: str, cfg_hash: str, data: dict,
                  **(extra_meta or {})},
         "data": data,
     }
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
-                    encoding="utf-8")
+    try:
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError:      # a NaN or an infinity: no JSON number holds it
+        raise NumericalError(f"{command}: non-finite value in the JSON "
+                             "output", {"output": str(path)}) from None
+    path.write_text(text + "\n", encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------
@@ -376,6 +380,12 @@ def noise(config_path: str, out_path: Path, fmt: str, jobs: int,
     click.echo(f"noise spectra written to {out_path}")
 
 
+def _deviation(approx: complex, exact: complex) -> float | str:
+    """|approx - exact| / |exact|, or an empty cell where exact is 0
+    (an undriven row, whose coefficient and limit both vanish)."""
+    return abs(approx - exact) / abs(exact) if exact != 0 else ""
+
+
 @cli.command()
 @_CONFIG_OPT
 @_OUT_OPT
@@ -427,23 +437,20 @@ def limits(config_path: str, out_path: Path, fmt: str) -> None:
         if det != 0.0:
             if hsb_ok:
                 lim = fluct.limit_high_sideband(ens, drive, w)
-                entry["hsb_kappa_dev"] = abs(lim.kappa - resp.kappa) \
-                    / abs(resp.kappa)
-                entry["hsb_gamma_dev"] = abs(lim.gamma - resp.gamma) \
-                    / abs(resp.gamma)
+                entry["hsb_kappa_dev"] = _deviation(lim.kappa, resp.kappa)
+                entry["hsb_gamma_dev"] = _deviation(lim.gamma, resp.gamma)
             if kerr_ok:
                 kerr = fluct.limit_kerr(ens, drive)
-                entry["kerr_drift_dev"] = abs(
-                    (kerr.dephasing + kerr.kerr_ay) - resp.drift) \
-                    / abs(resp.drift)
-                entry["kerr_coupling_dev"] = abs(
-                    kerr.kerr_aydag - (-resp.kappa)) / abs(resp.kappa)
+                entry["kerr_drift_dev"] = _deviation(
+                    kerr.dephasing + kerr.kerr_ay, resp.drift)
+                entry["kerr_coupling_dev"] = _deviation(kerr.kerr_aydag,
+                                                        -resp.kappa)
             if hsat_ok:
                 hsat = fluct.limit_high_saturation(ens, drive, w)
-                entry["hsat_kappa_dev"] = abs(
-                    hsat.coef_aydag - (-resp.kappa)) / abs(resp.kappa)
-                entry["hsat_drift_dev"] = abs(
-                    hsat.coef_ay - resp.drift) / abs(resp.drift)
+                entry["hsat_kappa_dev"] = _deviation(hsat.coef_aydag,
+                                                     -resp.kappa)
+                entry["hsat_drift_dev"] = _deviation(hsat.coef_ay,
+                                                     resp.drift)
         table.append(entry)
 
     cols = list(table[0].keys())
@@ -478,11 +485,11 @@ def matsko_cmd(config_path: str, out_path: Path, fmt: str) -> None:
         chi_star, v_min = matsko.optimal_phase(g_l, alpha_l)
         opt = {"chi_star": chi_star, "min_variance": v_min,
                "min_variance_db": matsko.min_variance_db(g_l, alpha_l)}
-    else:
-        opt = {"chi_star": float("nan"), "min_variance": 1.0,
-               "min_variance_db": 0.0}
+    else:       # nothing rotates: every phase gives the QNL, none is optimal
+        opt = {"chi_star": None, "min_variance": 1.0, "min_variance_db": 0.0}
+    chi_star = math.nan if opt["chi_star"] is None else opt["chi_star"]
     meta = [f"rotation_strength={g_l:.12g}", f"absorption={alpha_l:.12g}",
-            f"chi_star={opt['chi_star']:.12g}",
+            f"chi_star={chi_star:.12g}",
             f"min_variance={opt['min_variance']:.12g}",
             f"min_variance_db={opt['min_variance_db']:.12g}"]
     if fmt == "csv":
@@ -560,13 +567,14 @@ def fit(config_path: str, out_path: Path, fmt: str) -> None:
                 enumerate(result.strength_ratios)])
     values = [result.density_scale, result.freq_offset_ghz,
               result.intensity_scale, *result.strength_ratios]
-    sigmas = [math.sqrt(abs(result.covariance[i, i]))
-              if np.isfinite(result.covariance[i, i]) else float("nan")
-              for i in range(len(values))]
+    # a sigma only for a finite, non-negative variance; None otherwise
+    sigmas = [math.sqrt(v) if 0.0 <= v < math.inf else None
+              for v in np.diag(result.covariance).tolist()]
     if fmt == "csv":
         write_csv(out_path, "fit", cfg_hash,
                   ["parameter", "value", "sigma"],
-                  zip(names, values, sigmas),
+                  zip(names, values,
+                      ["nan" if v is None else v for v in sigmas]),
                   [f"rms_residual={result.rms_residual:.12g}"]
                   + result.report().splitlines())
     else:

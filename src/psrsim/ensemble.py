@@ -20,8 +20,9 @@ poles lie.
 Fitting adjusts a density scale, a frequency offset, the power-to-
 intensity scale and the relative line strengths to measured
 transmission and rotation traces by bounded least squares (a projected
-Levenberg-Marquardt, ``_bounded_lm``), with the model's exact Jacobian
-built from the same per-line Faddeeva values.  The module needs numpy
+Levenberg-Marquardt, ``_bounded_lm``, with one QR of [J | r] per
+accepted point), with the model's exact Jacobian built in real rows
+from the same per-line Faddeeva values.  The module needs numpy
 alone.
 """
 
@@ -293,7 +294,8 @@ def _fit_model(manifold: LineManifold, ens: EnsembleParams,
 
 
 def _fit_jacobian(ens: EnsembleParams, width: float, intensity_mw: float,
-                  params: np.ndarray, evaluation) -> tuple[np.ndarray, ...]:
+                  params: np.ndarray, evaluation,
+                  out: np.ndarray | None = None) -> tuple[np.ndarray, ...]:
     """d t / d params and d gl / d params from one ``_fit_eval``.
 
     A line's average p(zeta) has p' = 2 (1 - zeta p) / width^2, the
@@ -301,81 +303,159 @@ def _fit_jacobian(ens: EnsembleParams, width: float, intensity_mw: float,
     width (-p^2 at zero width and far outside the Doppler core).  The
     chain runs through zeta = d + i a, a = sqrt(1 + s I), I =
     intensity scale * mW, d = (detuning - offset) in gamma units and
-    the normalized strengths s = q / sum(q), q = (1, ratios).
+    the normalized strengths s = q / sum(q), q = (1, ratios).  Each
+    line's response -Im(x)/a - i Re(x) (``_response``) is written out
+    in real rows; for x = i p' it is -Re(p')/a + i Im(p').  The two
+    results are the (n_params, n) views out[:, 0] and out[:, 1] of
+    ``out`` (n_params, 2, n; made here if None).
     """
     t, _, kap, poles = evaluation
     density_scale, intensity = params[0], params[2] * intensity_mw
     half_c = density_scale * ens.cooperativity / 2.0
-    d_det = d_scale = 0.0
-    d_strength = []                 # d kappa / d s_k, other s held fixed
-    for strength, a, zeta, p in poles:
-        dp = -p * p         # exact when cold; relative error 1/(2 |z|^2)
-        if width > 0.0:     # 1 - zeta p cancels: relative error 2 eps |z|^2
-            dp = np.where(np.abs(zeta) > 5e3 * width, dp,
-                          2.0 * (1.0 - zeta * p) / width**2)
-        d_det = d_det + half_c * strength * _response(a, dp)
-        # d/da: the residues' a-dependence, and p moving with i a
-        d_a = p.imag / a**2 + _response(a, 1j * dp)
-        d_si = half_c * strength * d_a / (2.0 * a)      # d kappa / d(s I)
-        d_scale = d_scale + d_si * strength * intensity_mw
-        d_strength.append(half_c * _response(a, p) + d_si * intensity)
+    if out is None:
+        out = np.empty((params.size, 2, t.size))
+    out[1:3] = 0.0
+    d_re, d_im = out[:, 0], out[:, 1]       # d kappa / d params
+    # d kappa / d s_k with the other s held fixed, one row per line
+    g_re, g_im = np.empty((2, len(poles), t.size))
+    for k, (strength, a, zeta, p) in enumerate(poles):
+        if width == 0.0:
+            dp = -(p * p)   # exact when cold; relative error 1/(2 |z|^2)
+        else:               # 1 - zeta p cancels: relative error 2 eps |z|^2
+            dp = zeta * p
+            dp -= 1.0
+            dp *= -2.0 / width**2
+            # the largest |zeta| decides whether any point is that far out
+            if np.hypot(np.abs(zeta.real).max(), a) > 5e3 * width:
+                dp = np.where(np.abs(zeta) > 5e3 * width, -(p * p), dp)
+        hcs = half_c * strength
+        d_re[1] += dp.imag * (hcs / a)      # -d kappa / d detuning
+        d_im[1] += dp.real * hcs
+        # d kappa / d(s I): the residues' a-dependence, and p moving with i a
+        si_re = p.imag / a
+        si_re -= dp.real
+        si_re *= hcs / (2.0 * a * a)
+        si_im = dp.imag * (hcs / (2.0 * a))
+        d_re[2] += si_re * (strength * intensity_mw)
+        d_im[2] += si_im * (strength * intensity_mw)
+        np.multiply(p.imag, -half_c / a, out=g_re[k])
+        g_re[k] += si_re * intensity
+        np.multiply(p.real, -half_c, out=g_im[k])
+        g_im[k] += si_im * intensity
+    np.divide(kap.real, density_scale, out=d_re[0])
+    np.divide(kap.imag, density_scale, out=d_im[0])
+    d_re[1] *= ghz_to_gamma(1.0, ens.gamma_raw)     # d kappa / d offset
+    d_im[1] *= ghz_to_gamma(1.0, ens.gamma_raw)
+    strengths = np.array([s for s, *_ in poles])
     q_sum = 1.0 + float(np.sum(params[3:]))
-    mean = sum(s * g for (s, *_), g in zip(poles, d_strength))
-    d_kappa = np.stack([kap / density_scale,
-                        -ghz_to_gamma(1.0, ens.gamma_raw) * d_det, d_scale]
-                       + [(g - mean) / q_sum for g in d_strength[1:]],
-                       axis=-1)
-    d_t = -2.0 * d_kappa.real * t[:, None]
-    return d_t, -d_kappa.imag * t[:, None] - kap.imag[:, None] * d_t
+    np.divide(g_re[1:] - strengths @ g_re, q_sum, out=d_re[3:])
+    np.divide(g_im[1:] - strengths @ g_im, q_sum, out=d_im[3:])
+    d_re *= -2.0 * t                    # d t = -2 t Re(d kappa)
+    d_im *= t
+    for row_gl, row_t in zip(d_im, d_re):   # no (n_params, n) temporary
+        row_gl += kap.imag * row_t
+    np.negative(d_im, out=d_im)         # d gl = -t Im(d kappa) - Im(kappa) d t
+    return d_re, d_im
 
 
 _FIT_MAX_NFEV = 400
 _ROUNDOFF = 4.0 * np.finfo(float).eps
+# rows per QR slab: numpy copies a QR's input into a fresh buffer, and
+# 2048 rows of up to six columns (96 KB) stay below glibc's mmap
+# threshold; 6002 rows x 5 columns (240 KB) took about 60 page faults
+# per call, more than half of its time
+_QR_ROWS = 2048
 
 
-def _bounded_lm(evaluate, jacobian, x, lo, hi):
+def _triangle(rows: np.ndarray) -> np.ndarray:
+    """The c x c triangle R of A = Q R, A = rows.T (``rows``: A's columns).
+
+    A QR of each slab of ``_QR_ROWS`` rows, then one of the stacked
+    c x c triangles: a tall-skinny QR (Demmel, Grigori, Hoemmen and
+    Langou, SIAM J. Sci. Comput. 34, A206, 2012), as stable as one
+    Householder QR.  R is unique up to the signs of its rows, and R^T R
+    = A^T A either way.
+    """
+    slabs = [np.linalg.qr(rows[:, i:i + _QR_ROWS].T, mode="r")
+             for i in range(0, rows.shape[1], _QR_ROWS)]
+    return np.linalg.qr(np.vstack(slabs), mode="r")
+
+
+def _lm_factor(tri: np.ndarray, free: np.ndarray, scale: np.ndarray):
+    """(s, V^T, U^T r) of the thin SVD J_s = U diag(s) V^T.
+
+    ``tri`` is the triangle of a QR of [J | r] (J's columns first):
+    [J | r] = Q tri.  J_s holds the ``free`` columns of J divided by
+    ``scale``.  Without active bounds, [J_s | r] = Q tri D^-1 with D =
+    diag(scale, 1), and the SVD of its k x k triangle, tri[:k, :k]
+    D^-1 = U_R diag(s) V^T, gives U = Q U_R and U^T r = U_R^T
+    tri[:k, k]; otherwise the small QR of tri's free columns and r
+    first gives the triangle of [J_free | r].  No m-row factor is
+    formed.
+    """
+    if not free.all():
+        tri = np.linalg.qr(tri[:, np.append(free, True)], mode="r")
+    k = scale.size
+    u_r, sv, vt = np.linalg.svd(tri[:k, :k] / scale)
+    return sv, vt, u_r.T @ tri[:k, k]
+
+
+def _bounded_lm(evaluate, jacobian, x, lo, hi, size):
     """min 0.5 |r(x)|^2 over lo <= x <= hi: a projected Levenberg-Marquardt.
 
-    ``evaluate(x)`` gives (r, state) and ``jacobian(x, state)`` dr/dx,
-    built only at accepted points.  Each step solves the damped
-    Gauss-Newton problem in More's column scaling (J. J. More, Lecture
-    Notes in Math. 630, 105, 1978) over the variables that no active
-    bound holds, from one SVD, and clips the result into the box; the
-    gain ratio of the clipped step updates the damping (Nielsen's
-    rule).  It stops on roundoff: when the step's predicted reduction
-    of the cost is below the cost's own rounding error, about
-    eps |r|_1.  Returns (x, r, J, residual evaluations);
+    ``evaluate(x, out)`` writes the ``size`` residuals r(x) into
+    ``out`` and returns a state; ``jacobian(x, state, out)`` writes
+    dr/dx into ``out`` as rows, one per parameter, and is called only
+    at accepted points.  Each step solves the damped Gauss-Newton
+    problem in More's column scaling (J. J. More, Lecture Notes in
+    Math. 630, 105, 1978) over the variables that no active bound
+    holds, and clips the result into the box; the gain ratio of the
+    clipped step updates the damping (Nielsen's rule).  It stops on
+    roundoff: when the step's predicted reduction of the cost is below
+    the cost's own rounding error, about eps |r|_1.
+
+    One QR per accepted point, [J | r] = Q R (``_triangle``), serves
+    the whole iteration: J^T r, J's column norms and every trial's J dx
+    (through Q^T J dx = R dx) come from the small triangle R, and
+    ``_lm_factor`` takes the step's SVD from it.  J and r are the rows
+    of one buffer made once per call, and an accepted trial's residuals
+    are copied into it.  Returns (x, r, J, residual evaluations);
     ``NumericalError`` with the best point after ``_FIT_MAX_NFEV``.
     """
-    r, state = evaluate(x)
+    block = np.empty((x.size + 1, size))       # the rows of [J | r]
+    jac, r = block[:-1], block[-1]
+    r_trial = np.empty(size)
+    state = evaluate(x, r)
     if not np.all(np.isfinite(r)):
         raise NumericalError("fit residuals are not finite",
                              {"best": x.tolist()})
-    nfev, jac = 1, jacobian(x, state)
+    nfev = 1
+    jacobian(x, state, jac)
     cost = 0.5 * (r @ r)
     col_scale = np.zeros_like(x)
     damping, growth = 1e-3, 2.0
     while True:
-        grad = jac.T @ r
+        tri = _triangle(block)
+        tri_j, q_r = tri[:, :-1], tri[:, -1]    # Q^T J and Q^T r
+        grad = q_r @ tri_j
         free = ~(((x <= lo) & (grad > 0)) | ((x >= hi) & (grad < 0)))
-        col_scale = np.maximum(col_scale, np.linalg.norm(jac, axis=0))
+        col_scale = np.maximum(col_scale, np.linalg.norm(tri_j, axis=0))
         scale = np.where(col_scale > 0.0, col_scale, 1.0)[free]
-        u, sv, vt = np.linalg.svd(jac[:, free] / scale, full_matrices=False)
-        ur = u.T @ r
+        sv, vt, ur = _lm_factor(tri, free, scale)
         floor = _ROUNDOFF * np.abs(r).sum()
         while True:
             step = np.zeros_like(x)
             step[free] = -(vt.T @ (sv * ur / (sv * sv + damping))) / scale
             trial = np.clip(x + step, lo, hi)
-            j_step = jac @ (trial - x)
-            predicted = -(r @ j_step) - 0.5 * (j_step @ j_step)
+            j_step = tri_j @ (trial - x)
+            predicted = -(q_r @ j_step) - 0.5 * (j_step @ j_step)
             if not predicted > floor:
                 return x, r, jac, nfev
             if nfev >= _FIT_MAX_NFEV:
                 raise NumericalError(
                     f"fit did not converge in {nfev} evaluations",
                     {"best": x.tolist()})
-            r_trial, state = evaluate(trial)
+            state = evaluate(trial, r_trial)
             nfev += 1
             cost_trial = 0.5 * (r_trial @ r_trial)
             gain = (cost - cost_trial) / predicted
@@ -385,8 +465,9 @@ def _bounded_lm(evaluate, jacobian, x, lo, hi):
             growth *= 2.0
         damping *= max(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3)
         growth = 2.0
-        x, r, cost = trial, r_trial, cost_trial
-        jac = jacobian(x, state)
+        x, cost = trial, cost_trial
+        r[:] = r_trial
+        jacobian(x, state, jac)
 
 
 def fit(manifold_template: LineManifold, ens: EnsembleParams,
@@ -398,8 +479,11 @@ def fit(manifold_template: LineManifold, ens: EnsembleParams,
     (GHz), mW-to-I_x intensity scale, and the line strengths relative
     to the first line, each within fixed bounds that the initial guess
     must respect.  Deterministic for a fixed initial guess.  Requires
-    at least 50 points and monotone detunings.  The Jacobian is exact
-    (``_fit_jacobian``) and gives the covariance; ``n_eval`` counts
+    at least 50 points and monotone detunings.  The residuals (the t
+    and gl misfits, each scaled by its trace's largest |value|) and the
+    exact Jacobian (``_fit_jacobian``) are written into buffers made
+    once per fit; the Jacobian gives the covariance (J J^T)^-1 |r|^2 /
+    (2 n - n_params) over the 2 n residuals.  ``n_eval`` counts
     residual evaluations.
     """
     det_ghz = np.asarray(det_ghz, dtype=float)
@@ -428,22 +512,30 @@ def fit(manifold_template: LineManifold, ens: EnsembleParams,
     t_scale = max(np.max(np.abs(t_data)), 1e-12)
     gl_scale = max(np.max(np.abs(gl_data)), 1e-12)
 
-    def evaluate(p):
+    n = det_ghz.size
+
+    def evaluate(p, out):
         evaluation = _fit_eval(manifold_template, ens, det_ghz, intensity_mw,
                                p)
         t_mod, gl_mod = evaluation[:2]
-        return np.concatenate(((t_mod - t_data) / t_scale,
-                               (gl_mod - gl_data) / gl_scale)), evaluation
+        np.subtract(t_mod, t_data, out=out[:n])
+        out[:n] /= t_scale
+        np.subtract(gl_mod, gl_data, out=out[n:])
+        out[n:] /= gl_scale
+        return evaluation
 
-    def jacobian(p, evaluation):
+    def jacobian(p, evaluation, out):
+        # out (rows [d t | d gl]) is C-contiguous: the reshape is a view
         d_t, d_gl = _fit_jacobian(ens, manifold_template.doppler_width,
-                                  intensity_mw, p, evaluation)
-        return np.concatenate((d_t / t_scale, d_gl / gl_scale))
+                                  intensity_mw, p, evaluation,
+                                  out.reshape(p.size, 2, n))
+        d_t /= t_scale
+        d_gl /= gl_scale
 
-    x, r, jac, nfev = _bounded_lm(evaluate, jacobian, x0, lo, hi)
+    x, r, jac, nfev = _bounded_lm(evaluate, jacobian, x0, lo, hi, 2 * n)
     dof = max(r.size - x.size, 1)
     try:
-        cov = np.linalg.inv(jac.T @ jac) * (r @ r) / dof
+        cov = np.linalg.inv(jac @ jac.T) * (r @ r) / dof
     except np.linalg.LinAlgError:
         cov = np.full((x.size, x.size), np.nan)
     rms = float(np.sqrt(np.mean(r**2)))

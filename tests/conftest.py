@@ -5,7 +5,8 @@ time) fluctuation chain, the Einstein relations, the kernel and the
 covariance transport on stacks of 2x2 matrices, the transport by 5x5
 exponentials (scipy and 50-digit mpmath), the depleted transport by
 scipy's RK45 and the kernel built afresh at each intensity, Doppler
-quadrature, the two-wofz composite kappa, the low-sideband limit and
+quadrature, the two-wofz composite kappa, the fit loop with the
+complex-stack Jacobian and one SVD per step, the low-sideband limit and
 the phenomenological rotation model's inverse."""
 
 from __future__ import annotations
@@ -701,6 +702,117 @@ def finite_difference_fit(manifold, ens, det_ghz, t_data, gl_data,
                         diff_step=1e-6, xtol=1e-14, ftol=1e-14, gtol=1e-14,
                         max_nfev=400)
     return res.x, float(np.sqrt(np.mean(res.fun ** 2)))
+
+
+# ---------------------------------------------------------------------------
+# the fit loop's oracles: the complex-stack Jacobian, one SVD per step
+# ---------------------------------------------------------------------------
+
+def complex_stack_fit_jacobian(ens, width, intensity_mw, params,
+                               evaluation):
+    """``ensemble._fit_jacobian`` in complex arithmetic, as (n, n_params)
+    columns: each line's terms through ``ensemble._response``, the rows
+    of d kappa / d params stacked as complex columns."""
+    from psrsim.core import ghz_to_gamma
+    from psrsim.ensemble import _response
+
+    t, _, kap, poles = evaluation
+    density_scale, intensity = params[0], params[2] * intensity_mw
+    half_c = density_scale * ens.cooperativity / 2.0
+    d_det = d_scale = 0.0
+    d_strength = []                 # d kappa / d s_k, other s held fixed
+    for strength, a, zeta, p in poles:
+        dp = -p * p
+        if width > 0.0:
+            dp = np.where(np.abs(zeta) > 5e3 * width, dp,
+                          2.0 * (1.0 - zeta * p) / width**2)
+        d_det = d_det + half_c * strength * _response(a, dp)
+        d_a = p.imag / a**2 + _response(a, 1j * dp)
+        d_si = half_c * strength * d_a / (2.0 * a)      # d kappa / d(s I)
+        d_scale = d_scale + d_si * strength * intensity_mw
+        d_strength.append(half_c * _response(a, p) + d_si * intensity)
+    q_sum = 1.0 + float(np.sum(params[3:]))
+    mean = sum(s * g for (s, *_), g in zip(poles, d_strength))
+    d_kappa = np.stack([kap / density_scale,
+                        -ghz_to_gamma(1.0, ens.gamma_raw) * d_det, d_scale]
+                       + [(g - mean) / q_sum for g in d_strength[1:]],
+                       axis=-1)
+    d_t = -2.0 * d_kappa.real * t[:, None]
+    return d_t, -d_kappa.imag * t[:, None] - kap.imag[:, None] * d_t
+
+
+def svd_step_factor(jac, r, free, scale):
+    """(s, V^T, U^T r) from the thin SVD of the scaled free columns of
+    ``jac`` (n, n_params), with the m x k factor U formed: the oracle of
+    ``ensemble._lm_factor``."""
+    u, sv, vt = np.linalg.svd(jac[:, free] / scale, full_matrices=False)
+    return sv, vt, u.T @ r
+
+
+def svd_fit(manifold, ens, det_ghz, t_data, gl_data, intensity_mw,
+            initial):
+    """``ensemble.fit``'s loop with the complex-stack Jacobian, column
+    norms from the (n, n_params) Jacobian and one SVD of the scaled
+    free columns per accepted point: (parameters, residual
+    evaluations)."""
+    from psrsim.ensemble import _FIT_MAX_NFEV, _ROUNDOFF, _fit_eval
+
+    strengths = [s for _, s in manifold.lines]
+    x = np.array([initial.get("density_scale", 1.0),
+                  initial.get("freq_offset_ghz", 0.0),
+                  initial["intensity_scale"]]
+                 + [s / strengths[0] for s in strengths[1:]])
+    n_ratio = len(strengths) - 1
+    lo = np.array([1e-3, -1.0, 1e-3] + [1e-3] * n_ratio)
+    hi = np.array([1e3, 1.0, 1e6] + [1e3] * n_ratio)
+    t_scale = max(np.max(np.abs(t_data)), 1e-12)
+    gl_scale = max(np.max(np.abs(gl_data)), 1e-12)
+
+    def evaluate(p):
+        evaluation = _fit_eval(manifold, ens, det_ghz, intensity_mw, p)
+        t_mod, gl_mod = evaluation[:2]
+        return np.concatenate(((t_mod - t_data) / t_scale,
+                               (gl_mod - gl_data) / gl_scale)), evaluation
+
+    def jacobian(p, evaluation):
+        d_t, d_gl = complex_stack_fit_jacobian(
+            ens, manifold.doppler_width, intensity_mw, p, evaluation)
+        return np.concatenate((d_t / t_scale, d_gl / gl_scale))
+
+    r, state = evaluate(x)
+    nfev, jac = 1, jacobian(x, state)
+    cost = 0.5 * (r @ r)
+    col_scale = np.zeros_like(x)
+    damping, growth = 1e-3, 2.0
+    while True:
+        grad = jac.T @ r
+        free = ~(((x <= lo) & (grad > 0)) | ((x >= hi) & (grad < 0)))
+        col_scale = np.maximum(col_scale, np.linalg.norm(jac, axis=0))
+        scale = np.where(col_scale > 0.0, col_scale, 1.0)[free]
+        sv, vt, ur = svd_step_factor(jac, r, free, scale)
+        floor = _ROUNDOFF * np.abs(r).sum()
+        while True:
+            step = np.zeros_like(x)
+            step[free] = -(vt.T @ (sv * ur / (sv * sv + damping))) / scale
+            trial = np.clip(x + step, lo, hi)
+            j_step = jac @ (trial - x)
+            predicted = -(r @ j_step) - 0.5 * (j_step @ j_step)
+            if not predicted > floor:
+                return x, nfev
+            if nfev >= _FIT_MAX_NFEV:
+                raise NumericalError("svd_fit did not converge")
+            r_trial, state = evaluate(trial)
+            nfev += 1
+            cost_trial = 0.5 * (r_trial @ r_trial)
+            gain = (cost - cost_trial) / predicted
+            if gain > 1e-4:
+                break
+            damping *= growth
+            growth *= 2.0
+        damping *= max(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3)
+        growth = 2.0
+        x, r, cost = trial, r_trial, cost_trial
+        jac = jacobian(x, state)
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,13 @@ def parse_csv(path):
     return meta, header, rows
 
 
+def strict_json(path):
+    """The JSON at ``path``, refusing the NaN and Infinity tokens."""
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+    return json.loads(Path(path).read_text(), parse_constant=reject)
+
+
 NOISE_CFG = {
     "ensemble": {"cooperativity": 0.0},
     "drive": {"intensity": 4.0, "detuning": 1.0},
@@ -412,6 +419,70 @@ def test_matsko_scan_reports_optimum(tmp_path):
     assert float(db_line.split("=")[1]) == pytest.approx(-6.0206, abs=1e-3)
 
 
+@pytest.mark.parametrize("rotation, fmt", [(0.0, "json"), (0.0, "csv"),
+                                            (1.5, "json")])
+def test_matsko_json_holds_no_nan(tmp_path, rotation, fmt):
+    """Without rotation no phase is optimal: chi_star is null in JSON
+    (it was a bare NaN token) and stays nan in the CSV header."""
+    cfg = write_cfg(tmp_path, {"matsko": {"rotation_strength": rotation}})
+    out = tmp_path / f"matsko.{fmt}"
+    res = run_cli("matsko", "--config", str(cfg), "--out", str(out),
+                  "--format", fmt)
+    assert res.returncode == 0, res.stderr
+    if fmt == "csv":
+        assert "# chi_star=nan" in parse_csv(out)[0]
+        return
+    opt = strict_json(out)["data"]["optimum"]
+    if rotation == 0.0:
+        assert opt == {"chi_star": None, "min_variance": 1.0,
+                       "min_variance_db": 0.0}
+    else:
+        assert opt["min_variance_db"] == pytest.approx(-6.0206, abs=1e-3)
+
+
+def test_non_finite_json_value_exits_3(tmp_path, monkeypatch, capsys):
+    """A value JSON cannot hold is a numerical error, and no file is
+    written."""
+    from psrsim import cli, matsko
+
+    cfg = write_cfg(tmp_path, {"matsko": {"rotation_strength": 1.5}})
+    out = tmp_path / "matsko.json"
+    monkeypatch.setattr(matsko, "variance", lambda *_: float("inf"))
+    monkeypatch.setattr(sys, "argv", ["psr-sim", "matsko", "--config",
+                                      str(cfg), "--out", str(out),
+                                      "--format", "json"])
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main()
+    assert exit_info.value.code == 3
+    assert "matsko: non-finite value in the JSON output" \
+        in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_undriven_limits_row_leaves_empty_deviations(tmp_path, fmt):
+    """With no drive kappa and its high-sideband limit are both 0: the
+    deviation cell is empty, not 0/0 (a RuntimeWarning and a nan)."""
+    cfg = write_cfg(tmp_path, {
+        "ensemble": {"cooperativity": 1600.0},
+        "limits": {"rows": [{"detuning": 100.0, "omega": 10.0,
+                             "intensity": 0.0}]}})
+    out = tmp_path / f"limits.{fmt}"
+    res = subprocess.run([sys.executable, "-W", "error::RuntimeWarning",
+                          "-m", "psrsim.cli", "limits", "--config", str(cfg),
+                          "--out", str(out), "--format", fmt],
+                         capture_output=True, text=True)
+    assert res.returncode == 0 and res.stderr == "", res.stderr
+    if fmt == "csv":
+        _, header, rows = parse_csv(out)
+        row = dict(zip(header, rows[0]))
+    else:
+        row = strict_json(out)["data"]["rows"][0]
+    assert row["hsb_valid"] in ("1", True)
+    assert row["hsb_kappa_dev"] == ""
+    assert 0.0 < float(row["hsb_gamma_dev"]) < 1.0
+
+
 def test_limits_table_flags(tmp_path):
     cfg = write_cfg(tmp_path, {
         "ensemble": {"cooperativity": 100.0},
@@ -493,7 +564,7 @@ def test_fit_cli_round_trip(tmp_path):
     res = run_cli("fit", "--config", str(cfg), "--out", str(out),
                   "--format", "json")
     assert res.returncode == 0, res.stderr
-    payload = json.loads(out.read_text())
+    payload = strict_json(out)
     pars = payload["data"]["parameters"]
     assert pars["density_scale"] == pytest.approx(1.1, rel=0.02)
     assert pars["intensity_scale"] == pytest.approx(350.0, rel=0.02)
@@ -515,6 +586,35 @@ def test_fit_out_of_evaluations_exits_3_with_the_best_point(tmp_path,
     err = capsys.readouterr().err
     assert "did not converge in 3 evaluations" in err and "'best'" in err
     assert not (tmp_path / "fit.csv").exists()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_fit_writes_a_sigma_only_for_a_valid_variance(tmp_path, monkeypatch,
+                                                      fmt):
+    """A negative, infinite or NaN variance has no sigma: null in JSON,
+    nan in CSV (a negative one used to give sqrt(|c|))."""
+    import dataclasses
+
+    from psrsim import cli, ensemble
+
+    fit = ensemble.fit
+
+    def bad_variances(*args):
+        res = fit(*args)
+        return dataclasses.replace(
+            res, covariance=np.diag([-4.0, np.inf, np.nan, 4.0]))
+
+    cfg = write_fit_cfg(tmp_path)
+    out = tmp_path / f"fit.{fmt}"
+    monkeypatch.setattr(ensemble, "fit", bad_variances)
+    monkeypatch.setattr(sys, "argv", ["psr-sim", "fit", "--config", str(cfg),
+                                      "--out", str(out), "--format", fmt])
+    cli.main()
+    if fmt == "csv":
+        assert [r[2] for r in parse_csv(out)[2]] == ["nan", "nan", "nan", "2"]
+    else:
+        assert list(strict_json(out)["data"]["sigmas"].values()) \
+            == [None, None, None, 2.0]
 
 
 @pytest.mark.parametrize("name, line, column, cell", [

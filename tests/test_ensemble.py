@@ -3,7 +3,8 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from conftest import (doppler_average, finite_difference_fit,
+from conftest import (complex_stack_fit_jacobian, doppler_average,
+                      finite_difference_fit, svd_fit, svd_step_factor,
                       thermal_doppler_width_ghz, two_wofz_composite_kappa)
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -291,6 +292,26 @@ def test_fit_stops_on_a_bound_the_truth_lies_beyond(ratio, bound):
             / np.maximum(np.abs(truth[:3]), 0.05)).max() < 0.02
 
 
+@pytest.mark.parametrize("ratio", [1e-4, 5e3])
+def test_fit_equals_svd_loop_at_an_active_bound(ratio):
+    """With the strength ratio held at a bound (the truth lies beyond
+    it), the QR loop takes the same evaluations as the SVD loop."""
+    ens = EnsembleParams.from_cooperativity(2000.0, gamma_raw=GAMMA_D1)
+    man = d1_manifold()
+    det = np.linspace(-0.7, 1.55, 140)
+    truth = np.array([1.18, 0.035, 320.0, ratio])
+    t_data, gl_data = ensemble._fit_model(man, ens, det, 22.3, truth)
+    initial = {"intensity_scale": 280.0}
+    res = ensemble.fit(man, ens, det, t_data, gl_data, 22.3, initial)
+    ref_x, ref_nfev = svd_fit(man, ens, det, t_data, gl_data, 22.3, initial)
+    assert res.n_eval == ref_nfev
+    fitted = np.array([res.density_scale, res.freq_offset_ghz,
+                       res.intensity_scale, *res.strength_ratios])
+    scale = np.abs(ref_x)
+    scale[1] = 0.05
+    assert (np.abs(fitted - ref_x) / scale).max() <= 1e-10
+
+
 def test_fit_rejects_a_start_outside_the_bounds_and_non_finite_data():
     man, ens, det, t_data, gl_data, _ = synthetic_traces(0.0)
     with pytest.raises(ValidationError, match="outside the fit bounds"):
@@ -328,7 +349,7 @@ def test_fit_jacobian_matches_central_differences(name, density, offset,
                       + ratios[:len(man.lines) - 1])
     evaluation = ensemble._fit_eval(man, ens, det, 22.3, params)
     jac = np.concatenate(ensemble._fit_jacobian(
-        ens, man.doppler_width, 22.3, params, evaluation))
+        ens, man.doppler_width, 22.3, params, evaluation), axis=1)
 
     def central(k, h):
         up, down = params.copy(), params.copy()
@@ -341,7 +362,103 @@ def test_fit_jacobian_matches_central_differences(name, density, offset,
     for k in range(params.size):
         h = 1e-4 * max(abs(params[k]), 1e-2)
         fd = (4.0 * central(k, h / 2.0) - central(k, h)) / 3.0  # Richardson
-        assert np.abs(fd - jac[:, k]).max() <= 1e-6 * np.abs(jac[:, k]).max()
+        assert np.abs(fd - jac[k]).max() <= 1e-6 * np.abs(jac[k]).max()
+
+
+@pytest.mark.parametrize("name", sorted(MANIFOLDS))
+def test_fit_jacobian_equals_complex_stack_oracle(name):
+    """The real-row Jacobian against the complex-stack one, row by row,
+    at random parameters (the narrow manifold's points lie both inside
+    and far outside its Doppler core)."""
+    man, gamma_raw = MANIFOLDS[name]
+    ens = EnsembleParams.from_cooperativity(2000.0, gamma_raw=gamma_raw)
+    det = np.linspace(-1.5, 1.6, 400)
+    rng = np.random.default_rng(17)
+    for _ in range(10):
+        params = np.concatenate((
+            [10.0 ** rng.uniform(-2.0, 1.0), rng.uniform(-0.9, 0.9),
+             10.0 ** rng.uniform(0.0, 4.0)],
+            10.0 ** rng.uniform(-2.0, 1.0, len(man.lines) - 1)))
+        evaluation = ensemble._fit_eval(man, ens, det, 22.3, params)
+        new = np.concatenate(ensemble._fit_jacobian(
+            ens, man.doppler_width, 22.3, params, evaluation), axis=1)
+        old = np.concatenate(complex_stack_fit_jacobian(
+            ens, man.doppler_width, 22.3, params, evaluation)).T
+        assert new.shape == old.shape == (params.size, 2 * det.size)
+        assert (np.abs(new - old).max(axis=1)
+                <= 1e-13 * np.abs(old).max(axis=1)).all()
+
+
+@pytest.mark.parametrize("cond", [None, 1e8])
+def test_lm_factor_equals_svd_step(cond):
+    """The step from one QR of [J | r] (three slabs of rows) against the
+    step from the SVD of the scaled free columns, with and without
+    active bounds, over the dampings a fit visits.  Compared through
+    J_free: below a damping of about 1e-6 the step itself is
+    ill-conditioned at condition 1e8, and any two backward-stable
+    factorizations part by ~cond eps there.  J^T r and the column norms
+    taken from the triangle agree too."""
+    rng = np.random.default_rng(23)
+    for _ in range(10):
+        m, n_par = 2 * ensemble._QR_ROWS + 300, 5
+        if cond is None:
+            jac = rng.standard_normal((n_par, m))
+        else:
+            u, _ = np.linalg.qr(rng.standard_normal((m, n_par)))
+            v, _ = np.linalg.qr(rng.standard_normal((n_par, n_par)))
+            jac = (u * np.geomspace(1.0, 1.0 / cond, n_par) @ v.T).T
+        jac *= 10.0 ** rng.uniform(-3.0, 3.0, (n_par, 1))
+        r = rng.standard_normal(m)
+        tri = ensemble._triangle(np.vstack((jac, r)))
+        grad = tri[:, -1] @ tri[:, :-1]
+        assert np.abs(grad - jac @ r).max() <= 1e-12 * np.abs(jac @ r).max()
+        norms = np.linalg.norm(jac, axis=1)
+        assert np.allclose(np.linalg.norm(tri[:, :-1], axis=0), norms,
+                           rtol=1e-14, atol=0.0)
+        for free in (np.ones(n_par, bool),
+                     np.array([True, False, True, True, False]),
+                     np.array([False, True, True, True, True])):
+            scale = norms[free]
+            new = ensemble._lm_factor(tri, free, scale)
+            old = svd_step_factor(jac.T, r, free, scale)
+            for damping in (1e-6, 1e-3, 1.0, 1e3):
+                steps = [vt.T @ (sv * ur / (sv * sv + damping)) / scale
+                         for sv, vt, ur in (new, old)]
+                j_old = steps[1] @ jac[free]
+                assert (np.linalg.norm((steps[0] - steps[1]) @ jac[free])
+                        <= 1e-12 * np.linalg.norm(j_old))
+                if cond is None:    # well-conditioned: the steps themselves
+                    assert (np.abs(steps[0] - steps[1]).max()
+                            <= 1e-12 * np.abs(steps[1]).max())
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_fit_equals_svd_loop_on_benchmark_traces(seed):
+    """The first two fits of the fit-traces benchmark at ``seed`` (3001
+    D1 detunings, 1% noise, traces made as the benchmark makes them):
+    the QR loop against the complex-stack Jacobian and SVD loop."""
+    rng = np.random.default_rng(seed)
+    gamma_raw = 1.8062e7
+    conv = 1e9 * 2.0 * math.pi / gamma_raw
+    man = ensemble.LineManifold(lines=((0.0, 0.25), (0.8145 * conv, 0.75)),
+                                doppler_width=0.3232 * conv)
+    ens = EnsembleParams.from_cooperativity(2000.0, gamma_raw=gamma_raw)
+    det = np.linspace(-0.8, 1.6, 3001)
+    for _ in range(2):
+        truth = np.array([rng.uniform(0.85, 1.2), rng.uniform(-0.04, 0.04),
+                          rng.uniform(250.0, 450.0), rng.uniform(2.2, 3.6)])
+        t, gl = ensemble._fit_model(man, ens, det, 22.3, truth)
+        t = t * (1.0 + 0.01 * rng.standard_normal(det.size))
+        gl = gl * (1.0 + 0.01 * rng.standard_normal(det.size))
+        initial = {"intensity_scale": 300.0}
+        res = ensemble.fit(man, ens, det, t, gl, 22.3, initial)
+        ref_x, ref_nfev = svd_fit(man, ens, det, t, gl, 22.3, initial)
+        assert res.n_eval == ref_nfev
+        fitted = np.array([res.density_scale, res.freq_offset_ghz,
+                           res.intensity_scale, *res.strength_ratios])
+        scale = np.abs(ref_x)
+        scale[1] = 0.05
+        assert (np.abs(fitted - ref_x) / scale).max() <= 1e-10
 
 
 @pytest.mark.parametrize("name", sorted(MANIFOLDS))
