@@ -419,9 +419,8 @@ def limits(config_path: str, out_path: Path, fmt: str) -> None:
         ix = value if key == "intensity" else value * (1.0 + det * det)
         drive = DriveParams(intensity=ix, detuning=det)
         resp = fluct.response(ens, drive, w)
-        sq_ix = math.sqrt(ix)
         hsb_ok = abs(det) >= 50.0 and w >= 5.0
-        kerr_ok = abs(det) >= 10.0 * sq_ix and sq_ix >= 10.0
+        kerr_ok = fluct.kerr_in_regime(drive)
         hsat_ok = ix >= 100.0 * det * det and w >= 1.0
         entry = {
             "detuning": det, "omega": w, "intensity": ix,

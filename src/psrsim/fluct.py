@@ -28,13 +28,13 @@ stores their I_x-free parts and I_x coefficients once per call, and
 the kernel evaluates them at any number of intensities at once.
 
 With constant coefficients (the undepleted drive) the covariances are
-transported in closed form: each 2x2 drift is m I + K with K^2 = d^2 I,
-so e^(Mz) and the source integral follow from the exponentials of the
-eigenvalues m +- d and phi_1 = (e^x - 1)/x at the eigenvalue sums of the
-pair M(w), M(-w).  A depleted drive takes uniform fourth-order Magnus
-steps through its intensity profile I_x(z), each step's map from the
-same closed form.  2x2 stacks are held component-wise, shape
-(2, 2, *stack), so every product is a few elementwise operations.
+transported in the closed form of ``_transport``; a depleted drive
+takes uniform fourth-order Magnus steps through its intensity profile
+I_x(z), each step's map from the same closed form.  2x2 stacks are
+held component-wise, shape (2, 2, *stack), so every product is a few
+elementwise operations.  Their last axis holds u = (w, -w): the
+partner -u of each sideband is the other half of the stack
+(``_partner``), so a map is (e^M, F).
 """
 
 from __future__ import annotations
@@ -69,7 +69,6 @@ class _Sidebands(NamedTuple):
     detuning: float
     truncate_dephasing: bool
     u: np.ndarray              # (2n,) signed sidebands
-    flip: np.ndarray           # (2n,) index of -u
     num: np.ndarray            # (2n, 7) the I_x-free parts
     num_ix: np.ndarray         # (2n, 7) the coefficients of I_x
     free: np.ndarray           # (2n, 7) I_x = 0, -iu (2-iu) cancelled
@@ -82,7 +81,6 @@ def _sidebands(ens: EnsembleParams, detuning: float, omegas,
     """Everything of the kernel at u = (omegas, -omegas) that does not
     depend on I_x."""
     w = np.asarray(omegas, dtype=float)
-    n = w.size
     u = np.concatenate([w, -w])
     de = detuning
     iu = 1j * u
@@ -94,7 +92,6 @@ def _sidebands(ens: EnsembleParams, detuning: float, omegas,
     zero = np.zeros_like(iu)
     return _Sidebands(
         detuning=de, truncate_dephasing=truncate_dephasing, u=u,
-        flip=np.r_[n:2 * n, 0:n],
         num=np.stack([zero, -iu * (1.0 - 1j * de) * c1 * p2, a_red * p2,
                       zero, c1 * p2, a_red,
                       -iu * p2 * (p1_sq + de * de)], axis=1),
@@ -200,11 +197,18 @@ def _steady_state(ens: EnsembleParams, ix: np.ndarray, detuning: float,
     return k0, (cc * t, cc * p_e, cc * c)
 
 
+def _partner(a: np.ndarray, axis: int = -1) -> np.ndarray:
+    """The partner of each sideband of a stack whose ``axis`` holds
+    u = (w, -w): the stack with the two halves of that axis swapped."""
+    half = a.shape[axis] // 2
+    return a.take(np.arange(-half, half), axis)
+
+
 def _kernel(ens: EnsembleParams, sb: _Sidebands, intensities,
             noisy: bool):
-    """The drifts M(u) of (da_y, da_y^dag), M(-u), and the Langevin
-    source densities N(u) at ``sb``'s sidebands u and each of the
-    intensities I_x, component-wise, shape (2, 2, k, 2n).
+    """The drifts M(u) of (da_y, da_y^dag) and the Langevin source
+    densities N(u) at ``sb``'s sidebands u and each of the intensities
+    I_x, component-wise, shape (2, 2, k, 2n).
 
     N(u) = C P(u) D P(-u)^T with D the ordered diffusion table, written
     out from its five entries; without ``noisy`` it is 0.
@@ -215,18 +219,18 @@ def _kernel(ens: EnsembleParams, sb: _Sidebands, intensities,
     m = np.empty((2, 2) + rows.shape[:2], dtype=complex)
     m[0, 0] = sb.transit + rows[..., 1]
     m[0, 1] = rows[..., 0]
-    m[1, ::-1] = m[0][..., sb.flip].conj()
+    m[1, ::-1] = _partner(m[0]).conj()
     if not noisy:
-        return m, m[..., sb.flip], np.zeros_like(m)
+        return m, np.zeros_like(m)
     # the rows of P(u), and of P(-u) = the same rows at -u
     p = np.stack([rows[..., 2:],
-                  rows[:, sb.flip][..., [3, 2, 4, 5]].conj()])[:, None]
-    q = np.moveaxis(p[:, :, :, sb.flip], 0, 1)
+                  _partner(rows, 1)[..., [3, 2, 4, 5]].conj()])[:, None]
+    q = np.moveaxis(_partner(p, 3), 0, 1)
     t, p_e, c = (w[:, None] for w in weights)
     src = (p[..., FY] * (t * q[..., FYD] + c * q[..., FZP])
            + p[..., FZP] * (p_e * q[..., FZP] + c.conj() * q[..., FYD])
            + p_e * (p[..., FZ] * q[..., FZ]))
-    return m, m[..., sb.flip], src
+    return m, src
 
 
 @dataclass(frozen=True)
@@ -268,7 +272,7 @@ def response(ens: EnsembleParams, drive: DriveParams,
 # at 1, the bound the squaring count scales every norm below
 _THETA = np.array([(math.factorial(m + 1) * 2.0 ** -53 / math.e)
                    ** (1.0 / (m + 1)) for m in range(1, 18)] + [1.0])
-_EYE = np.eye(2)[:, :, None, None]
+_EYE = np.eye(2)[:, :, None]
 # the closed form is taken where |K|_max <= _CONFLUENT |d|: the divided
 # differences in d then lose at most about that factor in precision
 _CONFLUENT = 10.0
@@ -310,95 +314,78 @@ def _drifts(gen: np.ndarray):
     return m, k, d, e, np.abs(k).max(axis=(0, 1)) <= _CONFLUENT * np.abs(d)
 
 
-def _transport(m_w: np.ndarray, m_mw: np.ndarray, src: np.ndarray):
-    """The map of dS/dz = M S + S Mm^T + src over z in [0, 1], constant
-    coefficients, as (e^M, e^Mm, F): S(1) = e^M S(0) e^(Mm^T) + F, with
-    F = int_0^1 e^(Mz) src e^(Mm^T z) dz.
+def _transport(gen: np.ndarray, src: np.ndarray):
+    """The map (e^M, F) of dS/dz = M S + S M'^T + src over z in [0, 1]
+    with constant coefficients: S(1) = e^M S(0) e^(M'^T) + F, with
+    F = int_0^1 e^(Mz) src e^(M'^T z) dz.
 
-    The stacks are component-wise, shape (2, 2, *stack), and so are
-    the maps.  In the 2x2 spectral closed form, with m = tr M / 2,
-    K = M - m I and d^2 = K00^2 + K01 K10 (so K^2 = d^2 I), and m', K',
-    d' likewise from Mm,
+    The stacks and maps are component-wise, shape (2, 2, *stack), with
+    u = (w, -w) on the last axis, as ``_kernel`` builds them: the
+    partner drift M' = M(-u) is ``_partner(M)``, and e^(M') is
+    ``_partner(e^M)``.  With m = tr M / 2, K = M - m I and
+    d^2 = K00^2 + K01 K10 (so K^2 = d^2 I), and m', K', d' from M',
 
         e^M = ((e^(m+d) + e^(m-d)) I + (e^(m+d) - e^(m-d)) K / d) / 2,
         F = g1 src + g2 K src + g3 src K'^T + g4 K src K'^T,
 
     where g1..g4 are the mean and the divided differences in d, in d'
     and in both of phi_1(x) = (e^x - 1)/x at the four eigenvalue sums
-    x = m + m' +- d +- d' of L(X) = M X + X Mm^T.  The divided
-    differences lose about |K|/|d| in precision, so a sideband whose
-    drifts are near confluent (|K|_max > 10 |d|; a Jordan block has
-    d = 0), or whose closed form overflows, takes ``_taylor`` instead.
-    Diagonal drift pairs (no drive, or no atoms) take
-    e^M = diag(e^M_ii), e^Mm = diag(e^Mm_jj) and F_ij = src_ij phi_1(x),
-    x = M_ii + Mm_jj.
-
-    A stack whose last axis holds u = (w, -w), and whose Mm is M with
-    those halves swapped (as ``_kernel`` builds it), forms m, K, d and
-    e^M once per drift and the phi_1 values once per +-w pair; these
-    are the bits each sideband gets on its own, and each result
-    depends only on its own sideband.
+    x = m + m' +- d +- d' of L(X) = M X + X M'^T, formed once per +-w
+    pair.  The divided differences lose about |K|/|d| in precision, so
+    a pair with a near-confluent drift (|K|_max > 10 |d|; a Jordan
+    block has d = 0), or whose closed form overflows, takes ``_taylor``.
+    Diagonal drift pairs (no drive, or no atoms) take e^M = diag(e^M_ii)
+    and F_ij = src_ij phi_1(M_ii + M'_jj).  Each pair is on its own.
     """
-    half = m_w.shape[-1] // 2
-    mirrored = (m_w.shape[-1] % 2 == 0
-                and np.array_equal(m_mw[..., :half], m_w[..., half:])
-                and np.array_equal(m_mw[..., half:], m_w[..., :half]))
-    undriven = ((m_w[0, 1] == 0.0) & (m_w[1, 0] == 0.0)
-                & (m_mw[0, 1] == 0.0) & (m_mw[1, 0] == 0.0))
-
+    half = gen.shape[-1] // 2
+    undriven = (gen[0, 1] == 0.0) & (gen[1, 0] == 0.0)
+    undriven &= _partner(undriven)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        m, k, d, e, exact = _drifts(m_w)
-        if mirrored:
-            m_, k_, d_, e_, exact_ = (np.roll(a, half, axis=-1)
-                                      for a in (m, k, d, e, exact))
-        else:
-            m_, k_, d_, e_, exact_ = _drifts(m_mw)
-        s0, dp, dm = m + m_, d + d_, d - d_
-        if mirrored:
-            # at -w, d and d' swap places: dm changes sign, so the
-            # phi_1 values at s0 + dm and s0 - dm swap, and g2, g3 too
-            s0, dp, dm = s0[..., :half], dp[..., :half], dm[..., :half]
+        m, k, d, e, exact = _drifts(gen)
+        nk, d_ = _mul(src, _t(_partner(k))), _partner(d)
+        # at -w, d and d' swap places: dm changes sign, so the phi_1
+        # values at s0 + dm and s0 - dm swap, and g2, g3 too
+        s0 = m[..., :half] + m[..., half:]
+        dp, dm = d[..., :half] + d[..., half:], d[..., :half] - d[..., half:]
         pp, mm, pm, mp = _phi1(np.stack([s0 + dp, s0 - dp, s0 + dm,
                                          s0 - dm]))
         g1, g4 = 0.25 * ((pp + mm) + (pm + mp)), 0.25 * ((pp + mm) - (pm + mp))
         g2, g3 = 0.25 * ((pp - mm) + (pm - mp)), 0.25 * ((pp - mm) - (pm - mp))
-        if mirrored:
-            g1, g4 = np.concatenate((g1, g1), -1), np.concatenate((g4, g4), -1)
-            g2, g3 = np.concatenate((g2, g3), -1), np.concatenate((g3, g2), -1)
-        nk = _mul(src, _t(k_))
+        g1, g4 = np.concatenate((g1, g1), -1), np.concatenate((g4, g4), -1)
+        g2, g3 = np.concatenate((g2, g3), -1), np.concatenate((g3, g2), -1)
         f = (g1 * src + g3 / d_ * nk) + _mul(k, g2 / d * src
                                             + g4 / (d * d_) * nk)
-        finite = (np.isfinite(e).all(axis=(0, 1))
-                  & np.isfinite(e_).all(axis=(0, 1))
-                  & np.isfinite(f).all(axis=(0, 1)))
-        slow = ~undriven & ~(exact & exact_ & finite)
+        ok = (exact & np.isfinite(e).all(axis=(0, 1))
+              & np.isfinite(f).all(axis=(0, 1)))
+        slow = ~undriven & ~(ok & _partner(ok))
         if slow.any():
-            e[:, :, slow], e_[:, :, slow], f[:, :, slow] = _taylor(
-                m_w[:, :, slow], m_mw[:, :, slow], src[:, :, slow])
+            # taken sideband-major, the slow pairs are a +-w stack
+            pick = np.moveaxis(slow, -1, 0)
+            e_, f_, gen_, src_ = (np.moveaxis(a, -1, 2)
+                                  for a in (e, f, gen, src))
+            e_[:, :, pick], f_[:, :, pick] = _taylor(gen_[:, :, pick],
+                                                     src_[:, :, pick])
         if undriven.any():
-            diag, diag_ = (np.moveaxis(np.diagonal(a), -1, 0)
-                           for a in (m_w, m_mw))
+            diag = np.moveaxis(np.diagonal(gen), -1, 0)
             eye = np.eye(2).reshape((2, 2) + (1,) * undriven.ndim)
             e = np.where(undriven, eye * np.exp(diag)[:, None], e)
-            e_ = np.where(undriven, eye * np.exp(diag_)[:, None], e_)
             f = np.where(undriven, src * _phi1(diag[:, None]
-                                               + diag_[None, :]), f)
-    return e, e_, f
+                                               + _partner(diag)[None, :]), f)
+    return e, f
 
 
-def _taylor(m_w: np.ndarray, m_mw: np.ndarray, src: np.ndarray):
-    """``_transport`` of driven sidebands by Taylor series and squaring,
-    for component-wise stacks of shape (2, 2, n).
+def _taylor(gen: np.ndarray, src: np.ndarray):
+    """``_transport`` of driven +-w stacks by Taylor series and squaring.
 
     Each sideband takes its own squaring count s and Taylor degree
-    m <= 18 from eta = ||M||_1 + ||Mm||_1, which bounds the 1-norm of
+    m <= 18 from eta = ||M||_1 + ||M'||_1, which bounds the 1-norm of
     the Kronecker-sum generator L, so that h eta <= theta_m with
-    h = 2^-s.  Horner gives E = e^(hM), E' = e^(hMm) and
-    F = h phi_1(hL) src; then F <- F + E F E'^T, E <- E^2 and
-    E' <- E'^2 run s times.
+    h = 2^-s; a sideband and its partner share eta, s and m.  Horner
+    gives E = e^(hM) and F = h phi_1(hL) src; then F <- F + E F E'^T
+    and E <- E^2 run s times, with E' = ``_partner(E)`` throughout.
     """
-    gen = np.stack([m_w, m_mw], axis=2)                # (2, 2, 2, n)
-    eta = np.abs(gen).sum(axis=0).max(axis=0).sum(axis=0)
+    norm = np.abs(gen).sum(axis=0).max(axis=0)
+    eta = norm + _partner(norm)
     s = np.maximum(np.frexp(eta)[1], 0)
     h = np.ldexp(1.0, -s)
     deg = np.minimum(np.searchsorted(_THETA, eta * h) + 1, _THETA.size)
@@ -407,45 +394,45 @@ def _taylor(m_w: np.ndarray, m_mw: np.ndarray, src: np.ndarray):
     j = np.arange(deg.max(initial=0), 0, -1.0)[:, None]
     c_exp = np.where(j <= deg, 1.0 / j, 0.0)
     c_phi = np.where(j <= deg, 1.0 / (j + 1.0), 0.0)
-    hgen = gen * h
-    hm, hb = hgen[:, :, 0], _t(hgen[:, :, 1])
+    hm = gen * h
+    hb = _t(_partner(hm))
     e, f = np.broadcast_to(_EYE, gen.shape), src
     for a, b in zip(c_exp, c_phi):
-        e = _EYE + _mul(hgen, e) * a
+        e = _EYE + _mul(hm, e) * a
         f = src + (_mul(hm, f) + _mul(f, hb)) * b
     f = f * h
     for t in range(int(s.max(initial=0))):
         live = s > t
-        f = np.where(live, f + _mul(_mul(e[:, :, 0], f), _t(e[:, :, 1])), f)
+        f = np.where(live, f + _mul(_mul(e, f), _t(_partner(e))), f)
         e = np.where(live, _mul(e, e), e)
-    return e[:, :, 0], e[:, :, 1], f
+    return e, f
 
 
 def _apply(maps, sigma: np.ndarray) -> np.ndarray:
-    """E sigma E'^T + F of maps (E, E', F) on covariances sigma, all
-    component-wise (an overflowed map gives inf or NaN, not a warning)."""
-    e, e_, f = maps
+    """E sigma E'^T + F of maps (E, F) on covariances sigma, all
+    component-wise +-w stacks, E' = ``_partner(E)`` (an overflowed map
+    gives inf or NaN, not a warning)."""
+    e, f = maps
     with np.errstate(over="ignore", invalid="ignore"):
-        return _mul(_mul(e, sigma), _t(e_)) + f
+        return _mul(_mul(e, sigma), _t(_partner(e))) + f
 
 
 def _compose(maps, counts):
-    """The map of each run of consecutive steps along axis 2, the runs
-    ``counts`` steps long (powers of two, longest first), as a tree of
-    pairwise compositions: O(log n) array operations for all runs."""
-    e, e_, f = maps
+    """The map (E, F) of each run of consecutive steps along axis 2, the
+    runs ``counts`` steps long (powers of two, longest first), as a tree
+    of pairwise compositions: (E2, F2) after (E1, F1) is
+    (E2 E1, E2 F1 E2'^T + F2), O(log n) array operations for all runs."""
+    e, f = maps
     counts = list(counts)
     with np.errstate(over="ignore", invalid="ignore"):
         while counts[0] > 1:
             live = sum(c for c in counts if c > 1)
-            early = e[:, :, 0:live:2], e_[:, :, 0:live:2], f[:, :, 0:live:2]
-            late = e[:, :, 1:live:2], e_[:, :, 1:live:2], f[:, :, 1:live:2]
-            e, e_, f = (np.concatenate((a, b[:, :, live:]), axis=2)
-                        for a, b in ((_mul(late[0], early[0]), e),
-                                     (_mul(late[1], early[1]), e_),
-                                     (_apply(late, early[2]), f)))
+            late = e[:, :, 1:live:2], f[:, :, 1:live:2]
+            e, f = (np.concatenate((a, b[:, :, live:]), axis=2)
+                    for a, b in ((_mul(late[0], e[:, :, 0:live:2]), e),
+                                 (_apply(late, f[:, :, 0:live:2]), f)))
             counts = [c // 2 if c > 1 else c for c in counts]
-    return e, e_, f
+    return e, f
 
 
 # the two Gauss nodes of a step
@@ -473,15 +460,15 @@ def _magnus_maps(ens: EnsembleParams, sb: _Sidebands, i0: float,
     """
     ix = bloch.depleted_intensity(ens.cooperativity, i0, sb.detuning,
                                   (z0[:, None] + h[:, None] * _GAUSS).ravel())
-    ker = _kernel(ens, sb, ix, noisy)
-    (m1, m2), (p1, p2), (n1, n2) = ((a[:, :, 0::2], a[:, :, 1::2])
-                                    for a in ker)
+    (m1, m2), (n1, n2) = ((a[:, :, 0::2], a[:, :, 1::2])
+                          for a in _kernel(ens, sb, ix, noisy))
+    p1, p2 = _partner(m1), _partner(m2)
     half = 0.5 * h[:, None]
     cw = math.sqrt(3.0) / 12.0 * (h * h)[:, None]
     drift = half * (m1 + m2) + cw * (_mul(m2, m1) - _mul(m1, m2))
     src = half * (n1 + n2) + cw * ((_mul(m2, n1) + _mul(n1, _t(p2)))
                                    - (_mul(m1, n2) + _mul(n2, _t(p1))))
-    return _transport(drift, drift[..., sb.flip], src)
+    return _transport(drift, src)
 
 
 def _evolve(ens: EnsembleParams, sb: _Sidebands, i0: float, noisy: bool,
@@ -504,10 +491,10 @@ def _evolve(ens: EnsembleParams, sb: _Sidebands, i0: float, noisy: bool,
         z0 = np.concatenate([(start + np.arange(cnt)) / n
                              for _, n, start, cnt in call])
         h = np.concatenate([np.full(cnt, 1.0 / n) for _, n, _, cnt in call])
-        e, e_, f = _compose(_magnus_maps(ens, sb, i0, noisy, z0, h),
-                            [cnt for *_, cnt in call])
+        e, f = _compose(_magnus_maps(ens, sb, i0, noisy, z0, h),
+                        [cnt for *_, cnt in call])
         for r, (lv, *_) in enumerate(call):
-            sig[lv] = _apply((e[:, :, r], e_[:, :, r], f[:, :, r]), sig[lv])
+            sig[lv] = _apply((e[:, :, r], f[:, :, r]), sig[lv])
     return sig
 
 
@@ -517,24 +504,27 @@ def _sigma_out_depleted(ens: EnsembleParams, drive: DriveParams,
     the drive depleting along z.
 
     Uniform Magnus steps, 2, 4 and 8 in one batch, then doubled.  The
-    error of S_2N is a fifteenth of max|S_2N - S_N| once the step
-    resolves the absorption; before, it can be far larger.  So S_2N is
-    taken when that difference is within 15 _TOL max|S_2N| at every
-    sideband and the one before, of S_N and S_N/2, within 64 times as
-    much: both fall as fourth order does.  Past ``_MAX_STEPS`` steps
-    (non-finite covariances never settle) raises NumericalError.
+    error of S_2N is a fifteenth of its change from S_N once the step
+    resolves the absorption; before, it can be far larger.  S_theta
+    changes by at most |d iso| + 2 |d anom| (``_symmetrized``), so S_2N
+    is taken when that is within 15 _TOL S_min at every w, and the
+    change before it within 64 times as much: both fall as fourth order
+    does.  That bounds every S_theta >= S_min to about _TOL relative.
+    Past ``_MAX_STEPS`` steps (non-finite covariances never settle)
+    raises NumericalError.
     """
-    levels, sig, settled = [2, 4, 8], None, False
+    levels, old, settled = [2, 4, 8], None, False
     while True:
-        for new in _evolve(ens, sb, drive.intensity, noisy, levels):
-            if sig is not None:
-                with np.errstate(invalid="ignore"):
-                    diff = np.abs(new - sig).max(axis=(0, 1))
-                    size = 15.0 * _TOL * np.abs(new).max(axis=(0, 1))
+        for sig in _evolve(ens, sb, drive.intensity, noisy, levels):
+            iso, anom = _symmetrized(sig)
+            if old is not None:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    diff = np.abs(iso - old[0]) + 2.0 * np.abs(anom - old[1])
+                    size = 15.0 * _TOL * (iso.real - 2.0 * np.abs(anom))
                 if settled and (diff <= size).all():
-                    return new
+                    return sig
                 settled = bool((diff <= 64.0 * size).all())
-            sig = new
+            old = iso, anom
         if levels[-1] >= _MAX_STEPS:
             raise NumericalError(f"depleted transport not converged in "
                                  f"{levels[-1]} steps",
@@ -611,14 +601,11 @@ def propagate_noise(ens: EnsembleParams, drive: DriveParams,
         sig = _sigma_out_depleted(ens, drive, sb, noisy)
     else:
         sig = _sigma_out(ens, drive, sb, noisy)
-    sig_p, sig_m = sig[..., :n], sig[..., n:]
     # before any arithmetic on them: an overflowed transport would warn
-    finite = np.isfinite(sig_p).all(axis=(0, 1)) & np.isfinite(sig_m).all(
-        axis=(0, 1))
-    _check(~finite, drive.detuning, omegas,
+    finite = np.isfinite(sig).all(axis=(0, 1))
+    _check(~(finite[:n] & finite[n:]), drive.detuning, omegas,
            lambda i: "non-finite quadrature variance")
-    iso = 0.5 * (sig_p[0, 1] + sig_p[1, 0] + sig_m[0, 1] + sig_m[1, 0])
-    anom = 0.5 * (sig_p[1, 1] + sig_m[1, 1])
+    iso, anom = _symmetrized(sig)
     _check(np.abs(iso.imag) > 1e-8 * np.maximum(1.0, np.abs(iso.real)),
            drive.detuning, omegas, lambda i: f"non-real quadrature variance "
            f"(imag {iso.imag[i]:.2e})")
@@ -641,9 +628,8 @@ def propagate_noise(ens: EnsembleParams, drive: DriveParams,
         # commutator preservation, relative to the covariances' size
         # (1e2 absolute but 4e-16 relative at C = 1e7, I_x = 1e6)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            scale = np.maximum(np.abs(sig_p).max(axis=(0, 1)),
-                               np.abs(sig_m).max(axis=(0, 1)))
-            rel = _commutator_excess(sig_p, sig_m) / scale
+            size = np.abs(sig).max(axis=(0, 1))
+            rel = _commutator_excess(sig) / np.maximum(size[:n], size[n:])
         _check(~(rel <= 1e-8), drive.detuning, omegas,
                lambda i: f"output commutator not preserved "
                f"({rel[i]:.2e} relative)")
@@ -668,16 +654,25 @@ def _sigma_out(ens: EnsembleParams, drive: DriveParams, sb: _Sidebands,
                   _VACUUM[:, :, None, None])[:, :, 0]
 
 
-def _commutator_excess(sig_p: np.ndarray, sig_m: np.ndarray) -> np.ndarray:
-    """|S(w) - S(-w)^T - C0|_max of component-wise covariance stacks at
-    +w and -w.
+def _symmetrized(sig: np.ndarray):
+    """The +-w symmetrized moments (iso, anom) at each w of a +-w stack
+    of covariances: S_theta = Re iso + 2 Re(e^(2i theta) anom)."""
+    n = sig.shape[-1] // 2
+    p, m = sig[..., :n], sig[..., n:]
+    return (0.5 * (p[0, 1] + p[1, 0] + m[0, 1] + m[1, 0]),
+            0.5 * (p[1, 1] + m[1, 1]))
+
+
+def _commutator_excess(sig: np.ndarray) -> np.ndarray:
+    """|S(w) - S(-w)^T - C0|_max at each w of a +-w covariance stack.
 
     The -w sideband is transported with the drift pair (M(-w), M(w)), so
     S(-w)^T obeys the +w equation with source N(-w)^T; by linearity
     S(w) - S(-w)^T is the transported commutator matrix, which starts
     at C0 = [[0, 1], [-1, 0]].
     """
-    return np.abs(sig_p - _t(sig_m)
+    n = sig.shape[-1] // 2
+    return np.abs(sig[..., :n] - _t(sig[..., n:])
                   - _COMMUTATOR[:, :, None]).max(axis=(0, 1))
 
 
@@ -692,7 +687,7 @@ def commutator_residual(ens: EnsembleParams, drive: DriveParams,
     """
     sig = _sigma_out(ens, drive, _sidebands(ens, drive.detuning, [omega],
                                             False), True)
-    return float(_commutator_excess(sig[..., :1], sig[..., 1:])[0])
+    return float(_commutator_excess(sig)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -741,19 +736,23 @@ class KerrLimit:
     in_regime: bool
 
 
+def kerr_in_regime(drive: DriveParams) -> bool:
+    """The Kerr limit's validity gate, Delta >= 10 sqrt(I_x) >= 100 gamma."""
+    sq_ix = math.sqrt(drive.intensity)
+    return abs(drive.detuning) >= 10.0 * sq_ix and sq_ix >= 10.0
+
+
 def limit_kerr(ens: EnsembleParams, drive: DriveParams) -> KerrLimit:
     """Kerr-limit evolution coefficients.
 
     Linear dephasing i delta0, cross-Kerr -i delta0 s (2 da_y -
     da_y^dag) and a coherence-noise scale C gamma^2/Delta^2.  Squeezing
     becomes possible when delta0 s ~ 1 while the noise scale stays
-    small, the cold-atom operating point.  Warns outside
-    Delta >= 10 sqrt(I_x), sqrt(I_x) >= 10 gamma.
+    small, the cold-atom operating point.  Warns outside ``kerr_in_regime``.
     """
     d0 = drive.linear_dephasing(ens)
     s = drive.saturation
-    sq_ix = math.sqrt(drive.intensity)
-    in_regime = abs(drive.detuning) >= 10.0 * sq_ix and sq_ix >= 10.0
+    in_regime = kerr_in_regime(drive)
     if not in_regime:
         warnings.warn("Kerr limit outside its validity gate "
                       "(need Delta >= 10 sqrt(I_x) >= 100 gamma)",

@@ -322,7 +322,8 @@ def source_rows(ens, drive, omegas):
     sb = fluct._sidebands(ens, drive.detuning, omegas, False)
     first = fluct._rows(sb, np.array([drive.intensity]),
                         np.array([bloch.kappa_zero(ens, drive)]))[0, :, 2:]
-    return np.stack([first, first[sb.flip][:, [1, 0, 2, 3]].conj()], axis=1)
+    return np.stack([first, fluct._partner(first, 0)[:, [1, 0, 2, 3]].conj()],
+                    axis=1)
 
 
 def langevin_coeffs(ens, drive, omega):
@@ -532,11 +533,11 @@ def rk45_depleted(ens, drive, sb, noisy, rtol=1e-12):
 
     def rhs(_z, y):
         om_p, om_m = y[:2]
-        m, m_, src = (a[:, :, 0] for a in fluct._kernel(
+        m, src = (a[:, :, 0] for a in fluct._kernel(
             ens, sb, [abs(om_p) ** 2 + abs(om_m) ** 2], noisy))
         s = y[2:].reshape(2, 2, size)
         ds = (np.einsum("ikn,kjn->ijn", m, s)
-              + np.einsum("ikn,jkn->ijn", s, m_) + src)
+              + np.einsum("ikn,jkn->ijn", s, fluct._partner(m)) + src)
         return np.concatenate((field_derivative(ens, om_p, om_m, de),
                                ds.ravel()))
 
@@ -560,17 +561,24 @@ def componentwise(a):
 
 
 def kernel(ens, drive, omegas, noisy=True, truncate_dephasing=False):
-    """(m_w, m_mw, src) of the undepleted drive, each as (2n, 2, 2)."""
+    """(m_w, m_mw, src) of the undepleted drive, each as (2n, 2, 2):
+    the kernel's drifts, their partners and its sources."""
     sb = fluct._sidebands(ens, drive.detuning, omegas, truncate_dephasing)
-    return tuple(stacked(a[:, :, 0])
-                 for a in fluct._kernel(ens, sb, [drive.intensity], noisy))
+    m, src = (a[:, :, 0]
+              for a in fluct._kernel(ens, sb, [drive.intensity], noisy))
+    return stacked(m), stacked(fluct._partner(m)), stacked(src)
 
 
 def transport(m_w, m_mw, src, sigma0):
     """``fluct._transport``'s maps applied to ``sigma0``, on (n, 2, 2)
-    stacks."""
-    maps = fluct._transport(*map(componentwise, (m_w, m_mw, src)))
-    return stacked(fluct._apply(maps, np.asarray(sigma0)[:, :, None]))
+    stacks of any drift pairs (M, M') and sources: each sideband goes in
+    as the +-w pair [M, M'], with a zero source at its partner, and
+    comes out as the first half."""
+    gen = componentwise(np.concatenate((m_w, m_mw)))
+    src = componentwise(np.concatenate((src, np.zeros_like(src))))
+    sig = fluct._apply(fluct._transport(gen, src),
+                       np.asarray(sigma0)[:, :, None])
+    return stacked(sig[..., :len(m_w)])
 
 
 # ---------------------------------------------------------------------------

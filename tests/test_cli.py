@@ -220,11 +220,11 @@ def test_sub_qnl_uncertainty_product_is_a_numerical_error(tmp_path, capsys):
                                "ensemble": {"cooperativity": 15.0}})
     out = tmp_path / "x.csv"
 
-    def squeezed(m_w, _m_mw, _src):
+    def squeezed(gen, _src):
         """Maps that halve every covariance."""
-        half = np.zeros_like(m_w)
+        half = np.zeros_like(gen)
         half[0, 0] = half[1, 1] = 0.5 ** 0.5
-        return half, half, np.zeros_like(m_w)
+        return half, np.zeros_like(gen)
 
     argv = ["psr-sim", "noise", "--config", str(cfg), "--out", str(out)]
     with mock.patch.object(fluct, "_transport", squeezed), \

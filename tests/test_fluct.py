@@ -134,12 +134,12 @@ def test_negative_variance_raises_without_the_uncertainty_gate(kw):
     """An inadmissible covariance (iso 0.1, |anom| 0.5: S_min = -0.9) is
     an error, not a spectrum clamped to 0, when the uncertainty gate
     is off."""
-    def inadmissible(m_w, _m_mw, _src):
+    def inadmissible(gen, _src):
         """Maps that send any input to these covariances."""
-        sig = np.zeros_like(m_w)
+        sig = np.zeros_like(gen)
         sig[0, 1] = sig[1, 0] = 0.05
         sig[1, 1] = 0.5
-        return np.zeros_like(m_w), np.zeros_like(m_w), sig
+        return np.zeros_like(gen), sig
 
     with mock.patch.object(fluct, "_transport", inadmissible), \
             pytest.raises(NumericalError,

@@ -59,13 +59,15 @@ PRESET_DB = {"hot-vapour-d2": 2e-11, "hot-vapour-d1": 2e-11,
              "cold-atom-kerr": 1e-9}
 
 
-def spectra_against_rk45(ens, drive, omegas, thetas=THETAS):
-    """propagate_noise(deplete=True) as it runs, and with RK45's
-    covariances."""
-    got = fluct.propagate_noise(ens, drive, omegas, thetas, deplete=True)
+def spectra_against_rk45(ens, drive, omegas, thetas=THETAS, **kw):
+    """The largest difference in dB of propagate_noise(deplete=True) as
+    it runs from the same with RK45's covariances, over S_theta, S_min
+    and S_max."""
+    got = fluct.propagate_noise(ens, drive, omegas, thetas, deplete=True,
+                                **kw)
     with mock.patch.object(fluct, "_sigma_out_depleted", rk45_depleted):
         ref = fluct.propagate_noise(ens, drive, omegas, thetas,
-                                    deplete=True)
+                                    deplete=True, **kw)
     return max(np.abs(got.to_db() - ref.to_db()).max(),
                np.abs(got.min_db() - ref.min_db()).max(),
                np.abs(got.max_db() - ref.max_db()).max())
@@ -89,11 +91,57 @@ def test_depleted_presets_equal_scipy_driven_transport(preset):
 @given(st.floats(-10.0, 10.0), st.floats(10.0, 1e4),
        st.lists(st.floats(0.0, 3.0), min_size=1, max_size=4, unique=True))
 def test_depleted_hot_points_equal_scipy_driven_transport(de, ix, omegas):
-    """Within 1e-8 dB; the worst draw, Delta = 0, I_x = 10, omega = 0,
-    is off by 7.8e-9 dB (an ODE at rtol 1e-8: 3.2e-8 dB)."""
+    """Within 1e-8 dB; the draw Delta = 0, I_x = 10, omega = 0 is off by
+    3.0e-11 dB (an ODE at rtol 1e-8: 3.2e-8 dB)."""
     err = spectra_against_rk45(HOT, DriveParams(intensity=ix, detuning=de),
                                omegas)
     assert err <= 1e-8
+
+
+def largest_step_count(ens, drive, omegas, **kw):
+    """The most steps the depleted transport of one propagate_noise call
+    takes."""
+    levels = []
+    evolve = fluct._evolve
+
+    def spy(*args):
+        levels.extend(args[-1])
+        return evolve(*args)
+
+    with mock.patch.object(fluct, "_evolve", spy):
+        fluct.propagate_noise(ens, drive, omegas, THETAS, deplete=True, **kw)
+    return max(levels)
+
+
+def test_step_doubling_bounds_the_smallest_variance():
+    """C = 15, I_x = 10, Delta = 0 absorbs most of the drive.  Stopping on
+    max|S_2N - S_N| against max|S_2N| took 256 steps and left S_min off
+    by 7.8e-9 dB; bounding every S_theta relative to S_min takes 1024
+    steps and holds S_min and S_max within 1e-9 dB of RK45."""
+    ens = EnsembleParams.from_cooperativity(15.0, gamma_raw=1.9058e7)
+    drive = DriveParams(intensity=10.0, detuning=0.0)
+    assert spectra_against_rk45(ens, drive, [0.0]) <= 1e-9
+    assert largest_step_count(ens, drive, [0.0]) == 1024
+
+
+@pytest.mark.parametrize("kw", [{"include_noise": False},
+                                {"truncate_dephasing": True}])
+def test_depleted_cold_variants_equal_scipy_driven_transport(kw):
+    """Without the atomic sources, or with the bare cross-Kerr Gamma,
+    S_min falls below the QNL, where a bound relative to S_min is the
+    strictest: every S_theta of every ``cold-atom-kerr`` detuning is
+    within 1e-9 dB of RK45, well short of the step cap."""
+    cfg, _ = cli.load_config("cold-atom-kerr")
+    ens = cli.build_ensemble(cfg)
+    sec = cfg["noise"]
+    ix = float(cfg["drive"]["intensity"])   # YAML reads 8.0e4 as a string
+    thetas = np.linspace(0.0, np.pi, sec["theta_points"], endpoint=False)
+    for de in sec["detunings"]:
+        drive = DriveParams(intensity=ix, detuning=de)
+        assert spectra_against_rk45(ens, drive, sec["omegas"], thetas,
+                                    **kw) <= 1e-9, de
+        assert largest_step_count(ens, drive, sec["omegas"], **kw) \
+            < fluct._MAX_STEPS, de
 
 
 def test_error_falls_sixteen_fold_per_halving():
@@ -122,10 +170,9 @@ def test_thick_cells_keep_the_commutator(ix, de):
     fluct.propagate_noise(ens, drive, omegas, THETAS, deplete=True)
     sig = fluct._sigma_out_depleted(
         ens, drive, fluct._sidebands(ens, de, omegas, False), True)
-    sig_p, sig_m = sig[..., :4], sig[..., 4:]
-    scale = np.maximum(np.abs(sig_p).max(axis=(0, 1)),
-                       np.abs(sig_m).max(axis=(0, 1)))
-    assert (fluct._commutator_excess(sig_p, sig_m) <= 1e-12 * scale).all()
+    size = np.abs(sig).max(axis=(0, 1))
+    scale = np.maximum(size[:4], size[4:])
+    assert (fluct._commutator_excess(sig) <= 1e-12 * scale).all()
 
 
 def test_non_finite_transport_is_a_numerical_error_naming_the_detuning():
@@ -135,8 +182,8 @@ def test_non_finite_transport_is_a_numerical_error_naming_the_detuning():
     transport = fluct._transport
 
     def nan_maps(*args):
-        e, e_, f = transport(*args)
-        return e, e_, np.full_like(f, np.nan)
+        e, f = transport(*args)
+        return e, np.full_like(f, np.nan)
 
     with mock.patch.object(fluct, "_transport", nan_maps), \
             pytest.raises(NumericalError, match="not converged") as exc:

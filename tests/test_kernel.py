@@ -190,11 +190,12 @@ def test_diffusion_rejects_an_inadmissible_steady_state(p_g, p_e, c,
 
 def transport_inputs(ens, drive, omegas):
     """The (m_w, m_mw, src, sigma0) that propagate_noise transports, as
-    (2n, 2, 2) stacks."""
+    (2n, 2, 2) stacks: its drifts, their partners and its sources."""
     with mock.patch.object(fluct, "_transport",
                            wraps=fluct._transport) as spy:
         fluct.propagate_noise(ens, drive, omegas, [0.0])
-    return (*(stacked(a[:, :, 0]) for a in spy.call_args.args),
+    gen, src = (a[:, :, 0] for a in spy.call_args.args)
+    return (stacked(gen), stacked(fluct._partner(gen)), stacked(src),
             fluct._VACUUM)
 
 
@@ -351,6 +352,26 @@ def test_confluent_and_overflowing_drifts_match_a_50_digit_transport(name):
         assert_close(s, ref, rtol=1e-13)
 
 
+def test_transport_of_a_stack_of_steps_is_that_of_each_step():
+    """A (steps, +-w) stack, as the Magnus steps give it, with pairs that
+    take the closed form and pairs that take the Taylor series in
+    different places on each step: every step's maps are those of the
+    step on its own, bit for bit."""
+    names = ["jordan", "damped", "confluent-1e-16-1", "confluent-0.1-1"]
+    rows = [mirrored_stack([HARD_DRIFTS[names[i]][0],
+                            HARD_DRIFTS[names[j]][0]], seed=k)
+            for k, (i, j) in enumerate([(0, 1), (1, 2), (3, 0), (1, 3)])]
+    gen, src = (componentwise(np.stack([r[i] for r in rows]))
+                for i in (0, 2))
+    with mock.patch.object(fluct, "_taylor", wraps=fluct._taylor) as spy:
+        maps = fluct._transport(gen, src)
+    assert spy.call_count == 1
+    for r in range(len(rows)):
+        for got, ref in zip(maps, fluct._transport(gen[:, :, r],
+                                                   src[:, :, r])):
+            assert np.array_equal(got[:, :, r], ref)
+
+
 def test_cross_kerr_transport_takes_phi1_at_a_zero_eigenvalue_sum():
     """truncate_dephasing leaves m = +-i w gamma l/c, so at omega = 0
     m + m' = 0 and d = d': an eigenvalue sum is exactly 0."""
@@ -417,9 +438,9 @@ def test_driven_sidebands_take_the_closed_form(ens, drive, omegas):
         args = transport_inputs(ens, drive, omegas)
         got = transport(*args)
     spy.assert_not_called()
-    m_w, m_mw, src, sigma0 = args
-    ref = stacked(fluct._apply(fluct._taylor(*map(componentwise,
-                                                  (m_w, m_mw, src))),
+    m_w, _, src, sigma0 = args
+    ref = stacked(fluct._apply(fluct._taylor(componentwise(m_w),
+                                             componentwise(src)),
                                sigma0[:, :, None]))
     scale = np.abs(ref).max(axis=(1, 2))
     assert (np.abs(got - ref).max(axis=(1, 2)) <= 1e-14 * scale).all()
