@@ -224,13 +224,18 @@ def write_json(path: Path, command: str, cfg_hash: str, data: dict,
 # ---------------------------------------------------------------------------
 
 def _noise_point(ens: EnsembleParams, intensity: float, det: float, omegas,
-                 thetas, floor: float, deplete: bool) -> list[tuple]:
+                 thetas, floor: float, deplete: bool,
+                 theta_scan: bool) -> list[tuple]:
+    """The summary rows (det, w, s_min_db, s_max_db, low_omega, theta
+    row) of one detuning; the theta row, S_theta in dB, only with
+    ``theta_scan`` (None otherwise)."""
     drive = DriveParams(intensity=intensity, detuning=det)
     spec = fluct.propagate_noise(ens, drive, omegas, thetas,
                                  deplete=deplete, omega_floor=floor)
+    scan = spec.to_db().tolist() if theta_scan else [None] * spec.omegas.size
     return [(det, w, lo, hi, low, row) for w, lo, hi, low, row in zip(
         spec.omegas.tolist(), spec.min_db().tolist(), spec.max_db().tolist(),
-        spec.low_omega.tolist(), spec.to_db().tolist())]
+        spec.low_omega.tolist(), scan)]
 
 
 # ---------------------------------------------------------------------------
@@ -282,9 +287,12 @@ def sweep(config_path: str, out_path: Path, fmt: str) -> None:
                                   "lines"))
     ens = build_ensemble(cfg)
     man = build_manifold(sec, "sweep", ens)
-    grid = ensemble.SweepGrid(
-        detunings_ghz=tuple(_axis(sec, "sweep", "detunings_ghz")),
-        intensities_mw=tuple(_axis(sec, "sweep", "intensities_mw")))
+    axes = {key: tuple(_axis(sec, "sweep", key))
+            for key in ("detunings_ghz", "intensities_mw")}
+    try:
+        grid = ensemble.SweepGrid(**axes)
+    except ValidationError as exc:
+        raise ConfigError(f"sweep.{exc.field_name}", str(exc))
     scale = _num(sec, "sweep", "intensity_scale")
     if scale <= 0:
         raise ConfigError("sweep.intensity_scale", "must be > 0")
@@ -348,7 +356,7 @@ def noise(config_path: str, out_path: Path, fmt: str, jobs: int,
     thetas = list(np.linspace(0.0, math.pi, n_theta, endpoint=False))
     floor = _num(sec, "noise", "omega_floor", 0.01)
 
-    args = [(ens, intensity, det, omegas, thetas, floor, deplete)
+    args = [(ens, intensity, det, omegas, thetas, floor, deplete, theta_scan)
             for det in detunings]
     results = _map_ordered(_noise_point, args, jobs)
 
@@ -554,6 +562,8 @@ def fit(config_path: str, out_path: Path, fmt: str) -> None:
     t_data = np.array([r[1] for r in t_rows])
     gl_data = np.array([r[1] for r in g_rows])
     mw = _num(sec, "fit", "intensity_mw")
+    if mw < 0:
+        raise ConfigError("fit.intensity_mw", "must be >= 0")
     initial = sec.get("initial") or {}
     if not isinstance(initial, dict):
         raise ConfigError("fit.initial", "must be a mapping")

@@ -122,7 +122,8 @@ class LineManifold:
 
 @dataclass(frozen=True)
 class SweepGrid:
-    """Axes of a sweep: detunings in GHz, intensities in mW (lab units)."""
+    """Axes of a sweep: detunings in GHz, intensities (>= 0) in mW (lab
+    units)."""
 
     detunings_ghz: tuple[float, ...]
     intensities_mw: tuple[float, ...]
@@ -135,6 +136,8 @@ class SweepGrid:
             _require(len(vals) >= 1, name, "must be non-empty")
             _require(all(b > a for a, b in zip(vals, vals[1:])), name,
                      "must be strictly increasing")
+        _require(all(v >= 0 for v in self.intensities_mw), "intensities_mw",
+                 "must be >= 0")
 
 
 def _line_poles(manifold: LineManifold, detunings, intensity):
@@ -219,6 +222,12 @@ def composite_kappa(manifold: LineManifold, ens: EnsembleParams,
                   ens.cooperativity)
 
 
+# map points per composite_kappa call: each per-line complex temporary
+# (64 KB) stays below glibc's 128 KB mmap threshold, so the heap reuses
+# it instead of mapping and faulting in fresh pages
+_MAP_SLAB = 4096
+
+
 @dataclass(frozen=True)
 class CompositeMaps:
     """Transmission and rotation maps over a (detuning, intensity) grid."""
@@ -234,14 +243,23 @@ def composite_spectrum(manifold: LineManifold, ens: EnsembleParams,
     ``intensity_scale`` converts mW to I_x in gamma^2 (the documented
     power-to-intensity assumption).  T = exp(-2 Re kappa_comp); the
     rotation map is -Im kappa_comp weighted by T (the polarimeter sees
-    only transmitted light).
+    only transmitted light).  kappa_comp is taken in slabs of whole
+    detuning rows, about ``_MAP_SLAB`` points each, written into the
+    maps.
     """
     _require(intensity_scale > 0, "intensity_scale", "must be > 0")
     det_gamma = ghz_to_gamma(np.asarray(grid.detunings_ghz), ens.gamma_raw)
-    kap = composite_kappa(manifold, ens, det_gamma[:, None],
-                          intensity_scale * np.asarray(grid.intensities_mw))
-    t_map = np.exp(-2.0 * kap.real)
-    return CompositeMaps(transmission=t_map, psr_gl=-kap.imag * t_map)
+    intensity = intensity_scale * np.asarray(grid.intensities_mw)
+    t_map = np.empty((det_gamma.size, intensity.size))
+    gl_map = np.empty_like(t_map)
+    rows = max(1, _MAP_SLAB // intensity.size)
+    for i in range(0, det_gamma.size, rows):
+        kap = composite_kappa(manifold, ens, det_gamma[i:i + rows, None],
+                              intensity)
+        t = t_map[i:i + rows]
+        np.exp(-2.0 * kap.real, out=t)
+        np.multiply(-kap.imag, t, out=gl_map[i:i + rows])
+    return CompositeMaps(transmission=t_map, psr_gl=gl_map)
 
 
 @dataclass(frozen=True)
@@ -479,12 +497,12 @@ def fit(manifold_template: LineManifold, ens: EnsembleParams,
     (GHz), mW-to-I_x intensity scale, and the line strengths relative
     to the first line, each within fixed bounds that the initial guess
     must respect.  Deterministic for a fixed initial guess.  Requires
-    at least 50 points and monotone detunings.  The residuals (the t
-    and gl misfits, each scaled by its trace's largest |value|) and the
-    exact Jacobian (``_fit_jacobian``) are written into buffers made
-    once per fit; the Jacobian gives the covariance (J J^T)^-1 |r|^2 /
-    (2 n - n_params) over the 2 n residuals.  ``n_eval`` counts
-    residual evaluations.
+    at least 50 points, monotone detunings and ``intensity_mw`` >= 0.
+    The residuals (the t and gl misfits, each scaled by its trace's
+    largest |value|) and the exact Jacobian (``_fit_jacobian``) are
+    written into buffers made once per fit; the Jacobian gives the
+    covariance (J J^T)^-1 |r|^2 / (2 n - n_params) over the 2 n
+    residuals.  ``n_eval`` counts residual evaluations.
     """
     det_ghz = np.asarray(det_ghz, dtype=float)
     t_data = np.asarray(t_data, dtype=float)
@@ -494,6 +512,7 @@ def fit(manifold_template: LineManifold, ens: EnsembleParams,
              "detunings must be strictly increasing")
     _require(t_data.shape == det_ghz.shape and gl_data.shape == det_ghz.shape,
              "data", "trace lengths must match the detuning axis")
+    _require(intensity_mw >= 0, "intensity_mw", "must be >= 0")
 
     initial = dict(initial or {})
     n_ratio = len(manifold_template.lines) - 1

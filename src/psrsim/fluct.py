@@ -61,17 +61,18 @@ _COMMUTATOR = _VACUUM - _VACUUM.T
 class _Sidebands(NamedTuple):
     """The intensity-free factors of the kernel at u = (w, -w).
 
-    Each row holds, over the common denominator D(u), the numerators of
-    Lambda, Lambda', A + B, B, A/(-iu) and A/(2-iu), then D itself:
-    ``num + I_x num_ix`` at I_x > 0 and ``free`` at I_x = 0.
+    Row i of ``num`` and ``num_ix`` holds, over the common denominator
+    D(u), the numerator of Lambda, Lambda', A + B, B, A/(-iu) and
+    A/(2-iu) for i = 0..5, and D itself for i = 6, along the sidebands:
+    ``num + I_x num_ix`` at I_x > 0 (``_ratios`` forms the I_x = 0
+    rows).
     """
 
     detuning: float
     truncate_dephasing: bool
     u: np.ndarray              # (2n,) signed sidebands
-    num: np.ndarray            # (2n, 7) the I_x-free parts
-    num_ix: np.ndarray         # (2n, 7) the coefficients of I_x
-    free: np.ndarray           # (2n, 7) I_x = 0, -iu (2-iu) cancelled
+    num: np.ndarray            # (7, 2n) the I_x-free parts
+    num_ix: np.ndarray         # (7, 2n) the coefficients of I_x
     zero: np.ndarray           # (2n,) whether u = 0
     transit: np.ndarray        # iu gamma l / c, the transit phase
 
@@ -92,20 +93,18 @@ def _sidebands(ens: EnsembleParams, detuning: float, omegas,
     zero = np.zeros_like(iu)
     return _Sidebands(
         detuning=de, truncate_dephasing=truncate_dephasing, u=u,
-        num=np.stack([zero, -iu * (1.0 - 1j * de) * c1 * p2, a_red * p2,
+        num=np.array([zero, -iu * (1.0 - 1j * de) * c1 * p2, a_red * p2,
                       zero, c1 * p2, a_red,
-                      -iu * p2 * (p1_sq + de * de)], axis=1),
-        num_ix=np.stack([p1 * p2, iu * p1, p1, p1, zero, zero,
-                         2.0 * p1_sq], axis=1),
-        free=np.stack([zero, (1.0 - 1j * de) * c1, c1, zero, zero, zero,
-                       p1_sq + de * de], axis=1),
+                      -iu * p2 * (p1_sq + de * de)]),
+        num_ix=np.array([p1 * p2, iu * p1, p1, p1, zero, zero,
+                         2.0 * p1_sq]),
         zero=u == 0.0,
         transit=iu * ens.transit_time)
 
 
 def _ratios(sb: _Sidebands, ix: np.ndarray) -> np.ndarray:
     """Lambda, Lambda', A + B, B, A/(-iu) and A/(2-iu) at ``sb``'s
-    sidebands and the intensities I_x, shape (k, 2n, 6) for ``ix`` of
+    sidebands and the intensities I_x, shape (k, 6, 2n) for ``ix`` of
     shape (k,).
 
     D(u) = 2 I_x (1-iu)^2 - iu (2-iu) ((1-iu)^2 + Delta^2).  At u = 0
@@ -114,25 +113,31 @@ def _ratios(sb: _Sidebands, ix: np.ndarray) -> np.ndarray:
     numerator is cancelled, so all limits at u = 0 are finite; the
     f_z weights, which carry sqrt(I_x), are then 0.
     """
-    ix = ix[:, None, None]
-    rows = np.where(ix == 0.0, sb.free, sb.num + ix * sb.num_ix)
-    d = rows[..., 6:]
+    rows = sb.num + ix[:, None, None] * sb.num_ix
+    undriven = ix == 0.0
+    if undriven.any():
+        de, iu = sb.detuning, 1j * sb.u
+        c1 = 1.0 - 1j * de - iu
+        zero = np.zeros_like(iu)
+        rows[undriven] = np.array([zero, (1.0 - 1j * de) * c1, c1, zero,
+                                   zero, zero, (1.0 - iu) ** 2 + de * de])
+    d = rows[:, 6:]
     # D(0) = 2 I_x: a pole needs D(u) = 0 at real u != 0
     if not d.all():
-        i, j, _ = np.argwhere(d == 0.0)[0]
+        i, _, j = np.argwhere(d == 0.0)[0]
         raise NumericalError("response pole: D(omega) = 0",
-                             {"intensity": float(ix[i, 0, 0]),
+                             {"intensity": float(ix[i]),
                               "detuning": sb.detuning,
                               "omega": float(sb.u[j])})
-    q = rows[..., :6] / d
+    q = rows[:, :6] / d
     if sb.zero.any():
-        q[:, sb.zero, 0] = ix[:, :, 0] != 0.0
+        q[:, 0, sb.zero] = ~undriven[:, None]
     return q
 
 
 def _rows(sb: _Sidebands, ix: np.ndarray, k0: np.ndarray) -> np.ndarray:
     """The first rows of the drift M(u) and of the Langevin source P(u)
-    at ``sb``'s sidebands and each intensity, shape (k, 2n, 6):
+    at ``sb``'s sidebands and each intensity, shape (k, 6, 2n):
     M_12 = -kappa(0) Lambda, M_11 = -kappa(0)* Lambda' without the
     transit phase, then the F_y weights of (f_y, f_y^dag, f_z, f_z'),
     (A + B, B, -i sqrt(I_x/2) A/(-iu), -i sqrt(I_x/2) A/(2-iu)).
@@ -148,7 +153,7 @@ def _rows(sb: _Sidebands, ix: np.ndarray, k0: np.ndarray) -> np.ndarray:
     scale[:, 0] = -k0
     scale[:, 1] = 0.0 if sb.truncate_dephasing else -k0.conj()
     scale[:, 4:] = -1j * np.sqrt(0.5 * ix)[:, None]
-    return _ratios(sb, ix) * scale[:, None, :]
+    return _ratios(sb, ix) * scale[:, :, None]
 
 
 def _steady_state(ens: EnsembleParams, ix: np.ndarray, detuning: float,
@@ -211,25 +216,29 @@ def _kernel(ens: EnsembleParams, sb: _Sidebands, intensities,
     I_x, component-wise, shape (2, 2, k, 2n).
 
     N(u) = C P(u) D P(-u)^T with D the ordered diffusion table, written
-    out from its five entries; without ``noisy`` it is 0.
+    out from its five entries; without ``noisy`` it is 0.  The rows of
+    ``_rows`` run along the sidebands, shape (k, 6, 2n), so each row of
+    P(u) and of P(-u) is a contiguous (k, 4, 2n) slice of one array.
     """
     ix = np.asarray(intensities, dtype=float)
     k0, weights = _steady_state(ens, ix, sb.detuning, noisy)
     rows = _rows(sb, ix, k0)
-    m = np.empty((2, 2) + rows.shape[:2], dtype=complex)
-    m[0, 0] = sb.transit + rows[..., 1]
-    m[0, 1] = rows[..., 0]
+    m = np.empty((2, 2, ix.size, sb.u.size), dtype=complex)
+    m[0, 0] = sb.transit + rows[:, 1]
+    m[0, 1] = rows[:, 0]
     m[1, ::-1] = _partner(m[0]).conj()
     if not noisy:
         return m, np.zeros_like(m)
-    # the rows of P(u), and of P(-u) = the same rows at -u
-    p = np.stack([rows[..., 2:],
-                  _partner(rows, 1)[..., [3, 2, 4, 5]].conj()])[:, None]
-    q = np.moveaxis(_partner(p, 3), 0, 1)
+    # the rows of P(u) and of P(-u): the second row at u is the first
+    # at -u conjugated, with f_y and f_y^dag swapped
+    first, second = rows[:, 2:], rows[:, [3, 2, 4, 5]].conj()
+    pq = np.array([first, _partner(second), _partner(first), second])
+    p, q = pq[:2, None], pq[None, 2:]
     t, p_e, c = (w[:, None] for w in weights)
-    src = (p[..., FY] * (t * q[..., FYD] + c * q[..., FZP])
-           + p[..., FZP] * (p_e * q[..., FZP] + c.conj() * q[..., FYD])
-           + p_e * (p[..., FZ] * q[..., FZ]))
+    src = (p[..., FY, :] * (t * q[..., FYD, :] + c * q[..., FZP, :])
+           + p[..., FZP, :] * (p_e * q[..., FZP, :]
+                               + c.conj() * q[..., FYD, :])
+           + p_e * (p[..., FZ, :] * q[..., FZ, :]))
     return m, src
 
 
@@ -258,7 +267,7 @@ def response(ens: EnsembleParams, drive: DriveParams,
         raise ValidationError("omega", "must be >= 0")
     k0 = bloch.kappa_zero(ens, drive)
     lam, lamp = _ratios(_sidebands(ens, drive.detuning, [omega], False),
-                        np.array([drive.intensity]))[0, 0, :2]
+                        np.array([drive.intensity]))[0, :2, 0]
     kap = k0 * lam
     return ComplexResponse(kappa=kap,
                            gamma=kap + np.conj(k0) * lamp,
@@ -290,9 +299,14 @@ def _t(a):
 
 def _phi1(x):
     """phi_1(x) = (e^x - 1)/x, from its series where |x| < 2^-12 (a
-    denormal x makes expm1(x)/x NaN)."""
-    series = 1.0 + x * (0.5 + x * (1.0 / 6.0 + x * (1.0 / 24.0)))
-    return np.where(np.abs(x) < 2.0 ** -12, series, np.expm1(x) / x)
+    denormal x makes expm1(x)/x NaN, and x = 0 makes it 0/0), which is
+    evaluated at those entries only."""
+    out = np.expm1(x) / x
+    small = np.abs(x) < 2.0 ** -12
+    if small.any():
+        xs = x[small]
+        out[small] = 1.0 + xs * (0.5 + xs * (1.0 / 6.0 + xs * (1.0 / 24.0)))
+    return out
 
 
 def _drifts(gen: np.ndarray):
@@ -417,6 +431,16 @@ def _apply(maps, sigma: np.ndarray) -> np.ndarray:
         return _mul(_mul(e, sigma), _t(_partner(e))) + f
 
 
+def _from_vacuum(maps) -> np.ndarray:
+    """``_apply(maps, _VACUUM)`` in closed form: the vacuum has one
+    non-zero entry, so E sigma E'^T + F = E[:, 0] E'[:, 1]^T + F.  For
+    finite maps the bits are those of ``_apply`` (each dropped term is
+    0 x added to y), up to the sign of an entry that is exactly 0."""
+    e, f = maps
+    with np.errstate(over="ignore", invalid="ignore"):
+        return e[:, None, 0] * _partner(e[None, :, 1]) + f
+
+
 def _compose(maps, counts):
     """The map (E, F) of each run of consecutive steps along axis 2, the
     runs ``counts`` steps long (powers of two, longest first), as a tree
@@ -427,10 +451,14 @@ def _compose(maps, counts):
     with np.errstate(over="ignore", invalid="ignore"):
         while counts[0] > 1:
             live = sum(c for c in counts if c > 1)
-            late = e[:, :, 1:live:2], f[:, :, 1:live:2]
-            e, f = (np.concatenate((a, b[:, :, live:]), axis=2)
-                    for a, b in ((_mul(late[0], e[:, :, 0:live:2]), e),
-                                 (_apply(late, f[:, :, 0:live:2]), f)))
+            late = e[:, :, 1:live:2]
+            e_new = _mul(late, e[:, :, 0:live:2])
+            f_new = (_mul(_mul(late, f[:, :, 0:live:2]), _t(_partner(late)))
+                     + f[:, :, 1:live:2])
+            if live < e.shape[2]:       # the runs of one step stay as they are
+                e_new = np.concatenate((e_new, e[:, :, live:]), axis=2)
+                f_new = np.concatenate((f_new, f[:, :, live:]), axis=2)
+            e, f = e_new, f_new
             counts = [c // 2 if c > 1 else c for c in counts]
     return e, f
 
@@ -476,7 +504,9 @@ def _evolve(ens: EnsembleParams, sb: _Sidebands, i0: float, noisy: bool,
     """Covariances at z = 1 from the vacuum after each number of
     uniform Magnus steps in ``levels`` (powers of two).  All steps go
     through the kernel and the transport together, in calls of at most
-    ``_BATCH`` sideband-steps whose maps compose as one tree."""
+    ``_BATCH`` sideband-steps whose maps compose as one tree.  The first
+    map of each level starts from the vacuum (``_from_vacuum``); a level
+    that spans several calls applies its later maps with ``_apply``."""
     per_call = 1 << max(0, (_BATCH // sb.u.size).bit_length() - 1)
     runs = [(lv, n, start, min(n, per_call)) for lv, n in enumerate(levels)
             for start in range(0, n, per_call)]
@@ -485,7 +515,7 @@ def _evolve(ens: EnsembleParams, sb: _Sidebands, i0: float, noisy: bool,
         if sum(r[3] for r in calls[-1]) + run[3] > per_call:
             calls.append([])
         calls[-1].append(run)
-    sig = [_VACUUM[:, :, None]] * len(levels)
+    sig = [None] * len(levels)
     for call in calls:
         call.sort(key=lambda run: -run[3])      # as _compose takes them
         z0 = np.concatenate([(start + np.arange(cnt)) / n
@@ -494,7 +524,9 @@ def _evolve(ens: EnsembleParams, sb: _Sidebands, i0: float, noisy: bool,
         e, f = _compose(_magnus_maps(ens, sb, i0, noisy, z0, h),
                         [cnt for *_, cnt in call])
         for r, (lv, *_) in enumerate(call):
-            sig[lv] = _apply((e[:, :, r], f[:, :, r]), sig[lv])
+            maps = e[:, :, r], f[:, :, r]
+            sig[lv] = (_from_vacuum(maps) if sig[lv] is None
+                       else _apply(maps, sig[lv]))
     return sig
 
 
@@ -609,8 +641,8 @@ def propagate_noise(ens: EnsembleParams, drive: DriveParams,
     _check(np.abs(iso.imag) > 1e-8 * np.maximum(1.0, np.abs(iso.real)),
            drive.detuning, omegas, lambda i: f"non-real quadrature variance "
            f"(imag {iso.imag[i]:.2e})")
-    s_theta = iso.real[:, None] + 2.0 * np.real(np.exp(2j * thetas)
-                                                * anom[:, None])
+    s_theta = np.multiply(np.exp(2j * thetas), anom[:, None]).real * 2.0
+    s_theta += iso.real[:, None]
     spread = 2.0 * np.abs(anom)
     spec = QuadratureSpectrum(omegas=omegas, thetas=thetas, values=s_theta,
                               s_min=iso.real - spread,
@@ -649,9 +681,10 @@ def _check(bad: np.ndarray, detuning: float, omegas: np.ndarray,
 def _sigma_out(ens: EnsembleParams, drive: DriveParams, sb: _Sidebands,
                noisy: bool) -> np.ndarray:
     """Output covariances at ``sb``'s sidebands, component-wise, with
-    the undepleted drive: the one-step case of the depleted transport."""
-    return _apply(_transport(*_kernel(ens, sb, [drive.intensity], noisy)),
-                  _VACUUM[:, :, None, None])[:, :, 0]
+    the undepleted drive: the one-step case of the depleted transport,
+    its map applied to the vacuum in closed form (``_from_vacuum``)."""
+    e, f = _transport(*_kernel(ens, sb, [drive.intensity], noisy))
+    return _from_vacuum((e[:, :, 0], f[:, :, 0]))
 
 
 def _symmetrized(sig: np.ndarray):

@@ -2,7 +2,8 @@
 integration, the steady state of any (elliptical) drive and its
 mean-field derivative, exact arithmetic, the scalar (one sideband at a
 time) fluctuation chain, the Einstein relations, the kernel and the
-covariance transport on stacks of 2x2 matrices, the transport by 5x5
+covariance transport on stacks of 2x2 matrices, the kernel with its
+rows stored sideband-major and phi_1 by np.where, the transport by 5x5
 exponentials (scipy and 50-digit mpmath), the depleted transport by
 scipy's RK45 and the kernel built afresh at each intensity, Doppler
 quadrature, the two-wofz composite kappa, the fit loop with the
@@ -15,6 +16,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
@@ -321,7 +323,7 @@ def source_rows(ens, drive, omegas):
     swapped."""
     sb = fluct._sidebands(ens, drive.detuning, omegas, False)
     first = fluct._rows(sb, np.array([drive.intensity]),
-                        np.array([bloch.kappa_zero(ens, drive)]))[0, :, 2:]
+                        np.array([bloch.kappa_zero(ens, drive)]))[0, 2:].T
     return np.stack([first, fluct._partner(first, 0)[:, [1, 0, 2, 3]].conj()],
                     axis=1)
 
@@ -330,7 +332,7 @@ def langevin_coeffs(ens, drive, omega):
     """A(w), B(w) of the Langevin source decomposition: B is a row of
     ``fluct._ratios``, A is (2 - i w) times the f_z' row."""
     q = fluct._ratios(fluct._sidebands(ens, drive.detuning, [omega], False),
-                      np.array([drive.intensity]))[0, 0]
+                      np.array([drive.intensity]))[0, :, 0]
     return q[5] * (2.0 - 1j * omega), q[3]
 
 
@@ -438,6 +440,100 @@ def mpmath_diffusion(drive, dps=50):
                 for i, j in zip(*np.nonzero(t.T)))
         comb = mpmath.matrix(COMBINE_SQRT2.tolist())
         return comb * d8 * comb.T / 2
+
+
+# ---------------------------------------------------------------------------
+# the kernel with its rows stored sideband-major, (k, 2n, 7), every I_x = 0
+# row formed and selected by np.where, and phi_1 by np.where over its
+# series: the references that fluct's sidebands-last rows and its phi_1
+# must reproduce bit for bit
+# ---------------------------------------------------------------------------
+
+class SidebandMajor(NamedTuple):
+    detuning: float
+    truncate_dephasing: bool
+    u: np.ndarray              # (2n,) signed sidebands
+    num: np.ndarray            # (2n, 7) the I_x-free parts
+    num_ix: np.ndarray         # (2n, 7) the coefficients of I_x
+    free: np.ndarray           # (2n, 7) I_x = 0, -iu (2-iu) cancelled
+    zero: np.ndarray           # (2n,) whether u = 0
+    transit: np.ndarray        # iu gamma l / c, the transit phase
+
+
+def sideband_major_sidebands(ens, detuning, omegas, truncate_dephasing):
+    w = np.asarray(omegas, dtype=float)
+    u = np.concatenate([w, -w])
+    de = detuning
+    iu = 1j * u
+    p1 = 1.0 - iu
+    p2 = 2.0 - iu
+    p1_sq = p1 ** 2
+    c1 = 1.0 - 1j * de - iu
+    a_red = c1 * -iu
+    zero = np.zeros_like(iu)
+    return SidebandMajor(
+        detuning=de, truncate_dephasing=truncate_dephasing, u=u,
+        num=np.stack([zero, -iu * (1.0 - 1j * de) * c1 * p2, a_red * p2,
+                      zero, c1 * p2, a_red,
+                      -iu * p2 * (p1_sq + de * de)], axis=1),
+        num_ix=np.stack([p1 * p2, iu * p1, p1, p1, zero, zero,
+                         2.0 * p1_sq], axis=1),
+        free=np.stack([zero, (1.0 - 1j * de) * c1, c1, zero, zero, zero,
+                       p1_sq + de * de], axis=1),
+        zero=u == 0.0,
+        transit=iu * ens.transit_time)
+
+
+def sideband_major_ratios(sb, ix):
+    ix = ix[:, None, None]
+    rows = np.where(ix == 0.0, sb.free, sb.num + ix * sb.num_ix)
+    d = rows[..., 6:]
+    if not d.all():
+        i, j, _ = np.argwhere(d == 0.0)[0]
+        raise NumericalError("response pole: D(omega) = 0",
+                             {"intensity": float(ix[i, 0, 0]),
+                              "detuning": sb.detuning,
+                              "omega": float(sb.u[j])})
+    q = rows[..., :6] / d
+    if sb.zero.any():
+        q[:, sb.zero, 0] = ix[:, :, 0] != 0.0
+    return q
+
+
+def sideband_major_rows(sb, ix, k0):
+    scale = np.ones((ix.size, 6), dtype=complex)
+    scale[:, 0] = -k0
+    scale[:, 1] = 0.0 if sb.truncate_dephasing else -k0.conj()
+    scale[:, 4:] = -1j * np.sqrt(0.5 * ix)[:, None]
+    return sideband_major_ratios(sb, ix) * scale[:, None, :]
+
+
+def sideband_major_kernel(ens, sb, intensities, noisy):
+    """(M, N) of ``fluct._kernel`` from the sideband-major rows."""
+    ix = np.asarray(intensities, dtype=float)
+    k0, weights = fluct._steady_state(ens, ix, sb.detuning, noisy)
+    rows = sideband_major_rows(sb, ix, k0)
+    m = np.empty((2, 2) + rows.shape[:2], dtype=complex)
+    m[0, 0] = sb.transit + rows[..., 1]
+    m[0, 1] = rows[..., 0]
+    m[1, ::-1] = fluct._partner(m[0]).conj()
+    if not noisy:
+        return m, np.zeros_like(m)
+    p = np.stack([rows[..., 2:],
+                  fluct._partner(rows, 1)[..., [3, 2, 4, 5]].conj()])[:, None]
+    q = np.moveaxis(fluct._partner(p, 3), 0, 1)
+    t, p_e, c = (w[:, None] for w in weights)
+    fy, fyd, fz, fzp = range(4)
+    src = (p[..., fy] * (t * q[..., fyd] + c * q[..., fzp])
+           + p[..., fzp] * (p_e * q[..., fzp] + c.conj() * q[..., fyd])
+           + p_e * (p[..., fz] * q[..., fz]))
+    return m, src
+
+
+def where_phi1(x):
+    """phi_1(x) = (e^x - 1)/x, its series selected by np.where."""
+    series = 1.0 + x * (0.5 + x * (1.0 / 6.0 + x * (1.0 / 24.0)))
+    return np.where(np.abs(x) < 2.0 ** -12, series, np.expm1(x) / x)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -788,3 +789,60 @@ def test_presets_hold_only_keys_their_command_reads(tmp_path, command,
                                                     preset):
     assert main_exit(command, "--config", preset, "--out",
                      str(tmp_path / "out")) == 0
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("command, key, good, bad", [
+    ("sweep", "intensities_mw", [0.0, 1.0], [-20.0, 1.0]),
+    ("fit", "intensity_mw", 22.3, -22.3)])
+def test_a_negative_intensity_is_a_config_error(tmp_path, capsys, command,
+                                                key, good, bad, fmt):
+    """A negative drive power was computed: sweep wrote nan cells after
+    two RuntimeWarnings (exit 0 in CSV, 3 in JSON) and fit exited 3 on
+    non-finite residuals.  It is exit 2 naming the key, with no file
+    written and no warning; 0 mW stays valid."""
+    cfg = (yaml.safe_load(yaml.safe_dump(SWEEP_CFG)) if command == "sweep"
+           else yaml.safe_load(write_fit_cfg(tmp_path).read_text()))
+    codes = []
+    for tag, value in (("good", good), ("bad", bad)):
+        cfg[command][key] = value
+        path = write_cfg(tmp_path, cfg, f"{tag}.yaml")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            codes.append(main_exit(command, "--config", str(path), "--out",
+                                   str(tmp_path / tag), "--format", fmt))
+    assert codes == [0, 2]
+    assert (f"config error: {command}.{key}: "
+            in capsys.readouterr().err)
+    assert (tmp_path / "good").exists() and not (tmp_path / "bad").exists()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_noise_converts_theta_rows_only_for_the_scan(tmp_path, monkeypatch,
+                                                     fmt):
+    """Without --theta-scan no S_theta row goes to dB; with it, one per
+    detuning.  The summary is the same bytes either way."""
+    from psrsim import fluct
+    calls = []
+    to_db = fluct.QuadratureSpectrum.to_db
+
+    def counted(spec):
+        calls.append(spec.detuning)
+        return to_db(spec)
+
+    monkeypatch.setattr(fluct.QuadratureSpectrum, "to_db", counted)
+    outs = []
+    for tag, flags in (("plain", ()), ("scan", ("--theta-scan",))):
+        out = tmp_path / f"{tag}.{fmt}"
+        assert main_exit("noise", "--config", "hot-vapour-d2", "--out",
+                         str(out), "--format", fmt, *flags) == 0
+        outs.append(out.read_bytes())
+        if tag == "plain":
+            assert calls == []
+    assert len(calls) == 13
+    if fmt == "csv":
+        assert outs[0] == outs[1]
+    else:
+        plain, scan = (json.loads(o) for o in outs)
+        assert "theta_scan" not in plain["data"]
+        assert plain["data"]["summary"] == scan["data"]["summary"]

@@ -84,9 +84,11 @@ def test_manifold_normalizes_strengths():
 
 def test_sweep_grid_validation():
     ensemble.SweepGrid(detunings_ghz=(-1.0, 0.0, 1.0),
-                       intensities_mw=(1.0, 2.0))
+                       intensities_mw=(0.0, 1.0, 2.0))
     with pytest.raises(ValidationError):
         ensemble.SweepGrid(detunings_ghz=(1.0, 1.0), intensities_mw=(1.0,))
+    with pytest.raises(ValidationError, match="intensities_mw: must be >= 0"):
+        ensemble.SweepGrid(detunings_ghz=(1.0,), intensities_mw=(-20.0, 1.0))
 
 
 def test_doppler_average_zero_width_is_identity():
@@ -328,6 +330,19 @@ def test_fit_requires_enough_points():
         ensemble.fit(man, ens, det[:20], t_data[:20], gl_data[:20], 22.3)
 
 
+def test_fit_rejects_a_negative_intensity_and_takes_zero():
+    """-22.3 mW used to end in non-finite residuals (NumericalError).  At
+    0 mW the intensity scale drops out of the model; the rest is fitted."""
+    man, ens, det, t_data, gl_data, truth = synthetic_traces(0.0)
+    with pytest.raises(ValidationError, match="intensity_mw: must be >= 0"):
+        ensemble.fit(man, ens, det, t_data, gl_data, -22.3)
+    t_data, gl_data = ensemble._fit_model(man, ens, det, 0.0, truth)
+    res = ensemble.fit(man, ens, det, t_data, gl_data, 0.0)
+    assert np.allclose([res.density_scale, res.freq_offset_ghz,
+                        res.strength_ratios[0]], truth[[0, 1, 3]],
+                       rtol=1e-6, atol=1e-9)
+
+
 # (manifold, gamma_raw); "narrow" is 1 kHz wide, so the detunings lie up
 # to 1.6e6 Doppler widths out
 MANIFOLDS = {"d1": (d1_manifold(), GAMMA_D1), "d2": (d2_manifold(), GAMMA_D2),
@@ -477,18 +492,23 @@ def test_composite_kappa_equals_two_wofz_oracle_bit_for_bit(name):
 
 @pytest.mark.parametrize("name", sorted(MANIFOLDS))
 def test_composite_spectrum_equals_per_column_kappa(name):
+    """On one slab of whole detuning rows (301 x 6), and on three, the
+    last one short (1501 x 6)."""
     man, gamma_raw = MANIFOLDS[name]
     ens = EnsembleParams.from_cooperativity(4000.0, gamma_raw=gamma_raw)
-    grid = ensemble.SweepGrid(
-        detunings_ghz=tuple(np.linspace(-1.5, 1.6, 301)),
-        intensities_mw=(0.5, 1.0, 3.0, 8.0, 22.3, 45.0))
-    maps = ensemble.composite_spectrum(man, ens, grid, intensity_scale=250.0)
-    det = ghz_to_gamma(np.asarray(grid.detunings_ghz), gamma_raw)
-    for j, mw in enumerate(grid.intensities_mw):
-        kap = ensemble.composite_kappa(man, ens, det, 250.0 * mw)
-        t_col = np.exp(-2.0 * kap.real)
-        assert maps.transmission[:, j].tobytes() == t_col.tobytes()
-        assert maps.psr_gl[:, j].tobytes() == (-kap.imag * t_col).tobytes()
+    for n_det in (301, 1501):
+        grid = ensemble.SweepGrid(
+            detunings_ghz=tuple(np.linspace(-1.5, 1.6, n_det)),
+            intensities_mw=(0.5, 1.0, 3.0, 8.0, 22.3, 45.0))
+        maps = ensemble.composite_spectrum(man, ens, grid,
+                                           intensity_scale=250.0)
+        det = ghz_to_gamma(np.asarray(grid.detunings_ghz), gamma_raw)
+        for j, mw in enumerate(grid.intensities_mw):
+            kap = ensemble.composite_kappa(man, ens, det, 250.0 * mw)
+            t_col = np.exp(-2.0 * kap.real)
+            assert maps.transmission[:, j].tobytes() == t_col.tobytes()
+            assert (maps.psr_gl[:, j].tobytes()
+                    == (-kap.imag * t_col).tobytes())
 
 
 @pytest.mark.parametrize("noise,seed", [(0.0, 0), (0.01, 1), (0.03, 2)])

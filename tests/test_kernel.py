@@ -5,6 +5,7 @@ exponentials (scipy, and mpmath at 50 digits), and --deplete, bit for
 bit against a kernel built afresh at each intensity, and against the
 saturable Beer law."""
 
+import itertools
 import math
 import subprocess
 import sys
@@ -20,7 +21,8 @@ from conftest import (DIFFUSION, brute_force_diffusion, componentwise,
                       mpmath_diffusion, mpmath_extrema, mpmath_transport,
                       per_intensity_kernel, scalar_drift,
                       scalar_inflow, scalar_source_rows_pair, scipy_transport,
-                      source_rows, stacked, transport)
+                      sideband_major_kernel, sideband_major_sidebands,
+                      source_rows, stacked, transport, where_phi1)
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -77,12 +79,108 @@ def test_a_response_pole_is_a_numerical_error_naming_omega():
     hand, which leaves I_x = 0 alone)."""
     sb = fluct._sidebands(HOT, 1.5, [0.5, 1.0], False)
     num, num_ix = sb.num.copy(), sb.num_ix.copy()
-    num[3, 6] = num_ix[3, 6] = 0.0
+    num[6, 3] = num_ix[6, 3] = 0.0
     with pytest.raises(NumericalError, match="response pole") as exc:
         fluct._ratios(sb._replace(num=num, num_ix=num_ix),
                       np.array([0.0, 1000.0, 10.0]))
     assert exc.value.point == {"intensity": 1000.0, "detuning": 1.5,
                                "omega": -1.0}
+
+
+def preset_kernel_points(preset):
+    """(ensemble, intensities, detuning, omegas) of every preset detuning."""
+    cfg, _ = cli.load_config(preset)
+    ix = float(cfg["drive"]["intensity"])   # YAML reads 8.0e4 as a string
+    return [pytest.param(cli.build_ensemble(cfg), [ix], de,
+                         cfg["noise"]["omegas"], id=f"{preset}-{de:g}")
+            for de in cfg["noise"]["detunings"]]
+
+
+COLD = EnsembleParams.from_cooperativity(1600.0)
+# the exact zeros and the denormals of an underflowed depleted profile,
+# next to its drive of 10 at z = 0
+UNDERFLOWED = bloch.depleted_intensity(1600.0, 10.0, 0.0,
+                                       np.linspace(0.0, 1.0, 33))
+KERNEL_POINTS = (
+    preset_kernel_points("hot-vapour-d2")
+    + preset_kernel_points("hot-vapour-d1")
+    + preset_kernel_points("cold-atom-kerr")
+    + [pytest.param(HOT, [1000.0], de, np.geomspace(0.1, 3.0, 400),
+                    id=f"hot-400-{de:g}") for de in (-2.7, 0.4)]
+    + [pytest.param(COLD, [8e4], de, np.geomspace(1.0, 300.0, 400),
+                    id=f"cold-400-{de:g}") for de in (-450.0, 320.0)]
+    + [pytest.param(HOT, [0.0], 2.0, [0.0, 0.5, 1.0], id="undriven"),
+       pytest.param(HOT, [1000.0, 0.0, 5.0], -1.5, [0.0, 0.3, 3.0],
+                    id="omega-0"),
+       pytest.param(COLD, UNDERFLOWED, 0.0, [0.0, 0.1, 0.5, 1.0, 3.0],
+                    id="underflowed")])
+
+
+@pytest.mark.parametrize("ens, intensities, de, omegas", KERNEL_POINTS)
+def test_kernel_equals_the_sideband_major_oracle_bit_for_bit(
+        ens, intensities, de, omegas):
+    """The rows stored sidebands-last, the I_x = 0 rows formed only
+    where I_x = 0 and P(+-u) sliced from one array move no bit of M or
+    N, with and without the sources and with the truncated dephasing.
+    (At u = 0 a denormal intensity overflows A/(-iu) over D(0) = 2 I_x
+    to inf, and NaN follows, in both.)"""
+    assert (UNDERFLOWED == 0.0).any() and (UNDERFLOWED > 0.0).any()
+    for noisy, truncate in ((True, False), (False, False), (True, True)):
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = fluct._kernel(ens, fluct._sidebands(ens, de, omegas,
+                                                      truncate),
+                                intensities, noisy)
+            ref = sideband_major_kernel(
+                ens, sideband_major_sidebands(ens, de, omegas, truncate),
+                np.asarray(intensities, dtype=float), noisy)
+        for a, b in zip(got, ref):
+            assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("shape", [(2, 2, 8), (2, 2, 3, 8)])
+def test_vacuum_start_equals_apply_bit_for_bit(shape):
+    """E sigma E'^T + F at sigma = vacuum is E[:, 0] E'[:, 1]^T + F."""
+    rng = np.random.default_rng(7)
+    maps = [rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            for _ in range(2)]
+    vacuum = fluct._VACUUM.reshape((2, 2) + (1,) * (len(shape) - 2))
+    assert (fluct._from_vacuum(maps).tobytes()
+            == fluct._apply(maps, vacuum).tobytes())
+
+
+def test_vacuum_start_of_overflowed_maps_is_non_finite_where_apply_is():
+    """Maps that overflow in e^M or F (the drifts and sources of strongly
+    amplifying cells, scaled up, driven and undriven): the closed-form
+    start is non-finite on exactly the entries where ``_apply`` is."""
+    overflowed = 0
+    for c, ix, scale in itertools.product((1e7, 1e9), (0.0, 1e4, 1e8),
+                                          (1e3, -1e3, 1e6, -1e6)):
+        ens = EnsembleParams.from_cooperativity(c)
+        sb = fluct._sidebands(ens, -30.0, [0.0, 0.5, 1.0, 5.0], False)
+        gen, src = (a[:, :, 0] for a in fluct._kernel(ens, sb, [ix], True))
+        maps = fluct._transport(gen * scale, src * scale)
+        overflowed += not all(np.isfinite(a).all() for a in maps)
+        assert np.array_equal(
+            np.isfinite(fluct._from_vacuum(maps)),
+            np.isfinite(fluct._apply(maps, fluct._VACUUM[:, :, None])))
+    assert overflowed >= 12
+
+
+def test_phi1_equals_the_where_form_bit_for_bit():
+    """The series where |x| < 2^-12 (x = 0 and a denormal included),
+    expm1(x)/x elsewhere, up to overflow."""
+    rng = np.random.default_rng(3)
+    unit = np.exp(2j * np.pi * rng.uniform(size=64))
+    x = np.concatenate((
+        [0.0, 2.2250738585e-313j, -5e-324, 2.0 ** -12, -2.0 ** -12],
+        unit * 2.0 ** rng.uniform(-60.0, -12.0, 64),   # the series
+        unit * 2.0 ** rng.uniform(-12.0, 4.0, 64),
+        unit * 10.0 ** rng.uniform(1.0, 3.5, 64),       # overflow
+        [709.0, 710.0, -745.0, 1e3j, 1e308]))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        got, ref = fluct._phi1(x), where_phi1(x)
+    assert got.tobytes() == ref.tobytes()
+    assert not np.isfinite(got).all()
 
 
 # the five entries the Einstein relations leave in the steady state
