@@ -3,9 +3,10 @@
 Every command reads a YAML config (a path or the name of a shipped
 preset), writes machine-readable output (CSV with ``#`` metadata lines,
 or JSON with ``meta``/``data`` keys) and returns exit code 0 on
-success, 2 on config errors, 3 on numerical failures and 4 on
-data-ingestion errors.  Outputs are byte-identical for identical
-configs and tool version regardless of ``noise --jobs``.
+success, 2 on config errors, 3 on numerical failures (a NaN or an
+infinity that an output would hold among them) and 4 on data-ingestion
+errors.  Outputs are byte-identical for identical configs and tool
+version.
 """
 
 from __future__ import annotations
@@ -182,13 +183,21 @@ def _fmt(x) -> str:
     if isinstance(x, (int, np.integer)):
         return str(int(x))
     if isinstance(x, (float, np.floating)):
+        if not math.isfinite(x):
+            raise ValueError(x)
         return f"{float(x):.12g}"
     return str(x)
 
 
+def _non_finite(command: str, kind: str, path: Path) -> NumericalError:
+    return NumericalError(f"{command}: non-finite value in the {kind} "
+                          "output", {"output": str(path)})
+
+
 def write_csv(path: Path, command: str, cfg_hash: str, header: list[str],
               rows, extra_meta: list[str] | None = None) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
+    """``rows`` as CSV under ``#`` metadata lines; a NaN or an infinity
+    in a float cell is a numerical error, and no file is written."""
     buf = io.StringIO()
     buf.write(f"# psr-sim v{__version__}\n")
     buf.write(f"# command={command}\n")
@@ -197,14 +206,17 @@ def write_csv(path: Path, command: str, cfg_hash: str, header: list[str],
         buf.write(f"# {line}\n")
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    for row in rows:
-        writer.writerow([_fmt(v) for v in row])
+    try:
+        for row in rows:
+            writer.writerow([_fmt(v) for v in row])
+    except ValueError:
+        raise _non_finite(command, "CSV", path) from None
+    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(buf.getvalue(), encoding="utf-8")
 
 
 def write_json(path: Path, command: str, cfg_hash: str, data: dict,
                extra_meta: dict | None = None) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
     payload = {
         "meta": {"tool": "psr-sim", "version": __version__,
                  "command": command, "config_sha256": cfg_hash,
@@ -214,28 +226,9 @@ def write_json(path: Path, command: str, cfg_hash: str, data: dict,
     try:
         text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
     except ValueError:      # a NaN or an infinity: no JSON number holds it
-        raise NumericalError(f"{command}: non-finite value in the JSON "
-                             "output", {"output": str(path)}) from None
+        raise _non_finite(command, "JSON", path) from None
+    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(text + "\n", encoding="utf-8")
-
-
-# ---------------------------------------------------------------------------
-# workers (module level: picklable for the process pool)
-# ---------------------------------------------------------------------------
-
-def _noise_point(ens: EnsembleParams, intensity: float, det: float, omegas,
-                 thetas, floor: float, deplete: bool,
-                 theta_scan: bool) -> list[tuple]:
-    """The summary rows (det, w, s_min_db, s_max_db, low_omega, theta
-    row) of one detuning; the theta row, S_theta in dB, only with
-    ``theta_scan`` (None otherwise)."""
-    drive = DriveParams(intensity=intensity, detuning=det)
-    spec = fluct.propagate_noise(ens, drive, omegas, thetas,
-                                 deplete=deplete, omega_floor=floor)
-    scan = spec.to_db().tolist() if theta_scan else [None] * spec.omegas.size
-    return [(det, w, lo, hi, low, row) for w, lo, hi, low, row in zip(
-        spec.omegas.tolist(), spec.min_db().tolist(), spec.max_db().tolist(),
-        spec.low_omega.tolist(), scan)]
 
 
 # ---------------------------------------------------------------------------
@@ -256,22 +249,6 @@ _OUT_OPT = click.option("--out", "out_path", required=True,
 _FORMAT_OPT = click.option("--format", "fmt",
                            type=click.Choice(["csv", "json"]),
                            default="csv", show_default=True)
-
-
-def _check_jobs(jobs: int) -> int:
-    if jobs < 1:
-        raise ConfigError("jobs", "parallelism must be >= 1")
-    return jobs
-
-
-def _map_ordered(worker, arg_list, jobs: int):
-    """worker(*args) for each args tuple, in order, on up to ``jobs``
-    processes (the frozen parameter records pickle as they are)."""
-    if jobs == 1 or len(arg_list) <= 1:
-        return [worker(*a) for a in arg_list]
-    from concurrent.futures import ProcessPoolExecutor  # 30 modules
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(worker, *zip(*arg_list)))
 
 
 @cli.command()
@@ -302,6 +279,9 @@ def sweep(config_path: str, out_path: Path, fmt: str) -> None:
     header = ["detuning_ghz"] + [f"{mw:.12g}mW" for mw in grid.intensities_mw]
     meta = [f"intensity_scale={scale:.12g}"]
     if fmt == "csv":
+        # both map files or neither
+        if not (np.isfinite(t_map).all() and np.isfinite(gl_map).all()):
+            raise _non_finite("sweep", "CSV", out_path)
         for name, mat in (("transmission", t_map), ("psr_gl", gl_map)):
             rows = [[d] + list(mat[i])
                     for i, d in enumerate(grid.detunings_ghz)]
@@ -321,17 +301,19 @@ def sweep(config_path: str, out_path: Path, fmt: str) -> None:
 @_CONFIG_OPT
 @_OUT_OPT
 @_FORMAT_OPT
-@click.option("--jobs", type=int, default=1, show_default=True,
-              help="Worker processes (results stay ordered).")
+# accepted (>= 1) and ignored, so that scripts that pass it still run:
+# the detunings take one process, since a detuning costs well under a
+# millisecond and a worker process never paid back its start-up
+@click.option("--jobs", type=click.IntRange(min=1), hidden=True,
+              expose_value=False)
 @click.option("--deplete", is_flag=True,
               help="Deplete the mean drive along the cell.")
 @click.option("--theta-scan", is_flag=True,
               help="Also emit the full theta scan per (detuning, omega).")
-def noise(config_path: str, out_path: Path, fmt: str, jobs: int,
-          deplete: bool, theta_scan: bool) -> None:
+def noise(config_path: str, out_path: Path, fmt: str, deplete: bool,
+          theta_scan: bool) -> None:
     """Quadrature noise spectra of the output y-polarized vacuum, in dB."""
     cfg, cfg_hash = load_config(config_path)
-    jobs = _check_jobs(jobs)
     sec = _section(cfg, "noise", ("detunings", "omegas", "theta_points",
                                   "omega_floor"))
     # ellipticity is checked: the spectra need it to be 0
@@ -356,18 +338,19 @@ def noise(config_path: str, out_path: Path, fmt: str, jobs: int,
     thetas = list(np.linspace(0.0, math.pi, n_theta, endpoint=False))
     floor = _num(sec, "noise", "omega_floor", 0.01)
 
-    args = [(ens, intensity, det, omegas, thetas, floor, deplete, theta_scan)
-            for det in detunings]
-    results = _map_ordered(_noise_point, args, jobs)
-
     summary = []
     scan_rows = []
-    for rows in results:
-        for det, w, lo, hi, flag, theta_vals in rows:
-            summary.append((det, w, lo, hi, flag))
-            if theta_scan:
-                scan_rows.extend((det, w, th, v)
-                                 for th, v in zip(thetas, theta_vals))
+    for det in detunings:
+        spec = fluct.propagate_noise(
+            ens, DriveParams(intensity=intensity, detuning=det), omegas,
+            thetas, deplete=deplete, omega_floor=floor)
+        ws = spec.omegas.tolist()
+        summary.extend((det, w, lo, hi, flag) for w, lo, hi, flag in zip(
+            ws, spec.min_db().tolist(), spec.max_db().tolist(),
+            spec.low_omega.tolist()))
+        if theta_scan:
+            for w, row in zip(ws, spec.to_db().tolist()):
+                scan_rows.extend((det, w, th, v) for th, v in zip(thetas, row))
     if fmt == "csv":
         write_csv(out_path, "noise", cfg_hash,
                   ["detuning", "omega", "s_min_db", "s_max_db", "low_omega"],

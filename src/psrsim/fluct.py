@@ -275,12 +275,6 @@ def response(ens: EnsembleParams, drive: DriveParams,
                            lam=lam, lam_prime=lamp, kappa0=k0)
 
 
-# theta_m: the largest scaled norm at which the degree-m Taylor series of
-# exp (and of phi_1) is accurate to double precision,
-# theta^(m+1) e^theta / (m+1)! <= 2^-53, for m = 1..18; theta_18 is capped
-# at 1, the bound the squaring count scales every norm below
-_THETA = np.array([(math.factorial(m + 1) * 2.0 ** -53 / math.e)
-                   ** (1.0 / (m + 1)) for m in range(1, 18)] + [1.0])
 _EYE = np.eye(2)[:, :, None]
 # the closed form is taken where |K|_max <= _CONFLUENT |d|: the divided
 # differences in d then lose at most about that factor in precision
@@ -391,29 +385,24 @@ def _transport(gen: np.ndarray, src: np.ndarray):
 def _taylor(gen: np.ndarray, src: np.ndarray):
     """``_transport`` of driven +-w stacks by Taylor series and squaring.
 
-    Each sideband takes its own squaring count s and Taylor degree
-    m <= 18 from eta = ||M||_1 + ||M'||_1, which bounds the 1-norm of
-    the Kronecker-sum generator L, so that h eta <= theta_m with
-    h = 2^-s; a sideband and its partner share eta, s and m.  Horner
-    gives E = e^(hM) and F = h phi_1(hL) src; then F <- F + E F E'^T
-    and E <- E^2 run s times, with E' = ``_partner(E)`` throughout.
+    Each sideband takes its own squaring count s from
+    eta = ||M||_1 + ||M'||_1, which bounds the 1-norm of the
+    Kronecker-sum generator L, so that h eta < 1 with h = 2^-s; a
+    sideband and its partner share eta and s.  Horner to degree 18,
+    whose truncation is below 1/19! (about 8e-18) at h eta < 1, gives
+    E = e^(hM) and F = h phi_1(hL) src; then F <- F + E F E'^T and
+    E <- E^2 run s times, with E' = ``_partner(E)`` throughout.
     """
     norm = np.abs(gen).sum(axis=0).max(axis=0)
     eta = norm + _partner(norm)
     s = np.maximum(np.frexp(eta)[1], 0)
     h = np.ldexp(1.0, -s)
-    deg = np.minimum(np.searchsorted(_THETA, eta * h) + 1, _THETA.size)
-    # Horner factors 1/j (exp) and 1/(j+1) (phi_1), j = max(deg)..1;
-    # a sideband of lower degree keeps I and src until j reaches its own
-    j = np.arange(deg.max(initial=0), 0, -1.0)[:, None]
-    c_exp = np.where(j <= deg, 1.0 / j, 0.0)
-    c_phi = np.where(j <= deg, 1.0 / (j + 1.0), 0.0)
     hm = gen * h
     hb = _t(_partner(hm))
     e, f = np.broadcast_to(_EYE, gen.shape), src
-    for a, b in zip(c_exp, c_phi):
-        e = _EYE + _mul(hm, e) * a
-        f = src + (_mul(hm, f) + _mul(f, hb)) * b
+    for j in range(18, 0, -1):
+        e = _EYE + _mul(hm, e) * (1.0 / j)
+        f = src + (_mul(hm, f) + _mul(f, hb)) * (1.0 / (j + 1))
     f = f * h
     for t in range(int(s.max(initial=0))):
         live = s > t

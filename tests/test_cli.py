@@ -88,7 +88,17 @@ def test_sweep_has_no_jobs_option(tmp_path):
     assert not out.exists()
 
 
-def test_outputs_are_deterministic_across_workers(tmp_path):
+def test_outputs_are_deterministic_across_workers(tmp_path, monkeypatch):
+    """--jobs is accepted and ignored: no process pool starts, and the
+    bytes do not depend on it."""
+    import concurrent.futures
+
+    from psrsim import cli
+
+    def no_pool(*_args, **_kwargs):
+        raise AssertionError("noise started a process pool")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     cfg_payload = {
         "ensemble": {"cooperativity": 20.0},
         "drive": {"intensity": 900.0},
@@ -99,11 +109,28 @@ def test_outputs_are_deterministic_across_workers(tmp_path):
     outs = []
     for tag, jobs in (("a", "1"), ("b", "2"), ("c", "1")):
         out = tmp_path / f"noise_{tag}.csv"
-        res = run_cli("noise", "--config", str(cfg), "--out", str(out),
-                      "--jobs", jobs)
-        assert res.returncode == 0, res.stderr
+        monkeypatch.setattr(sys, "argv", ["psr-sim", "noise", "--config",
+                                          str(cfg), "--out", str(out),
+                                          "--jobs", jobs])
+        cli.main()
         outs.append(out.read_bytes())
     assert outs[0] == outs[1] == outs[2]
+
+
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_noise_rejects_fewer_than_one_job(tmp_path, jobs):
+    out = tmp_path / "noise.csv"
+    res = run_cli("noise", "--config", "hot-vapour-d2", "--out", str(out),
+                  "--jobs", jobs)
+    assert res.returncode == 2
+    assert "--jobs" in res.stderr
+    assert not out.exists()
+
+
+def test_noise_help_does_not_list_jobs():
+    res = run_cli("noise", "--help")
+    assert res.returncode == 0, res.stderr
+    assert "--jobs" not in res.stdout
 
 
 def test_sweep_single_point_without_atoms(tmp_path):
@@ -441,22 +468,42 @@ def test_matsko_json_holds_no_nan(tmp_path, rotation, fmt):
         assert opt["min_variance_db"] == pytest.approx(-6.0206, abs=1e-3)
 
 
-def test_non_finite_json_value_exits_3(tmp_path, monkeypatch, capsys):
-    """A value JSON cannot hold is a numerical error, and no file is
-    written."""
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_non_finite_value_exits_3(tmp_path, monkeypatch, capsys, fmt):
+    """A NaN or an infinity in an output is a numerical error in either
+    format, and no file is written."""
     from psrsim import cli, matsko
 
     cfg = write_cfg(tmp_path, {"matsko": {"rotation_strength": 1.5}})
-    out = tmp_path / "matsko.json"
+    out = tmp_path / f"matsko.{fmt}"
     monkeypatch.setattr(matsko, "variance", lambda *_: float("inf"))
     monkeypatch.setattr(sys, "argv", ["psr-sim", "matsko", "--config",
                                       str(cfg), "--out", str(out),
-                                      "--format", "json"])
+                                      "--format", fmt])
     with pytest.raises(SystemExit) as exit_info:
         cli.main()
     assert exit_info.value.code == 3
-    assert "matsko: non-finite value in the JSON output" \
+    assert f"matsko: non-finite value in the {fmt.upper()} output" \
         in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_sweep_with_a_non_finite_map_writes_no_file(tmp_path, fmt):
+    """A gamma so small that the detunings overflow gives NaN map cells:
+    exit 3, and neither map file is written."""
+    cfg = write_cfg(tmp_path, {
+        "ensemble": {"cooperativity": 100.0, "gamma": 1.0e-300},
+        "sweep": {"detunings_ghz": [-0.5, 0.0, 0.5],
+                  "intensities_mw": [1.0, 20.0], "intensity_scale": 400.0,
+                  "doppler_width_ghz": 0.3,
+                  "lines": [{"center_ghz": 0.0, "strength": 1.0}]}})
+    out = tmp_path / "maps"
+    res = run_cli("sweep", "--config", str(cfg), "--out", str(out),
+                  "--format", fmt)
+    assert res.returncode == 3, res.stderr
+    assert f"sweep: non-finite value in the {fmt.upper()} output" \
+        in res.stderr
     assert not out.exists()
 
 
